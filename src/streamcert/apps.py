@@ -19,6 +19,7 @@ from .digraph import (
     Digraph,
     chain_cover_minimum,
     grow_branching,
+    scc_ids,
     scc_tarjan,
     transitive_closure,
 )
@@ -42,15 +43,9 @@ def scc_and_toposort(cert: Certificate) -> tuple[list[int], list[int]]:
     every cross-component arc.
     """
     g = _require_node_cert(cert)
-    comps = scc_tarjan(g)  # emitted in reverse topological order
-    comp_of = [0] * g.n
-    rank_of = [0] * g.n
-    total = len(comps)
-    for emitted, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = emitted
-            rank_of[v] = total - 1 - emitted
-    return comp_of, rank_of
+    comp_of = scc_ids(g)  # ids follow reverse topological order
+    total = max(comp_of, default=-1) + 1
+    return comp_of, [total - 1 - c for c in comp_of]
 
 
 def two_sat(clauses: Sequence[tuple[int, int]], nvars: int) -> list[bool] | None:
@@ -77,10 +72,7 @@ def two_sat(clauses: Sequence[tuple[int, int]], nvars: int) -> list[bool] | None
         arcs.add((node(-a), node(b)))
         arcs.add((node(-b), node(a)))
     imp = Digraph(2 * nvars, arcs)
-    comp = [0] * imp.n
-    for emitted, component in enumerate(scc_tarjan(imp)):
-        for x in component:
-            comp[x] = emitted
+    comp = scc_ids(imp)
     # earlier emission = closer to the sinks; pick the sink-side literal
     out = []
     for v in range(nvars):

@@ -9,13 +9,12 @@ import json
 from pathlib import Path
 from typing import Sequence
 
+from . import __version__
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream, validate_one_cert
 from .digraph import Digraph, independence_greedy_bound, independence_number_exact
 from .exact import validate_certificate
 from .streams import INSERTION_ONLY, ArcStream
-
-__version__ = "0.1.0"
 
 CSV_FIELDS = ("n", "alpha", "k", "p", "model", "peak_words", "passes", "cert_size", "verified")
 

@@ -3,10 +3,11 @@
 Two layers:
 
 * :func:`tc_preserving_prune` — offline reachability-preserving sparsifier.
-  The result decomposes into an acyclic cross-component part D whose
-  out-degrees are bounded by the minimum chain cover size, plus one in- and
-  one out-branching per nontrivial strongly connected component, so it has at
-  most (alpha + 2) * n arcs.
+  In one pass over the cross-component arcs it keeps, for every node x and
+  every chain of a minimum chain cover, the arc from x to the earliest chain
+  node among its out-neighbours.  That acyclic part D has out-degrees at most
+  the chain-cover size <= alpha; adding one in- and one out-branching per
+  nontrivial strongly connected component gives at most (alpha + 2) * n arcs.
 * :func:`one_cert_stream` — multi-pass streaming computation of the same kind
   of certificate.  Node ranges are split into contiguous blocks, sub-certificates
   are computed recursively with all instances of a level multiplexed onto
@@ -19,6 +20,7 @@ Two layers:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -27,6 +29,7 @@ from .digraph import (
     chain_cover_minimum,
     grow_branching,
     reachability_masks,
+    scc_ids,
     scc_tarjan,
 )
 from .streams import (
@@ -35,6 +38,9 @@ from .streams import (
     MinSelect,
     SpaceLedger,
     StreamStats,
+    block_bounds,
+    block_of,
+    int_root_ceil,
     run_passes,
 )
 
@@ -57,18 +63,6 @@ class Certificate:
 
     def graph(self) -> Digraph:
         return Digraph(self.base_n, self.arcs)
-
-
-def _int_root_ceil(n: int, k: int) -> int:
-    """Smallest b >= 1 with b**k >= n."""
-    if n <= 1:
-        return 1
-    b = max(1, int(round(n ** (1.0 / k))))
-    while b**k < n:
-        b += 1
-    while b > 1 and (b - 1) ** k >= n:
-        b -= 1
-    return b
 
 
 @dataclass(frozen=True)
@@ -123,55 +117,34 @@ def _scc_branching_arcs(g: Digraph) -> set[tuple[int, int]]:
     return arcs
 
 
-def tc_preserving_prune(g: Digraph, alpha_hint: int | None = None) -> Digraph:
+def tc_preserving_prune(g: Digraph) -> Digraph:
     """Subgraph with the same transitive closure and at most (alpha+2)*n arcs.
 
-    ``alpha_hint`` is advisory only: the reduction loop runs until every
-    node's cross-component out-degree is at most the chain-cover size, which
-    never exceeds the independence number.
+    One pass over the cross-component arcs keeps, for every node x and every
+    chain of a minimum chain cover, only the arc from x to its earliest
+    out-neighbour on that chain, so each node keeps at most chain-cover-size
+    <= alpha cross arcs.  One in- and one out-branching per nontrivial
+    strongly connected component add fewer than 2n arcs.
     """
     n = g.n
     if n == 0 or not g.arcs:
         return g
-    comp_id = [-1] * n
-    for i, comp in enumerate(scc_tarjan(g)):
-        for v in comp:
-            comp_id[v] = i
-    s_arcs = _scc_branching_arcs(g)
-    cover = chain_cover_minimum(g)
-    nchains = len(cover)
+    comp_id = scc_ids(g)
     chain_at = [(-1, -1)] * n  # node -> (chain index, position)
-    for ci, chain in enumerate(cover.chains):
+    for ci, chain in enumerate(chain_cover_minimum(g).chains):
         for pos, v in enumerate(chain):
             chain_at[v] = (ci, pos)
 
-    d_out: list[set[int]] = [set() for _ in range(n)]
-    for u, v in g.arcs:
-        if comp_id[u] != comp_id[v]:
-            d_out[u].add(v)
+    # The earliest chain node reaches the later ones; induction over the
+    # condensation in reverse topological order shows nothing else is lost.
+    first: dict[tuple[int, int], tuple[int, int]] = {}  # (x, chain) -> (pos, v)
+    for x, v in g.arcs:
+        if comp_id[x] != comp_id[v]:
+            ci, pos = chain_at[v]
+            first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
 
-    while True:
-        x = next((i for i in range(n) if len(d_out[i]) > nchains), -1)
-        if x < 0:
-            break
-        # two out-neighbours share a chain by pigeonhole; drop the later one
-        best: tuple[int, int] | None = None
-        nbrs = sorted(d_out[x])
-        for u in nbrs:
-            cu, pu = chain_at[u]
-            for v in nbrs:
-                if u == v:
-                    continue
-                cv, pv = chain_at[v]
-                if cu == cv and pu < pv and (best is None or (u, v) < best):
-                    best = (u, v)
-        if best is None:  # pragma: no cover - pigeonhole guarantees a pair
-            raise AssertionError("no same-chain pair despite out-degree overflow")
-        d_out[x].discard(best[1])
-
-    arcs = set(s_arcs)
-    for x in range(n):
-        arcs.update((x, v) for v in d_out[x])
+    arcs = _scc_branching_arcs(g)
+    arcs.update((x, v) for (x, _), (_, v) in first.items())
     return Digraph(n, arcs)
 
 
@@ -196,18 +169,6 @@ class _TreeNode:
         self.best: dict | None = None
         self.select: dict | None = None
         self.account = None
-
-
-def _child_index(node: _TreeNode, v: int, b: int) -> int:
-    span = node.hi - node.lo
-    offset = v - node.lo
-    base, rem = divmod(span, b)
-    if base == 0:
-        return offset
-    threshold = rem * (base + 1)
-    if offset < threshold:
-        return offset // (base + 1)
-    return rem + (offset - threshold) // base
 
 
 class OneCertRun:
@@ -251,7 +212,7 @@ class OneCertRun:
             self.levels, self.q = plan.p - 1, 1
         self.total_passes = 1 + self.levels * self.q
 
-        self.b = plan.b if plan.b is not None else _int_root_ceil(self.size, self.levels + 1)
+        self.b = plan.b if plan.b is not None else int_root_ceil(self.size, self.levels + 1)
         if self.levels >= 1 and self.b < 2:
             if plan.b is not None:
                 raise ValueError("branching factor must be >= 2 for multi-level plans")
@@ -268,13 +229,10 @@ class OneCertRun:
             nxt = []
             for node in self.by_depth[depth]:
                 span = node.hi - node.lo
-                base, rem = divmod(span, self.b)
-                lo = node.lo
-                for i in range(self.b):
-                    size = base + (1 if i < rem else 0)
-                    child = _TreeNode(lo, lo + size, depth + 1)
-                    node.children.append(child)
-                    lo += size
+                node.children = [
+                    _TreeNode(*block_bounds(node.lo, span, self.b, i), depth + 1)
+                    for i in range(self.b)
+                ]
                 nxt.extend(node.children)
             self.by_depth.append(nxt)
         for nodes in self.by_depth:
@@ -308,13 +266,14 @@ class OneCertRun:
         """Deepest-common node at exactly ``depth``; child indices of (u, v) there."""
         node = self.by_depth[0][0]
         for _ in range(depth):
-            iu = _child_index(node, lu, self.b)
-            iv = _child_index(node, lv, self.b)
-            if iu != iv:
+            span = node.hi - node.lo
+            iu = block_of(lu - node.lo, span, self.b)
+            if iu != block_of(lv - node.lo, span, self.b):
                 return None
             node = node.children[iu]
-        iu = _child_index(node, lu, self.b)
-        iv = _child_index(node, lv, self.b)
+        span = node.hi - node.lo
+        iu = block_of(lu - node.lo, span, self.b)
+        iv = block_of(lv - node.lo, span, self.b)
         if iu == iv:
             return None
         return node, iu, iv
@@ -344,8 +303,9 @@ class OneCertRun:
         if phase[0] == "leaf":
             node = self.by_depth[0][0]
             for _ in range(self.levels):
-                iu = _child_index(node, lu, self.b)
-                if iu != _child_index(node, lv, self.b):
+                span = node.hi - node.lo
+                iu = block_of(lu - node.lo, span, self.b)
+                if iu != block_of(lv - node.lo, span, self.b):
                     return
                 node = node.children[iu]
             if sign > 0:
@@ -528,25 +488,19 @@ def validate_one_cert(g: Digraph, cert: Certificate) -> OneCertReport:
             violations.append((s, low.bit_length() - 1))
             diff ^= low
 
-    comp_id = [-1] * g.n
-    comps = scc_tarjan(h)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = i
+    comp_id = scc_ids(h)
     nchains = len(chain_cover_minimum(h))
     cross_deg = [0] * g.n
-    intra: dict[int, list[tuple[int, int]]] = {}
+    intra: Counter[int] = Counter()
     for u, v in h.arcs:
         if comp_id[u] == comp_id[v]:
-            intra.setdefault(comp_id[u], []).append((u, v))
+            intra[comp_id[u]] += 1
         else:
             cross_deg[u] += 1
-    structural = all(d <= nchains for d in cross_deg)
-    for i, comp in enumerate(comps):
-        if len(comp) < 2:
-            continue
-        if len(intra.get(i, ())) > 2 * (len(comp) - 1):
-            structural = False
+    # self-loops are excluded, so a singleton component holds no intra arc
+    structural = all(d <= nchains for d in cross_deg) and all(
+        intra[c] <= 2 * (size - 1) for c, size in Counter(comp_id).items()
+    )
     return OneCertReport(
         contained=contained,
         tc_equal=not violations,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +43,16 @@ def _stream(path: str) -> ArcStream:
 
 
 def _eval_budget(expr: str, names: dict[str, int]) -> int:
-    """Evaluate a tiny arithmetic expression over n and p, nothing else."""
+    """Evaluate a tiny arithmetic expression over n and p, nothing else.
+
+    Every power is bounded before it is computed: an exponent above 64 or a
+    result above 2**64 is rejected, so no expression can run unboundedly.
+    """
+
+    def power(a, b):
+        if b > 64 or (a != 0 and b * math.log2(abs(a)) > 64):
+            raise ValueError(f"power {a}**{b} too large in space budget expression {expr!r}")
+        return a**b
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -61,7 +71,7 @@ def _eval_budget(expr: str, names: dict[str, int]) -> int:
                 ast.Mult: lambda a, b: a * b,
                 ast.Div: lambda a, b: a / b,
                 ast.FloorDiv: lambda a, b: a // b,
-                ast.Pow: lambda a, b: a**b,
+                ast.Pow: power,
                 ast.Mod: lambda a, b: a % b,
             }
             return ops[type(node.op)](left, right)
@@ -374,8 +384,6 @@ def cmd_tc(args) -> int:
 
 def _add_common(sub, *, passes: bool = False) -> None:
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out-dir", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     if passes:
         sub.add_argument("--input", required=True, help="graph file or - for stdin")
         sub.add_argument("--passes", type=int, default=1)
@@ -442,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=INSERTION_ONLY)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seeds", default="0")
+    p.add_argument("--out-dir", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -103,26 +103,6 @@ class _Sim:
         return RoundTrace(self.round, self.messages, dict(self.phases), dict(self.meta))
 
 
-def run_protocol(net: CongestNetwork, protocol, seed: int = 0):
-    """Drive a protocol object with init/on_round/finished/outputs hooks."""
-    sim = _Sim(net)
-    protocol.init(net, seed)
-    inbox: dict[int, dict[int, Message]] = {}
-    guard = 4 * net.topology.n * net.topology.n + 16
-    while not protocol.finished():
-        sends = {}
-        for v in range(net.topology.n):
-            out = protocol.on_round(v, inbox.get(v, {}))
-            if out:
-                sends[v] = out
-        if not sends:
-            raise RuntimeError("protocol stalled: no messages and not finished")
-        inbox = sim.exchange(sends, "main")
-        if sim.round > guard:
-            raise RuntimeError(f"protocol exceeded {guard} rounds")
-    return protocol.outputs(), sim.trace()
-
-
 # ---------------------------------------------------------------------------
 # shared flood / convergecast primitives (lockstep across components)
 # ---------------------------------------------------------------------------
@@ -383,7 +363,6 @@ class _Decomposition:
     ) -> dict[object, int]:
         """Per-component binary search for the median-weight threshold rank."""
         bounds = {key: (1, self.n**3) for key in comps}
-        comp_of = {v: key for key in comps for v in comps[key]}
         for _ in range(search_iters):
             open_keys = {key for key in comps if bounds[key][0] < bounds[key][1]}
             if not open_keys:

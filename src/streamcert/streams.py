@@ -99,13 +99,16 @@ class SpaceAccount:
 
     def _check(self) -> None:
         if self.budget is not None and self.words > self.budget:
-            if self._ledger.strict:
-                raise SpaceBudgetError(self.name, self.words, self.budget)
-            self._ledger.violations.append((self.name, self.words, self.budget))
+            self._ledger._over_budget(self.name, self.words, self.budget)
 
 
 class SpaceLedger:
-    """Tracks current and peak total words over all open accounts."""
+    """Tracks current and peak total words over all open accounts.
+
+    Outside strict mode a budget overrun is recorded, not raised:
+    ``violations`` keeps the first overrun of each account name (``"total"``
+    for the ledger-wide budget) and ``violation_count`` counts every one.
+    """
 
     def __init__(self, strict: bool = False, budget: int | None = None):
         self.current = 0
@@ -113,6 +116,8 @@ class SpaceLedger:
         self.strict = strict
         self.budget = budget
         self.violations: list[tuple[str, int, int]] = []
+        self.violation_count = 0
+        self._violated: set[str] = set()
 
     def open(self, name: str, constant: int = 0, budget: int | None = None) -> SpaceAccount:
         return SpaceAccount(self, name, constant, budget)
@@ -122,9 +127,15 @@ class SpaceLedger:
         if self.current > self.peak:
             self.peak = self.current
         if self.budget is not None and self.current > self.budget:
-            if self.strict:
-                raise SpaceBudgetError("total", self.current, self.budget)
-            self.violations.append(("total", self.current, self.budget))
+            self._over_budget("total", self.current, self.budget)
+
+    def _over_budget(self, name: str, words: int, budget: int) -> None:
+        if self.strict:
+            raise SpaceBudgetError(name, words, budget)
+        self.violation_count += 1
+        if name not in self._violated:
+            self._violated.add(name)
+            self.violations.append((name, words, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +284,26 @@ def run_passes(
 
 
 # ---------------------------------------------------------------------------
-# Munro–Paterson multi-pass minimum selection
+# balanced contiguous blocks (minimum selection and the 1-certificate recursion)
 # ---------------------------------------------------------------------------
 
 
-def _blocks_for(span: int, remaining_passes: int) -> int:
-    """Smallest block count whose ``remaining_passes``-fold refinement resolves ``span``."""
-    if span <= 1:
+def int_root_ceil(n: int, k: int) -> int:
+    """Smallest b >= 1 with b**k >= n: the block count whose k-fold
+    refinement resolves a span of n."""
+    if n <= 1:
         return 1
-    nblocks = max(2, round(span ** (1.0 / remaining_passes)))
-    while nblocks**remaining_passes < span:
-        nblocks += 1
-    while nblocks > 2 and (nblocks - 1) ** remaining_passes >= span:
-        nblocks -= 1
-    return nblocks
+    b = max(1, round(n ** (1.0 / k)))
+    while b**k < n:
+        b += 1
+    while b > 1 and (b - 1) ** k >= n:
+        b -= 1
+    return b
 
 
-def _block_of(offset: int, span: int, nblocks: int) -> int:
+def block_of(offset: int, span: int, nblocks: int) -> int:
+    """Index of the block holding ``offset`` when ``span`` is cut into
+    ``nblocks`` contiguous blocks, the first ``span % nblocks`` one larger."""
     base, rem = divmod(span, nblocks)
     threshold = rem * (base + 1)
     if offset < threshold:
@@ -297,10 +311,16 @@ def _block_of(offset: int, span: int, nblocks: int) -> int:
     return rem + (offset - threshold) // base
 
 
-def _block_bounds(lo: int, span: int, nblocks: int, idx: int) -> tuple[int, int]:
+def block_bounds(lo: int, span: int, nblocks: int, idx: int) -> tuple[int, int]:
+    """Half-open range of block ``idx`` of ``[lo, lo + span)`` (see :func:`block_of`)."""
     base, rem = divmod(span, nblocks)
     start = lo + idx * base + min(idx, rem)
     return start, start + base + (1 if idx < rem else 0)
+
+
+# ---------------------------------------------------------------------------
+# Munro–Paterson multi-pass minimum selection
+# ---------------------------------------------------------------------------
 
 
 class MinSelect:
@@ -333,7 +353,7 @@ class MinSelect:
         if self.done:
             return
         span = self.hi - self.lo
-        self.nblocks = _blocks_for(span, self.passes_left)
+        self.nblocks = int_root_ceil(span, self.passes_left)
         self.counters = [0] * self.nblocks
         if self.account is not None:
             self.account.charge(self.nblocks)
@@ -343,7 +363,7 @@ class MinSelect:
             return
         if self.lo <= rank < self.hi:
             span = self.hi - self.lo
-            self.counters[_block_of(rank - self.lo, span, self.nblocks)] += sign
+            self.counters[block_of(rank - self.lo, span, self.nblocks)] += sign
 
     def end_pass(self) -> None:
         if self.done or self.counters is None:
@@ -362,7 +382,7 @@ class MinSelect:
             self.done = True
             self.result = None
             return
-        self.lo, self.hi = _block_bounds(self.lo, span, self.nblocks, chosen)
+        self.lo, self.hi = block_bounds(self.lo, span, self.nblocks, chosen)
         if self.hi - self.lo == 1:
             # the surviving block is a single rank with positive net count
             self.done = True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from streamcert.certify_one import (
     tc_preserving_prune,
     validate_one_cert,
 )
-from streamcert.digraph import Digraph, transitive_closure
+from streamcert.digraph import Digraph, chain_cover_minimum, scc_ids, transitive_closure
 from streamcert.hardgen import embed_tournament, gadget_triangle, transitive_tournament
 from streamcert.streams import INSERTION_ONLY, TURNSTILE, ArcStream, SpaceLedger
 
@@ -59,14 +60,28 @@ def test_prune_keeps_cycles_and_empty_graphs():
 def test_prune_bound_and_witness_on_random_graphs():
     rng = random.Random(10)
     for _ in range(60):
-        g = random_digraph(rng, 1, 12)
+        drawn = random_digraph(rng, 1, 12)
+        n = drawn.n
+        relabelled = Digraph(n, ((n - 1 - u, n - 1 - v) for u, v in drawn.arcs))
+        for g in (drawn, relabelled):
+            h = tc_preserving_prune(g)
+            assert h.arcs <= g.arcs
+            assert transitive_closure(h) == transitive_closure(g)
+            alpha = oracles.independence_number(g.n, g.arcs)
+            assert h.m <= (alpha + 2) * g.n
+            report = validate_one_cert(g, Certificate(g.n, h.arcs, kind="node", k=1))
+            assert report.ok, report
+
+
+def test_prune_keeps_one_cross_arc_per_node_and_chain():
+    rng = random.Random(14)
+    for _ in range(100):
+        g = random_digraph(rng, 2, 16)
+        comp = scc_ids(g)
+        chain_of = {v: ci for ci, chain in enumerate(chain_cover_minimum(g).chains) for v in chain}
         h = tc_preserving_prune(g)
-        assert h.arcs <= g.arcs
-        assert transitive_closure(h) == transitive_closure(g)
-        alpha = oracles.independence_number(g.n, g.arcs)
-        assert h.m <= (alpha + 2) * g.n
-        report = validate_one_cert(g, Certificate(g.n, h.arcs, kind="node", k=1))
-        assert report.ok, report
+        kept = Counter((u, chain_of[v]) for u, v in h.arcs if comp[u] != comp[v])
+        assert max(kept.values(), default=0) <= 1, sorted(g.arcs)
 
 
 def test_one_pass_run_equals_offline_prune():

@@ -135,10 +135,21 @@ def test_one_strict_space(circ_files, capsys):
         capsys, "one", "--input", spath, "--passes", "1", "--strict-space", "3"
     )
     assert code == 2 and "error:" in err
-    code, _, err = run(
-        capsys, "one", "--input", spath, "--passes", "1", "--strict-space", "n(2)"
-    )
-    assert code == 2 and "space budget expression" in err
+    for expr in ("n(2)", "9**9**9"):
+        code, _, err = run(
+            capsys, "one", "--input", spath, "--passes", "1", "--strict-space", expr
+        )
+        assert code == 2 and "space budget expression" in err
+    assert "'9**9**9'" in err
+
+
+def test_output_options_belong_to_bench_only(circ_files, capsys):
+    _, spath = circ_files
+    for flag, value in (("--format", "json"), ("--out-dir", "results")):
+        with pytest.raises(SystemExit) as exc:
+            main(["one", "--input", spath, "--passes", "1", flag, value])
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_kcert_all_modes(circ_files, capsys):

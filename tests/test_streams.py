@@ -16,7 +16,10 @@ from streamcert.streams import (
     SpaceLedger,
     StreamFormatError,
     StreamIntegrityError,
+    block_bounds,
+    block_of,
     final_multiplicity,
+    int_root_ceil,
     mp_min_select,
     run_passes,
 )
@@ -132,6 +135,18 @@ def test_space_budget_strict_vs_recording():
     acct = soft.open("probe", budget=2)
     acct.charge(5)
     assert ("probe", 7, 2) in soft.violations or ("probe", 5, 2) in soft.violations
+    for _ in range(50):
+        acct.charge(1)
+    assert soft.violations == [("probe", 5, 2)]
+    assert soft.violation_count == 51
+
+    shared = SpaceLedger(budget=3)
+    a, b = shared.open("a"), shared.open("b")
+    for _ in range(10):
+        a.charge(1)
+        b.charge(1)
+    assert shared.violations == [("total", 4, 3)]
+    assert shared.violation_count == 17  # every bump from 4 to 20 words
 
     hard = SpaceLedger(strict=True)
     acct2 = hard.open("probe", budget=2)
@@ -147,6 +162,27 @@ def test_global_budget_applies_across_accounts():
     a.charge(4)
     with pytest.raises(SpaceBudgetError):
         b.charge(4)
+
+
+def test_block_helpers_tile_every_span():
+    lo = 5
+    for span in range(201):
+        for nblocks in range(1, span + 2):
+            bounds = [block_bounds(lo, span, nblocks, i) for i in range(nblocks)]
+            assert bounds[0][0] == lo and bounds[-1][1] == lo + span
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            sizes = [hi - start for start, hi in bounds]
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+            for i, (start, hi) in enumerate(bounds):
+                assert all(block_of(x - lo, span, nblocks) == i for x in range(start, hi))
+
+
+def test_int_root_ceil_is_the_smallest_root():
+    for k in range(1, 7):
+        ns = set(range(300)) | {b**k + d for b in range(2, 400) for d in (-1, 0, 1)}
+        for n in ns:
+            b = int_root_ceil(n, k)
+            assert b >= 1 and b**k >= n and (b == 1 or (b - 1) ** k < n), (n, k, b)
 
 
 def test_min_select_block_counter_walkthrough():
