@@ -51,18 +51,16 @@ class PromiseViolationError(RuntimeError):
 class SampleScheme:
     """Sampling parameters for the randomized certificates.
 
-    ``r=None`` selects the desk-scale default ceil(c * k^2 * ln n) samples for
-    node mode and ceil(c * k * ln n) for arc mode; the published constant
-    (192 * lam / rho^2 * log2 n) is available from :meth:`reference_r` but is
-    far too conservative to run.
+    ``r=None`` selects the desk-scale default ceil(8 * k^2 * ln n) samples for
+    node mode and ceil(8 * k * ln n) for arc mode; the published constant
+    (192 / rho^2 * log2 n, at lambda = 1) is available from :meth:`reference_r`
+    but is far too conservative to run.
     """
 
     rho: float
     r: int | None = None
     seed: int = 0
-    lam: float = 1.0
     mode: str = "node"
-    c: float = 8.0
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -79,12 +77,12 @@ class SampleScheme:
             return self.r
         base = max(2, n)
         if self.mode == "node":
-            return max(1, math.ceil(self.c * k * k * math.log(base)))
-        return max(1, math.ceil(self.c * k * math.log(base)))
+            return max(1, math.ceil(8 * k * k * math.log(base)))
+        return max(1, math.ceil(8 * k * math.log(base)))
 
     def reference_r(self, n: int) -> int:
         scale = self.rho**2 if self.mode == "node" else self.rho
-        return math.ceil(192.0 * self.lam / scale * math.log2(max(2, n)))
+        return math.ceil(192.0 / scale * math.log2(max(2, n)))
 
 
 def _sampled_cert(

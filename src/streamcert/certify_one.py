@@ -67,22 +67,20 @@ class Certificate:
 
 @dataclass(frozen=True)
 class RecursionPlan:
-    """Pass budget and branching factor for the streaming recursion.
+    """Pass budget for the streaming recursion.
 
-    ``b`` defaults to the smallest integer with b**depth >= n at run time.
+    The branching factor is not a setting: a run with d >= 1 levels cuts every
+    range into b = max(2, smallest integer with b**(d+1) >= n) blocks.
     ``mp_passes`` fixes the per-level pass count q of the turnstile minimum
     selection; the default is floor(sqrt(p-1)) adjusted so d*q+1 <= p.
     """
 
     p: int
-    b: int | None = None
     mp_passes: int | None = None
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"pass budget p must be >= 1, got {self.p}")
-        if self.b is not None and self.b < 1:
-            raise ValueError(f"branching factor must be >= 1, got {self.b}")
         if self.mp_passes is not None:
             if self.p == 1:
                 raise ValueError("mp_passes is meaningless for a 1-pass plan")
@@ -109,8 +107,7 @@ def _scc_branching_arcs(g: Digraph) -> set[tuple[int, int]]:
         if len(comp) < 2:
             continue
         nodes = sorted(comp)
-        index = {v: i for i, v in enumerate(nodes)}
-        sub = Digraph(len(nodes), ((index[u], index[v]) for u, v in g.arcs if u in index and v in index))
+        sub = g.induced(nodes)
         for kind in ("out", "in"):
             br = grow_branching(sub, 0, kind)
             arcs.update((nodes[u], nodes[v]) for u, v in br.arcs)
@@ -212,11 +209,9 @@ class OneCertRun:
             self.levels, self.q = plan.p - 1, 1
         self.total_passes = 1 + self.levels * self.q
 
-        self.b = plan.b if plan.b is not None else int_root_ceil(self.size, self.levels + 1)
-        if self.levels >= 1 and self.b < 2:
-            if plan.b is not None:
-                raise ValueError("branching factor must be >= 2 for multi-level plans")
-            self.b = 2
+        self.b = int_root_ceil(self.size, self.levels + 1)
+        if self.levels >= 1:
+            self.b = max(2, self.b)
 
         self.account = ledger.open(f"{name}/run", constant=8)
         if self._to_global is not None:
@@ -262,22 +257,6 @@ class OneCertRun:
             return None
         return lu, lv
 
-    def _route(self, lu: int, lv: int, depth: int) -> tuple[_TreeNode, int, int] | None:
-        """Deepest-common node at exactly ``depth``; child indices of (u, v) there."""
-        node = self.by_depth[0][0]
-        for _ in range(depth):
-            span = node.hi - node.lo
-            iu = block_of(lu - node.lo, span, self.b)
-            if iu != block_of(lv - node.lo, span, self.b):
-                return None
-            node = node.children[iu]
-        span = node.hi - node.lo
-        iu = block_of(lu - node.lo, span, self.b)
-        iv = block_of(lv - node.lo, span, self.b)
-        if iu == iv:
-            return None
-        return node, iu, iv
-
     # -- pass protocol ------------------------------------------------------
 
     def begin_pass(self, pass_index: int) -> None:
@@ -300,14 +279,21 @@ class OneCertRun:
             return
         lu, lv = loc
         phase = self._phase
-        if phase[0] == "leaf":
-            node = self.by_depth[0][0]
-            for _ in range(self.levels):
-                span = node.hi - node.lo
-                iu = block_of(lu - node.lo, span, self.b)
-                if iu != block_of(lv - node.lo, span, self.b):
-                    return
-                node = node.children[iu]
+        # A leaf pass wants the leaf holding both ends; a level pass at depth d
+        # wants the depth-d node whose children split u from v.
+        leaf = phase[0] == "leaf"
+        depth = self.levels if leaf else phase[1]
+        node = self.by_depth[0][0]
+        for _ in range(depth if leaf else depth + 1):
+            span = node.hi - node.lo
+            iu = block_of(lu - node.lo, span, self.b)
+            iv = block_of(lv - node.lo, span, self.b)
+            if iu != iv:
+                break
+            node = node.children[iu]
+        if node.depth != depth:
+            return
+        if leaf:
             if sign > 0:
                 if (lu, lv) not in node.arcs:
                     node.arcs.add((lu, lv))
@@ -317,11 +303,7 @@ class OneCertRun:
                 node.account.release(1)
             return
 
-        _, depth, j = phase
-        hit = self._route(lu, lv, depth)
-        if hit is None:
-            return
-        node, _, iv = hit
+        j = phase[2]
         child = node.children[iv]
         cid, pos = child.chainpos[lv]
         key = (lu, iv, cid)

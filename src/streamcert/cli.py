@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp-passes", type=int, default=None)
     p.add_argument("--strict-space", default=None, metavar="EXPR",
                    help="word budget over n and p, e.g. '8*n**1.5'")
-    _add_common(p)
     p.set_defaults(func=cmd_one)
 
     p = subs.add_parser("kcert", help="k-certificate from a stream")
@@ -430,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--kind", choices=("node", "arc"), default="node")
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("congest", help="run a distributed protocol")
@@ -441,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_congest)
 
-    p = subs.add_parser("bench", help="space/pass benchmark table")
+    # no prefix matching, or a stray --seed would be read as --seeds
+    p = subs.add_parser("bench", help="space/pass benchmark table", allow_abbrev=False)
     p.add_argument("--family", choices=("tournament", "circulant"), default="tournament")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--alphas", default="1,2,4")
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p)
     p.set_defaults(func=cmd_bench)
 
     for name, func, extras in (
@@ -472,14 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("2sat", help="satisfy 2-literal clauses ('a b' per line, negative = negated)")
     p.add_argument("--input", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_2sat)
 
     p = subs.add_parser("branchings", help="arc-disjoint out-branchings of the input graph")
     p.add_argument("--input", required=True)
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--t", type=int, default=2)
-    _add_common(p)
     p.set_defaults(func=cmd_branchings)
 
     return parser

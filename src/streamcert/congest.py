@@ -12,10 +12,10 @@ inter-node information travels through counted, size-checked messages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .certify_k import SampleScheme
 from .certify_one import tc_preserving_prune
 from .digraph import Digraph
 from .prf import prf_u64, prf_uniform
@@ -460,10 +460,7 @@ def congest_k_cert(
     g = net.topology
     n = g.n
     sim = _Sim(net)
-    if rho == 1.0:
-        r = 1
-    else:
-        r = max(1, math.ceil(8.0 * k * k * math.log(max(2, n))))
+    r = SampleScheme(rho=rho).sample_count(k, n)
     member = {
         v: [i for i in range(r) if prf_uniform(seed, i, v) < rho] for v in range(n)
     }

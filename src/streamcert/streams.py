@@ -212,7 +212,7 @@ class ArcStream:
         ups = []
         for ln in lines[1:]:
             parts = ln.split()
-            if len(parts) != 3 or parts[0] not in "+-":
+            if len(parts) != 3 or parts[0] not in ("+", "-"):
                 raise StreamFormatError(f"bad update line {ln!r}")
             try:
                 u, v = int(parts[1]), int(parts[2])

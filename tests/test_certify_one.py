@@ -137,8 +137,9 @@ def test_figure_tournament_two_pass_certificate():
     g = embed_tournament([left, right], 6)
     assert g.n == 12
     st = ArcStream.from_graph(g, INSERTION_ONLY, seed=0)
-    cert, stats = one_cert_stream(st, RecursionPlan(p=2, b=4))
+    cert, stats = one_cert_stream(st, RecursionPlan(p=2))
     assert stats.passes == 2
+    assert cert.provenance["b"] == 4
     assert transitive_closure(cert.graph()) == transitive_closure(g)
 
 

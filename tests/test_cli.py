@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import inspect
 import io
 import json
 import sys
 
 import pytest
 
+from streamcert import cli
 from streamcert.cli import main
 from streamcert.digraph import Digraph
 from streamcert.hardgen import has_triangle, transitive_tournament
@@ -150,6 +153,33 @@ def test_output_options_belong_to_bench_only(circ_files, capsys):
             main(["one", "--input", spath, "--passes", "1", flag, value])
         assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    parser = cli.build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subs.choices.items():
+        handler = sub.get_default("func")
+        source = inspect.getsource(handler)
+        if "_cert_of(" in source:
+            source += inspect.getsource(cli._cert_of)
+        for action in sub._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
+
+
+def test_seed_belongs_to_seeded_commands_only(circ_files):
+    gpath, spath = circ_files
+    for argv in (
+        ["one", "--input", spath, "--passes", "1"],
+        ["verify", "--graph", gpath, "--cert", gpath],
+        ["bench"],
+        ["2sat", "--input", gpath],
+        ["branchings", "--input", gpath],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2, argv
 
 
 def test_kcert_all_modes(circ_files, capsys):

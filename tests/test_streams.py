@@ -73,7 +73,8 @@ def test_stream_text_round_trip():
     st = turnstile_stream(g, 3)
     again = ArcStream.from_text(st.to_text())
     assert again.updates == st.updates and again.model == st.model
-    for bad in ("", "4\n", "4 ins\n+ 1\n", "4 ins\nx 0 1\n", "4 wat\n", "2 ins\n- 0 1\n"):
+    for bad in ("", "4\n", "4 ins\n+ 1\n", "4 ins\nx 0 1\n", "4 wat\n", "2 ins\n- 0 1\n",
+                "2 turn\n+ 0 1\n+- 0 1\n"):
         with pytest.raises(StreamFormatError):
             ArcStream.from_text(bad)
 
