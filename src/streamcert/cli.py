@@ -17,6 +17,7 @@ from .digraph import Digraph
 from .hardgen import (
     alpha_family,
     circulant,
+    embed_tournament,
     gadget_plain,
     gadget_triangle,
     gadget_triangle_alpha,
@@ -154,8 +155,6 @@ def cmd_gen(args) -> int:
         for _ in range(count):
             x, y, at = _matrices(bits, at, m)
             gadgets.append(build(x, y))
-        from .hardgen import embed_tournament
-
         g = embed_tournament(gadgets, args.d)
     elif fam in ("triangle-alpha", "hampath", "reach"):
         alpha = _alpha_from_d(args.d)
@@ -169,8 +168,6 @@ def cmd_gen(args) -> int:
             for i in range(count)
         ]
         if fam == "triangle-alpha":
-            from .hardgen import embed_tournament
-
             g = embed_tournament(gadgets, args.d)
         elif fam == "hampath":
             g = hampath_star(gadgets)
@@ -239,7 +236,8 @@ def cmd_congest(args) -> int:
         for v, rank in enumerate(out):
             print(f"{v}\t{rank}")
     else:
-        marks, trace = congest_k_cert(net, args.k, args.rho, seed)
+        rho = args.rho if args.rho is not None else 1.0 / args.k
+        marks, trace = congest_k_cert(net, args.k, rho, seed)
         for v, arcs in enumerate(marks):
             flat = " ".join(f"{u}->{w}" for u, w in sorted(arcs))
             print(f"{v}\t{flat}")
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proto", choices=("kcert", "scc", "topo"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--rho", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_congest)
 

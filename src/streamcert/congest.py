@@ -12,6 +12,7 @@ inter-node information travels through counted, size-checked messages.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -148,19 +149,7 @@ def _flood_reach(
     its only action is the round-zero wakeup, recorded on the trace.
     """
     sim.bump("virtual_source_wakeups", len(sources))
-    reached = set(sources)
-    frontier = sorted(reached)
-    while True:
-        sends = {}
-        for v in frontier:
-            out = {w: (1,) for w in arcs_from[v] if w not in reached}
-            if out:
-                sends[v] = out
-        if not sends:
-            return reached
-        inbox = sim.exchange(sends, phase)
-        frontier = sorted(w for w in inbox if w not in reached)
-        reached.update(frontier)
+    return set(_flood_value(sim, arcs_from, dict.fromkeys(sources, (1,)), phase))
 
 
 def _convergecast(
@@ -250,10 +239,9 @@ class _Decomposition:
                 continue
 
             leader, depth, parent = self._elect(active, links)
-            comp_of = {v: (self.label[v], leader[v]) for v in active}
             comps: dict[object, list[int]] = {}
             for v in active:
-                comps.setdefault(comp_of[v], []).append(v)
+                comps.setdefault((self.label[v], leader[v]), []).append(v)
 
             # one round so everyone learns which neighbours share its component
             sends = {v: {w: (leader[v],) for w in links[v]} for v in active}
@@ -308,7 +296,7 @@ class _Decomposition:
                     branch[v] = 5
 
             if self.with_counters:
-                self._update_counters(comps, parent, depth, branch)
+                self._update_counters(comps, parent, depth, same, branch)
 
             for v in active:
                 if branch[v] == 3:
@@ -398,30 +386,21 @@ class _Decomposition:
                     bounds[key] = (mid + 1, hi)
         return {key: bounds[key][0] for key in comps}
 
-    def _update_counters(self, comps, parent, depth, branch) -> None:
+    def _update_counters(self, comps, parent, depth, same, branch) -> None:
         """Verbatim five-set offsets: later sets shift by earlier set sizes."""
-        order = (1, 2, 3, 4, 5)
-        sizes = {}
-        for idx, want in enumerate(order[:4]):
+        sizes = {key: [] for key in comps}
+        for want in (1, 2, 3, 4):
             got = _convergecast(
                 self.sim, comps, parent, depth,
-                {v: (int(branch[v] == want),) for key in comps for v in comps[key]},
-                "count",
+                {v: (int(b == want),) for v, b in branch.items()}, "count",
             )
             for key in comps:
-                sizes.setdefault(key, [0, 0, 0, 0])[idx] = got[key][0]
-        comp_of = {v: key for key in comps for v in comps[key]}
-        roots = {key: min(comps[key], key=depth.get) for key in comps}
-        payload = {roots[key]: tuple(sizes[key]) for key in comps}
-        flood_links = {
-            v: [w for w in self.net.neighbors[v] if comp_of.get(w) == comp_of[v]]
-            for v in comp_of
-        }
-        seen = _flood_value(self.sim, flood_links, payload, "count")
-        for v in comp_of:
+                sizes[key].append(got[key][0])
+        payload = {min(comps[key], key=depth.get): tuple(sizes[key]) for key in comps}
+        seen = _flood_value(self.sim, same, payload, "count")
+        for v, b in branch.items():
             s1, s2, s3, s4 = seen[v]
-            offset = (0, 0, s1, s1 + s2, s1 + s2 + s3, s1 + s2 + s3 + s4)[branch[v]]
-            self.counter[v] += offset
+            self.counter[v] += (0, 0, s1, s1 + s2, s1 + s2 + s3, s1 + s2 + s3 + s4)[b]
 
 
 def congest_scc(net: CongestNetwork, seed: int = 0) -> tuple[list[int], RoundTrace]:
@@ -488,36 +467,34 @@ def congest_k_cert(
                 nbr_member[v][w].update(msg)
         cursor += batch
 
-    # gossip subgraph arcs: one (i, u, v) fact per link per round
+    # gossip subgraph arcs: one (i, u, v) fact per link per round, smallest
+    # first; a link queues a fact once, when its sender first learns it
     known: list[set[tuple[int, int, int]]] = [set() for _ in range(n)]
-    for u, v in sorted(g.arcs):
-        shared = set(member[u]) & set(member[v])
-        for i in sorted(shared):
-            known[u].add((i, u, v))
-            known[v].add((i, u, v))
-    sent: dict[tuple[int, int], set] = {
-        (v, w): set() for v in range(n) for w in net.neighbors[v]
-    }
+    queue = [{w: [] for w in net.neighbors[v]} for v in range(n)]
+
+    def learn(v: int, fact: tuple[int, int, int]) -> None:
+        if fact not in known[v]:
+            known[v].add(fact)
+            for w, heap in queue[v].items():
+                if fact[0] in nbr_member[v][w]:
+                    heapq.heappush(heap, fact)
+
+    for u, v in g.arcs:
+        for i in set(member[u]).intersection(member[v]):
+            learn(u, (i, u, v))
+            learn(v, (i, u, v))
     while True:
         sends = {}
         for v in range(n):
-            for w in net.neighbors[v]:
-                ready = sorted(
-                    fact
-                    for fact in known[v]
-                    if fact[0] in nbr_member[v][w]
-                    and fact[0] in member[v]
-                    and fact not in sent[(v, w)]
-                )
-                if ready:
-                    sends.setdefault(v, {})[w] = ready[0]
-                    sent[(v, w)].add(ready[0])
+            out = {w: heapq.heappop(heap) for w, heap in queue[v].items() if heap}
+            if out:
+                sends[v] = out
         if not sends:
             break
         inbox = sim.exchange(sends, "gossip")
         for v in inbox:
             for msg in inbox[v].values():
-                known[v].add(tuple(msg))
+                learn(v, msg)
 
     # local pruning of every learned component, marking incident survivors
     marks: list[set[tuple[int, int]]] = [set() for _ in range(n)]

@@ -219,10 +219,11 @@ class Branching:
 # ---------------------------------------------------------------------------
 
 
-def _closure_masks(n: int, out_rows: list[int]) -> list[int]:
-    """Per-node reachability bitmasks (node itself excluded)."""
-    reach = [0] * n
-    for s in range(n):
+def reachability_masks(g: Digraph) -> list[int]:
+    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
+    out_rows = g.out_masks()
+    reach = [0] * g.n
+    for s in range(g.n):
         seen = 0
         frontier = out_rows[s]
         while frontier:
@@ -236,11 +237,6 @@ def _closure_masks(n: int, out_rows: list[int]) -> list[int]:
             frontier = nxt & ~seen
         reach[s] = seen
     return reach
-
-
-def reachability_masks(g: Digraph) -> list[int]:
-    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
-    return _closure_masks(g.n, g.out_masks())
 
 
 def reachable(g: Digraph, s: int, t: int) -> bool:

@@ -151,6 +151,8 @@ class ArcStream:
     def __init__(self, n: int, updates: Iterable[tuple[int, int, int]], model: str):
         if model not in (INSERTION_ONLY, TURNSTILE):
             raise ValueError(f"model must be 'ins' or 'turn', got {model!r}")
+        if n < 0:
+            raise StreamIntegrityError(f"node count must be nonnegative, got {n}")
         ups = []
         seen_ins: set[tuple[int, int]] = set()
         for sign, u, v in updates:

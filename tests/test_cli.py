@@ -229,6 +229,11 @@ def test_congest_protocols(circ_files, capsys):
     assert code == 0
     assert json.loads(err)["meta"]["r"] >= 1
 
+    # --rho defaults to 1/k, which stays within the protocol's (0, 1/k] range
+    code, _, err = run(capsys, "congest", "--proto", "kcert", "--input", gpath, "--k", "3")
+    assert code == 0
+    assert json.loads(err)["meta"]["r"] >= 1
+
 
 def test_bench_csv_json_and_outdir(tmp_path, capsys):
     base = ("bench", "--family", "circulant", "--n", "9", "--k", "2", "--p-list", "1,2")

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 import oracles
-from conftest import random_digraph
+from conftest import random_digraph, random_strong_digraph
 from streamcert.certify_one import Certificate
 from streamcert.congest import (
     CongestNetwork,
@@ -166,6 +167,51 @@ def test_protocols_deterministic_per_seed():
     assert a_tr == b_tr
     c_ids, _ = congest_scc(CongestNetwork(g), seed=4)
     assert _blocks(c_ids) == _blocks(a_ids)
+
+
+def test_protocol_traces_are_pinned():
+    """Exact outputs and traces, so a simulator rewrite cannot shift a message."""
+    marks, tr = congest_k_cert(CongestNetwork(doubled_cycle(6)), 2, 0.5, seed=1)
+    assert [sorted(m) for m in marks] == [
+        [(0, 1), (0, 2), (4, 0), (5, 0)],
+        [(0, 1), (1, 2), (1, 3), (5, 1)],
+        [(0, 2), (1, 2), (2, 3), (2, 4)],
+        [(1, 3), (2, 3), (3, 4), (3, 5)],
+        [(2, 4), (3, 4), (4, 0), (4, 5)],
+        [(3, 5), (4, 5), (5, 0), (5, 1)],
+    ]
+    assert (tr.rounds_used, tr.messages) == (103, 1746)
+    assert tr.phases == {"announce": 9, "gossip": 94}
+    assert tr.meta == {"samples": 173, "r": 58}
+
+    g = random_strong_digraph(random.Random(501), 12, 12, extra=0.3)
+    marks, tr = congest_k_cert(CongestNetwork(g), 2, 0.5, seed=1)
+    assert hashlib.sha256(repr([sorted(m) for m in marks]).encode()).hexdigest() == (
+        "b56af67f006f865860c1b29cd70b08152f06c3a711ea8121ee38f27d0e8239ad"
+    )
+    assert (tr.rounds_used, tr.messages) == (422, 24725)
+    assert tr.phases == {"announce": 12, "gossip": 410}
+    assert tr.meta == {"samples": 477, "r": 80}
+
+    g = random_digraph(random.Random(62), 40, 40)
+    ids, tr = congest_scc(CongestNetwork(g), seed=3)
+    assert ids == [v if v in (14, 24, 30, 31, 33, 35, 39) else 13 for v in range(40)]
+    assert (tr.rounds_used, tr.messages) == (231, 3761)
+    assert tr.phases == {
+        "announce": 3, "leader": 6, "ident": 2, "size": 4,
+        "search": 197, "tstar": 4, "pivot": 5, "reach": 10,
+    }
+    assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
+
+    ranks, tr = congest_toposort(CongestNetwork(g), seed=3)
+    ranks_of = {14: 37, 24: 37, 30: 38, 31: 2, 33: 1, 35: 37, 39: 1}
+    assert ranks == [ranks_of.get(v, 4) for v in range(40)]
+    assert (tr.rounds_used, tr.messages) == (251, 3998)
+    assert tr.phases == {
+        "announce": 3, "leader": 6, "ident": 2, "size": 4,
+        "search": 197, "tstar": 4, "pivot": 5, "reach": 10, "count": 20,
+    }
+    assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
 
 
 def test_tight_word_budget_raises():
