@@ -152,7 +152,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
 
 class _TreeNode:
     __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "chains",
-                 "chainpos", "best", "select", "account")
+                 "chainpos", "table", "account")
 
     def __init__(self, lo: int, hi: int, depth: int):
         self.lo = lo
@@ -163,8 +163,9 @@ class _TreeNode:
         self.h_arcs: set[tuple[int, int]] = set()
         self.chains: tuple[tuple[int, ...], ...] | None = None
         self.chainpos: dict[int, tuple[int, int]] | None = None
-        self.best: dict | None = None
-        self.select: dict | None = None
+        # level-pass table per (x, child, chain): the best position so far
+        # (insertion-only) or a MinSelect instance (turnstile)
+        self.table: dict | None = None
         self.account = None
 
 
@@ -268,10 +269,7 @@ class OneCertRun:
                 leaf.arcs = set()
         elif self._phase[2] == 0:
             for node in self.by_depth[self._phase[1]]:
-                if self.model == TURNSTILE:
-                    node.select = {}
-                else:
-                    node.best = {}
+                node.table = {}
 
     def update(self, sign: int, u: int, v: int) -> None:
         loc = self._localize(u, v)
@@ -308,20 +306,20 @@ class OneCertRun:
         cid, pos = child.chainpos[lv]
         key = (lu, iv, cid)
         if self.model == TURNSTILE:
-            inst = node.select.get(key)
+            inst = node.table.get(key)
             if inst is None:
                 inst = MinSelect(len(child.chains[cid]), self.q - j, account=node.account)
                 node.account.charge(3)  # active range + bookkeeping of the instance
                 inst.begin_pass()
-                node.select[key] = inst
+                node.table[key] = inst
             inst.observe(pos, sign)
         else:
-            cur = node.best.get(key)
+            cur = node.table.get(key)
             if cur is None:
-                node.best[key] = pos
+                node.table[key] = pos
                 node.account.charge(1)
             elif pos < cur:
-                node.best[key] = pos
+                node.table[key] = pos
 
     def end_pass(self, pass_index: int) -> None:
         phase = self._phase
@@ -335,11 +333,11 @@ class OneCertRun:
         _, depth, j = phase
         if self.model == TURNSTILE:
             for node in self.by_depth[depth]:
-                for inst in node.select.values():
+                for inst in node.table.values():
                     inst.end_pass()
             if j < self.q - 1:
                 for node in self.by_depth[depth]:
-                    for inst in node.select.values():
+                    for inst in node.table.values():
                         inst.begin_pass()
                 return
         for node in self.by_depth[depth]:
@@ -379,14 +377,14 @@ class OneCertRun:
     def _merge(self, node: _TreeNode) -> None:
         merged: set[tuple[int, int]] = set()
         if self.model == TURNSTILE:
-            for (x, ci, cid), inst in node.select.items():
+            for (x, ci, cid), inst in node.table.items():
                 if inst.result is not None:
                     merged.add((x, node.children[ci].chains[cid][inst.result]))
-            table_words = 3 * len(node.select)
+            table_words = 3 * len(node.table)
         else:
-            for (x, ci, cid), pos in node.best.items():
+            for (x, ci, cid), pos in node.table.items():
                 merged.add((x, node.children[ci].chains[cid][pos]))
-            table_words = len(node.best)
+            table_words = len(node.table)
         for child in node.children:
             merged |= child.h_arcs
         scratch = node.hi - node.lo
@@ -394,8 +392,7 @@ class OneCertRun:
         pruned = self._local_prune(node, merged)
         for child in node.children:
             child.account.drop()
-        node.select = None
-        node.best = None
+        node.table = None
         node.account.release(table_words)
         self._store_result(node, pruned, len(merged) + scratch)
 

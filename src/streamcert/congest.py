@@ -154,13 +154,13 @@ def _flood_reach(
 
 def _convergecast(
     sim: _Sim,
-    comps: Mapping[object, Sequence[int]],
+    comps: Mapping[int, Sequence[int]],
     parent: Mapping[int, int],
     depth: Mapping[int, int],
     contrib: Mapping[int, tuple[int, ...]],
     phase: str,
-) -> dict[object, tuple[int, ...]]:
-    """Layered sums toward each component's root along its BFS tree."""
+) -> dict[int, tuple[int, ...]]:
+    """Layered sums toward each component's root, the node that keys it."""
     acc = {v: tuple(contrib[v]) for key in comps for v in comps[key]}
     maxd = {key: max(depth[v] for v in comps[key]) for key in comps}
     steps = max(maxd.values(), default=0)
@@ -179,7 +179,7 @@ def _convergecast(
         for w in inbox:
             for msg in inbox[w].values():
                 acc[w] = tuple(a + b for a, b in zip(acc[w], msg))
-    return {key: acc[min(comps[key], key=depth.get)] for key in comps}
+    return {key: acc[key] for key in comps}
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ class _Decomposition:
                 for v in active
             }
             links = {
-                v: [w for w in self.net.neighbors[v] if nbr_label[v][w] == self.label[v]]
+                v: {w for w in self.net.neighbors[v] if nbr_label[v][w] == self.label[v]}
                 for v in active
             }
 
@@ -238,24 +238,14 @@ class _Decomposition:
             if not active:
                 continue
 
+            # the leader flood spans exactly the links, so every linked
+            # neighbour is in v's component; comps are keyed by their leader
             leader, depth, parent = self._elect(active, links)
-            comps: dict[object, list[int]] = {}
+            comps: dict[int, list[int]] = {}
             for v in active:
-                comps.setdefault((self.label[v], leader[v]), []).append(v)
-
-            # one round so everyone learns which neighbours share its component
-            sends = {v: {w: (leader[v],) for w in links[v]} for v in active}
-            inbox = self.sim.exchange(sends, "ident")
-            same = {
-                v: set(
-                    w
-                    for w in links[v]
-                    if inbox.get(v, {}).get(w, (None,))[0] == leader[v]
-                )
-                for v in active
-            }
-            out_in = {v: sorted(w for w in g.out_neighbors(v) if w in same[v]) for v in active}
-            in_in = {v: sorted(w for w in g.in_neighbors(v) if w in same[v]) for v in active}
+                comps.setdefault(leader[v], []).append(v)
+            out_in = {v: [w for w in g.out_neighbors(v) if w in links[v]] for v in active}
+            in_in = {v: [w for w in g.in_neighbors(v) if w in links[v]] for v in active}
 
             totals = _convergecast(
                 self.sim, comps, parent, depth,
@@ -267,19 +257,18 @@ class _Decomposition:
             )
 
             tstar = _flood_value(
-                self.sim, links,
-                {min(comps[key], key=depth.get): (pivot_rank[key],) for key in comps},
-                "tstar",
+                self.sim, links, {key: (pivot_rank[key],) for key in comps}, "tstar"
             )
-            pivots = {v for v in active if rank[v] == tstar[v][0]}
-            pid = _flood_value(self.sim, links, {v: (v,) for v in pivots}, "pivot")
+            pivots = [v for v in active if rank[v] == tstar[v][0]]
 
             set_a = _flood_reach(
                 self.sim, sorted(v for v in active if rank[v] < tstar[v][0]),
                 out_in, "reach",
             )
-            set_b = _flood_reach(self.sim, sorted(pivots), out_in, "reach")
-            back = _flood_reach(self.sim, sorted(pivots), in_in, "reach")
+            # the forward flood carries the pivot's id, so its SCC learns it
+            self.sim.bump("virtual_source_wakeups", len(pivots))
+            set_b = _flood_value(self.sim, out_in, {v: (v,) for v in pivots}, "reach")
+            back = _flood_reach(self.sim, pivots, in_in, "reach")
 
             branch = {}
             for v in active:
@@ -296,11 +285,11 @@ class _Decomposition:
                     branch[v] = 5
 
             if self.with_counters:
-                self._update_counters(comps, parent, depth, same, branch)
+                self._update_counters(comps, parent, depth, links, branch)
 
             for v in active:
                 if branch[v] == 3:
-                    self.scc[v] = pid[v][0]
+                    self.scc[v] = set_b[v][0]
                 else:
                     step = branch[v] if branch[v] < 3 else branch[v] - 1
                     self.label[v] = 5 * self.label[v] + step
@@ -358,9 +347,7 @@ class _Decomposition:
             mids = {key: sum(bounds[key]) // 2 for key in open_keys}
             sub = {key: comps[key] for key in open_keys}
             mid_at = _flood_value(
-                self.sim, links,
-                {min(sub[key], key=depth.get): (mids[key],) for key in open_keys},
-                "search",
+                self.sim, links, {key: (mids[key],) for key in open_keys}, "search"
             )
             sources = sorted(
                 v for v in mid_at if rank[v] <= mid_at[v][0]
@@ -386,18 +373,19 @@ class _Decomposition:
                     bounds[key] = (mid + 1, hi)
         return {key: bounds[key][0] for key in comps}
 
-    def _update_counters(self, comps, parent, depth, same, branch) -> None:
-        """Verbatim five-set offsets: later sets shift by earlier set sizes."""
-        sizes = {key: [] for key in comps}
-        for want in (1, 2, 3, 4):
-            got = _convergecast(
-                self.sim, comps, parent, depth,
-                {v: (int(b == want),) for v, b in branch.items()}, "count",
-            )
-            for key in comps:
-                sizes[key].append(got[key][0])
-        payload = {min(comps[key], key=depth.get): tuple(sizes[key]) for key in comps}
-        seen = _flood_value(self.sim, same, payload, "count")
+    def _update_counters(self, comps, parent, depth, links, branch) -> None:
+        """Verbatim five-set offsets: later sets shift by earlier set sizes.
+
+        One convergecast sums the four indicator counts of sets 1-4 as a
+        tuple, and one flood hands the totals back down; a partial sum is at
+        most its total, so no convergecast message outgrows the flood's.
+        """
+        sizes = _convergecast(
+            self.sim, comps, parent, depth,
+            {v: tuple(int(b == want) for want in (1, 2, 3, 4)) for v, b in branch.items()},
+            "count",
+        )
+        seen = _flood_value(self.sim, links, sizes, "count")
         for v, b in branch.items():
             s1, s2, s3, s4 = seen[v]
             self.counter[v] += (0, 0, s1, s1 + s2, s1 + s2 + s3, s1 + s2 + s3 + s4)[b]
@@ -499,8 +487,12 @@ def congest_k_cert(
     # local pruning of every learned component, marking incident survivors
     marks: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     for v in range(n):
-        for i in member[v]:
-            arcs_i = sorted((a, b) for (j, a, b) in known[v] if j == i)
+        # every fact v knows carries an index in member[v]: gossip only
+        # queues a fact towards a node that announced its index
+        by_index: dict[int, list[tuple[int, int]]] = {i: [] for i in member[v]}
+        for i, a, b in known[v]:
+            by_index[i].append((a, b))
+        for arcs_i in by_index.values():
             nodes = sorted({v} | {a for a, _ in arcs_i} | {b for _, b in arcs_i})
             index = {node: pos for pos, node in enumerate(nodes)}
             local = Digraph(len(nodes), ((index[a], index[b]) for a, b in arcs_i))

@@ -54,8 +54,6 @@ class Digraph:
         for u, v in sorted(arc_set):
             out[u].append(v)
             inn[v].append(u)
-        for lst in inn:
-            lst.sort()
         self._out = tuple(tuple(x) for x in out)
         self._in = tuple(tuple(x) for x in inn)
 

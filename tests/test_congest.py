@@ -145,7 +145,10 @@ def test_toposort_orders_the_condensation():
     for trial in range(12):
         g = random_digraph(rng, 2, 11)
         ids, _ = congest_scc(CongestNetwork(g), seed=trial)
-        rank, _ = congest_toposort(CongestNetwork(g), seed=trial)
+        rank, trace = congest_toposort(CongestNetwork(g), seed=trial)
+        # one convergecast and one flood of the four set sizes per level
+        assert trace.phases.get("count", 0) == 2 * trace.phases.get("size", 0)
+        assert not {"ident", "pivot"} & set(trace.phases)
         for u, v in g.arcs:
             if ids[u] == ids[v]:
                 assert rank[u] == rank[v]
@@ -196,22 +199,23 @@ def test_protocol_traces_are_pinned():
     g = random_digraph(random.Random(62), 40, 40)
     ids, tr = congest_scc(CongestNetwork(g), seed=3)
     assert ids == [v if v in (14, 24, 30, 31, 33, 35, 39) else 13 for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (231, 3761)
+    assert (tr.rounds_used, tr.messages) == (224, 3453)
     assert tr.phases == {
-        "announce": 3, "leader": 6, "ident": 2, "size": 4,
-        "search": 197, "tstar": 4, "pivot": 5, "reach": 10,
+        "announce": 3, "leader": 6, "size": 4, "search": 197, "tstar": 4, "reach": 10,
     }
     assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
 
     ranks, tr = congest_toposort(CongestNetwork(g), seed=3)
     ranks_of = {14: 37, 24: 37, 30: 38, 31: 2, 33: 1, 35: 37, 39: 1}
     assert ranks == [ranks_of.get(v, 4) for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (251, 3998)
+    assert (tr.rounds_used, tr.messages) == (232, 3567)
     assert tr.phases == {
-        "announce": 3, "leader": 6, "ident": 2, "size": 4,
-        "search": 197, "tstar": 4, "pivot": 5, "reach": 10, "count": 20,
+        "announce": 3, "leader": 6, "size": 4,
+        "search": 197, "tstar": 4, "reach": 10, "count": 8,
     }
     assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
+    # the count convergecast's 4-tuples fit the same budget as its flood
+    assert congest_toposort(CongestNetwork(g, max_words=4), seed=3) == (ranks, tr)
 
 
 def test_tight_word_budget_raises():
