@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .certify_k import SampleScheme
@@ -377,18 +378,22 @@ class _Decomposition:
         """Verbatim five-set offsets: later sets shift by earlier set sizes.
 
         One convergecast sums the four indicator counts of sets 1-4 as a
-        tuple, and one flood hands the totals back down; a partial sum is at
-        most its total, so no convergecast message outgrows the flood's.
+        tuple; a message covers a subtree without the root, so every count is
+        below n.  One flood hands their prefix sums back down, capped at n-1:
+        a node in set b reads the sizes of sets 1..b-1, which leave out the
+        node itself, so the cap never changes a value read.
         """
         sizes = _convergecast(
             self.sim, comps, parent, depth,
             {v: tuple(int(b == want) for want in (1, 2, 3, 4)) for v, b in branch.items()},
             "count",
         )
-        seen = _flood_value(self.sim, links, sizes, "count")
+        prefix = {
+            key: tuple(min(p, self.n - 1) for p in accumulate(s)) for key, s in sizes.items()
+        }
+        seen = _flood_value(self.sim, links, prefix, "count")
         for v, b in branch.items():
-            s1, s2, s3, s4 = seen[v]
-            self.counter[v] += (0, 0, s1, s1 + s2, s1 + s2 + s3, s1 + s2 + s3 + s4)[b]
+            self.counter[v] += ((0,) + seen[v])[b - 1]
 
 
 def congest_scc(net: CongestNetwork, seed: int = 0) -> tuple[list[int], RoundTrace]:

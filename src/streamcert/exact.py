@@ -1,15 +1,20 @@
 """Brute-force ground truth: exact local connectivities and certificate checks.
 
 Everything here favours exactness over scale.  Connectivities come from
-unit-capacity max-flow with BFS augmentation; the node version splits each
-internal node into an in/out pair joined by a unit arc, so a direct (s,t) arc
-contributes exactly one extra path.
+unit-capacity max-flow with BFS augmentation.  Each digraph's network is built
+once and kept in a small cache, so a loop over pairs never rebuilds it; every
+query augments on its own copy of the capacities.  The node version splits
+node v into an in/out pair joined by a unit arc, and a query raises only the
+split arcs of s and t, so a direct (s,t) arc contributes exactly one extra
+path.  Each augmentation carries exactly one unit, because every augmenting
+path leaves the source through an arc of the graph, which holds at most one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .certify_one import Certificate
 from .digraph import BudgetError, Digraph, reachability_masks
@@ -26,52 +31,59 @@ class ConnReport:
 
 
 class _FlowNet:
-    """Residual network with integer capacities and BFS augmenting paths."""
+    """Unit-capacity network of one digraph: arc i is entry 2i of ``to`` and
+    ``cap``, its residual twin entry 2i+1.  Split mode stores node v's arc
+    2v -> 2v+1 first, as arc v, and maps arc (u, v) to 2u+1 -> 2v."""
 
-    def __init__(self, n: int):
-        self.incident: list[list[int]] = [[] for _ in range(n)]
+    def __init__(self, g: Digraph, split: bool):
+        self.n = g.n
+        self.split = split
+        ends = [(2 * v, 2 * v + 1) for v in range(g.n)] if split else []
+        ends += [(2 * u + 1, 2 * v) if split else (u, v) for u, v in g.arcs]
+        self.incident: list[list[int]] = [[] for _ in range(2 * g.n if split else g.n)]
         self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, cap: int) -> None:
-        self.incident[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.incident[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+        for u, v in ends:
+            self.incident[u].append(len(self.to))
+            self.to.append(v)
+            self.incident[v].append(len(self.to))
+            self.to.append(u)
+        self.cap = [1, 0] * len(ends)
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        """Number of unit augmentations from s to t, stopping at ``limit``."""
+        cap = self.cap.copy()
+        if self.split:
+            cap[2 * s] = cap[2 * t] = self.n + 1
+            s, t = 2 * s + 1, 2 * t
+        incident, to = self.incident, self.to
         flow = 0
-        n = len(self.incident)
         while limit is None or flow < limit:
-            parent = [-1] * n
+            parent = [-1] * len(incident)
             parent[s] = -2
             queue = deque([s])
             while queue and parent[t] == -1:
                 u = queue.popleft()
-                for ei in self.incident[u]:
-                    w = self.to[ei]
-                    if self.cap[ei] > 0 and parent[w] == -1:
+                for ei in incident[u]:
+                    w = to[ei]
+                    if cap[ei] and parent[w] == -1:
                         parent[w] = ei
                         queue.append(w)
             if parent[t] == -1:
                 break
-            bottleneck = None
             v = t
             while v != s:
                 ei = parent[v]
-                if bottleneck is None or self.cap[ei] < bottleneck:
-                    bottleneck = self.cap[ei]
-                v = self.to[ei ^ 1]
-            v = t
-            while v != s:
-                ei = parent[v]
-                self.cap[ei] -= bottleneck
-                self.cap[ei ^ 1] += bottleneck
-                v = self.to[ei ^ 1]
-            flow += bottleneck
+                cap[ei] -= 1
+                cap[ei ^ 1] += 1
+                v = to[ei ^ 1]
+            flow += 1
         return flow
+
+
+@lru_cache(maxsize=4)
+def _network(g: Digraph, split: bool) -> _FlowNet:
+    """The flow network of ``g``; four entries hold two graphs of both kinds."""
+    return _FlowNet(g, split)
 
 
 def lambda_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
@@ -80,10 +92,7 @@ def lambda_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
         raise ValueError("lambda_st requires s != t")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    net = _FlowNet(g.n)
-    for u, v in g.arcs:
-        net.add(u, v, 1)
-    return net.max_flow(s, t, limit)
+    return _network(g, False).max_flow(s, t, limit)
 
 
 def kappa_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
@@ -97,13 +106,7 @@ def kappa_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
         raise ValueError("kappa_st requires s != t")
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
-    net = _FlowNet(2 * g.n)
-    big = g.n + 1
-    for v in range(g.n):
-        net.add(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
-    for u, v in g.arcs:
-        net.add(2 * u + 1, 2 * v, 1)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
+    return _network(g, True).max_flow(s, t, limit)
 
 
 def connectivity(g: Digraph, s: int, t: int) -> ConnReport:

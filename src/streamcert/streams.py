@@ -28,13 +28,12 @@ class StreamIntegrityError(ValueError):
 
 
 class SpaceBudgetError(RuntimeError):
-    """A consumer exceeded its declared space budget (strict mode only)."""
+    """The ledger exceeded its declared space budget (strict mode only)."""
 
-    def __init__(self, name: str, words: int, budget: int):
-        self.name = name
+    def __init__(self, words: int, budget: int):
         self.words = words
         self.budget = budget
-        super().__init__(f"consumer {name!r} holds {words} words, budget {budget}")
+        super().__init__(f"space ledger holds {words} words, budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -51,28 +50,21 @@ class StreamStats:
 
 
 class SpaceAccount:
-    __slots__ = ("_ledger", "name", "constant", "extra", "budget", "closed")
+    __slots__ = ("_ledger", "name", "constant", "extra", "closed")
 
-    def __init__(self, ledger: "SpaceLedger", name: str, constant: int, budget: int | None):
+    def __init__(self, ledger: "SpaceLedger", name: str, constant: int):
         self._ledger = ledger
         self.name = name
         self.constant = constant
         self.extra = 0
-        self.budget = budget
         self.closed = False
         ledger._bump(constant)
-        self._check()
-
-    @property
-    def words(self) -> int:
-        return self.constant + self.extra
 
     def charge(self, words: int = 1) -> None:
         if words < 0:
             raise ValueError("charge must be nonnegative")
         self.extra += words
         self._ledger._bump(words)
-        self._check()
 
     def release(self, words: int = 1) -> None:
         if words > self.extra:
@@ -97,17 +89,13 @@ class SpaceAccount:
         self.extra = 0
         self.closed = True
 
-    def _check(self) -> None:
-        if self.budget is not None and self.words > self.budget:
-            self._ledger._over_budget(self.name, self.words, self.budget)
-
 
 class SpaceLedger:
     """Tracks current and peak total words over all open accounts.
 
     Outside strict mode a budget overrun is recorded, not raised:
-    ``violations`` keeps the first overrun of each account name (``"total"``
-    for the ledger-wide budget) and ``violation_count`` counts every one.
+    ``violations`` keeps the first overrun, as ``("total", words, budget)``,
+    and ``violation_count`` counts every one.
     """
 
     def __init__(self, strict: bool = False, budget: int | None = None):
@@ -117,25 +105,20 @@ class SpaceLedger:
         self.budget = budget
         self.violations: list[tuple[str, int, int]] = []
         self.violation_count = 0
-        self._violated: set[str] = set()
 
-    def open(self, name: str, constant: int = 0, budget: int | None = None) -> SpaceAccount:
-        return SpaceAccount(self, name, constant, budget)
+    def open(self, name: str, constant: int = 0) -> SpaceAccount:
+        return SpaceAccount(self, name, constant)
 
     def _bump(self, delta: int) -> None:
         self.current += delta
         if self.current > self.peak:
             self.peak = self.current
         if self.budget is not None and self.current > self.budget:
-            self._over_budget("total", self.current, self.budget)
-
-    def _over_budget(self, name: str, words: int, budget: int) -> None:
-        if self.strict:
-            raise SpaceBudgetError(name, words, budget)
-        self.violation_count += 1
-        if name not in self._violated:
-            self._violated.add(name)
-            self.violations.append((name, words, budget))
+            if self.strict:
+                raise SpaceBudgetError(self.current, self.budget)
+            self.violation_count += 1
+            if not self.violations:
+                self.violations.append(("total", self.current, self.budget))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,11 @@ def test_toposort_known_small_cases():
     assert congest_toposort(CongestNetwork(path(2)))[0] == [1, 2]
     ranks, _ = congest_toposort(CongestNetwork(path(4)))
     assert ranks == sorted(ranks) and len(set(ranks)) == 4
+    # at a power of two n itself needs a second word, so the count flood must
+    # never carry a set size of n within a four-word budget
+    for n in (4, 8, 16):
+        ranks, _ = congest_toposort(CongestNetwork(doubled_cycle(n), max_words=4))
+        assert ranks == [1] * n
 
 
 def test_protocols_deterministic_per_seed():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_digraph
 from streamcert.certify_one import Certificate
 from streamcert.digraph import BudgetError, Digraph
 from streamcert.exact import (
+    _network,
     connectivity,
     kappa_st,
     lambda_st,
@@ -17,21 +19,53 @@ from streamcert.exact import (
 )
 
 
+def _capped(value: int, limit: int | None) -> int:
+    return value if limit is None else min(value, limit)
+
+
 def test_lambda_equals_minimum_directed_cut():
     rng = random.Random(20)
     for _ in range(50):
         g = random_digraph(rng, 2, 8)
-        nodes = list(range(g.n))
-        s, t = rng.sample(nodes, 2)
-        assert lambda_st(g, s, t) == oracles.min_cut_lambda(g.n, g.arcs, s, t)
+        for s, t in itertools.permutations(range(g.n), 2):
+            want = oracles.min_cut_lambda(g.n, g.arcs, s, t)
+            for limit in (None, 1, 2):
+                assert lambda_st(g, s, t, limit) == _capped(want, limit), (g.arcs, s, t, limit)
 
 
 def test_kappa_equals_smallest_separator():
     rng = random.Random(21)
     for _ in range(50):
         g = random_digraph(rng, 2, 8)
-        s, t = rng.sample(range(g.n), 2)
-        assert kappa_st(g, s, t) == oracles.separator_kappa(g.n, g.arcs, s, t)
+        for s, t in itertools.permutations(range(g.n), 2):
+            want = oracles.separator_kappa(g.n, g.arcs, s, t)
+            for limit in (None, 1, 2):
+                assert kappa_st(g, s, t, limit) == _capped(want, limit), (g.arcs, s, t, limit)
+
+
+def test_interleaved_queries_match_fresh_networks():
+    # more graphs than the network cache holds, both kinds on each, and two
+    # equal graphs built separately; a query must not see another's residue
+    rng = random.Random(24)
+    graphs = [random_digraph(rng, 6, 6) for _ in range(5)]
+    graphs.append(Digraph(6, sorted(graphs[0].arcs, reverse=True)))
+    queries = [
+        (conn, gi, s, t, limit)
+        for s, t in itertools.permutations(range(6), 2)
+        for limit in (None, 1, 2)
+        for gi in range(len(graphs))
+        for conn in (kappa_st, lambda_st)
+    ]
+    fresh = {}
+    for conn, gi, s, t, limit in queries:
+        _network.cache_clear()
+        fresh[conn, gi, s, t, limit] = conn(graphs[gi], s, t, limit)
+    for conn, gi, s, t, limit in queries:
+        want = fresh[conn, gi, s, t, limit]
+        assert conn(graphs[gi], s, t, limit) == want
+        assert conn(graphs[gi], s, t, limit) == want
+    for conn, _, s, t, limit in queries:
+        assert fresh[conn, 0, s, t, limit] == fresh[conn, len(graphs) - 1, s, t, limit]
 
 
 def test_limit_caps_the_search():

@@ -132,13 +132,13 @@ def test_space_ledger_peak_and_release():
 
 
 def test_space_budget_strict_vs_recording():
-    soft = SpaceLedger()
-    acct = soft.open("probe", budget=2)
+    soft = SpaceLedger(budget=2)
+    acct = soft.open("probe")
     acct.charge(5)
-    assert ("probe", 7, 2) in soft.violations or ("probe", 5, 2) in soft.violations
+    assert soft.violations == [("total", 5, 2)]
     for _ in range(50):
         acct.charge(1)
-    assert soft.violations == [("probe", 5, 2)]
+    assert soft.violations == [("total", 5, 2)]
     assert soft.violation_count == 51
 
     shared = SpaceLedger(budget=3)
@@ -149,11 +149,13 @@ def test_space_budget_strict_vs_recording():
     assert shared.violations == [("total", 4, 3)]
     assert shared.violation_count == 17  # every bump from 4 to 20 words
 
-    hard = SpaceLedger(strict=True)
-    acct2 = hard.open("probe", budget=2)
+    hard = SpaceLedger(strict=True, budget=2)
+    acct2 = hard.open("probe")
     with pytest.raises(SpaceBudgetError) as err:
         acct2.charge(5)
-    assert err.value.args and "probe" in str(err.value)
+    assert (err.value.words, err.value.budget) == (5, 2)
+    with pytest.raises(SpaceBudgetError):
+        SpaceLedger(strict=True, budget=2).open("wide", constant=3)
 
 
 def test_global_budget_applies_across_accounts():
