@@ -218,7 +218,7 @@ class OneCertRun:
         if self._to_global is not None:
             self.account.charge(len(self._to_global))
 
-        # contiguous-range recursion tree, one node list per depth
+        # contiguous-range recursion tree, one node list per depth; empty blocks get no node
         root = _TreeNode(0, self.size, 0)
         self.by_depth: list[list[_TreeNode]] = [[root]]
         for depth in range(self.levels):
@@ -227,7 +227,7 @@ class OneCertRun:
                 span = node.hi - node.lo
                 node.children = [
                     _TreeNode(*block_bounds(node.lo, span, self.b, i), depth + 1)
-                    for i in range(self.b)
+                    for i in range(min(self.b, span))
                 ]
                 nxt.extend(node.children)
             self.by_depth.append(nxt)

@@ -2,8 +2,8 @@
 
 Nodes are dense integers ``0..n-1``.  Graphs are simple: no self-loops, no
 duplicate arcs; the antiparallel pair ``(u, v)`` and ``(v, u)`` may coexist.
-All operations here are pure functions over immutable values and are safe for
-concurrent use.
+All operations here are pure functions over immutable values (a graph builds
+its neighbour tuples once, on first use) and are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ class Digraph:
                 raise ValueError(f"arc ({u},{v}) out of range for n={n}")
         self.n = n
         self.arcs = arc_set
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(arc_set):
-            out[u].append(v)
-            inn[v].append(u)
-        self._out = tuple(tuple(x) for x in out)
-        self._in = tuple(tuple(x) for x in inn)
+        self._out = self._in = None  # neighbour tuples, built on first use
 
     # -- basic views ---------------------------------------------------------
 
@@ -63,10 +57,23 @@ class Digraph:
     def m(self) -> int:
         return len(self.arcs)
 
+    def _build_neighbors(self) -> None:
+        out: list[list[int]] = [[] for _ in range(self.n)]
+        inn: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.arcs):
+            out[u].append(v)
+            inn[v].append(u)
+        self._out = tuple(tuple(x) for x in out)
+        self._in = tuple(tuple(x) for x in inn)
+
     def out_neighbors(self, u: int) -> tuple[int, ...]:
+        if self._out is None:
+            self._build_neighbors()
         return self._out[u]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
+        if self._in is None:
+            self._build_neighbors()
         return self._in[v]
 
     def out_masks(self) -> list[int]:
@@ -217,13 +224,11 @@ class Branching:
 # ---------------------------------------------------------------------------
 
 
-def reachability_masks(g: Digraph) -> list[int]:
-    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
-    out_rows = g.out_masks()
-    reach = [0] * g.n
-    for s in range(g.n):
+def _closure(out_rows: list[int]) -> list[int]:
+    """Transitive closure of bitmask adjacency rows, by one frontier search per row."""
+    reach = [0] * len(out_rows)
+    for s, frontier in enumerate(out_rows):
         seen = 0
-        frontier = out_rows[s]
         while frontier:
             seen |= frontier
             nxt = 0
@@ -235,6 +240,11 @@ def reachability_masks(g: Digraph) -> list[int]:
             frontier = nxt & ~seen
         reach[s] = seen
     return reach
+
+
+def reachability_masks(g: Digraph) -> list[int]:
+    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
+    return _closure(g.out_masks())
 
 
 def reachable(g: Digraph, s: int, t: int) -> bool:
@@ -457,64 +467,56 @@ def degeneracy(g: Digraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_order_masks(g: Digraph) -> list[int]:
-    """Rows of the chain order: the transitive closure with in-component arcs
-    restricted to increasing node id.
-
-    A chain visits each strongly connected component contiguously and may
-    order nodes inside a component arbitrarily, so fixing the in-component
-    order by node id turns minimum chain cover into minimum path cover of a
-    transitively closed DAG.
-    """
-    reach = reachability_masks(g)
-    ids = scc_ids(g)
-    rows = [0] * g.n
-    for u in range(g.n):
-        row = reach[u] & ~(1 << u)
-        keep = 0
-        r = row
-        while r:
-            low = r & -r
-            v = low.bit_length() - 1
-            if ids[u] != ids[v] or u < v:
-                keep |= low
-            r ^= low
-        rows[u] = keep
-    return rows
-
-
 def chain_cover_minimum(g: Digraph) -> ChainCover:
-    """A minimum chain cover (Dilworth route: path cover by bipartite matching)."""
+    """A minimum chain cover (Dilworth route: path cover by bipartite matching).
+
+    Components are numbered in topological order and a component's nodes by
+    ascending id, so every chain-order successor of a node gets a later number
+    and the cover is a minimum path cover of the closure restricted to later
+    numbers (Fulkerson's reduction).  The rule this replaces kept node ids and
+    ordered only inside components by id, so the matching cost followed the
+    labelling (cubic time on a reversed path).  Positions are matched in order
+    by an iterative depth-first augmenting search, lowest position first; ids
+    only break ties.
+    """
     n = g.n
-    rows = _chain_order_masks(g)
-    match_right = [-1] * n  # right node -> left node
-    match_left = [-1] * n
+    order = [v for comp in reversed(scc_tarjan(g)) for v in sorted(comp)]
+    pos = {v: i for i, v in enumerate(order)}
+    out_rows = [0] * n
+    for u, v in g.arcs:
+        out_rows[pos[u]] |= 1 << pos[v]
+    reach = _closure(out_rows)
+    rows = [reach[i] >> (i + 1) << (i + 1) for i in range(n)]
 
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        row = rows[u]
-        while row:
-            low = row & -row
-            v = low.bit_length() - 1
-            row ^= low
-            if visited[v]:
+    succ = [-1] * n  # position -> the later position it is matched to
+    pred = [-1] * n
+    for s in range(n):
+        seen = 0
+        stack = [(s, rows[s])]  # (left position, later positions not yet tried)
+        while stack:
+            u, cand = stack.pop()
+            cand &= ~seen
+            if not cand:
                 continue
-            visited[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], visited):
-                match_right[v] = u
-                match_left[u] = v
-                return True
-        return False
+            low = cand & -cand
+            seen |= low
+            stack.append((u, cand ^ low))
+            v = low.bit_length() - 1
+            if pred[v] == -1:
+                # flip the path: each left on the stack takes the right it was trying
+                for u, _ in reversed(stack):
+                    pred[v] = u
+                    succ[u], v = v, succ[u]
+                break
+            stack.append((pred[v], rows[pred[v]]))
 
-    for u in range(n):
-        try_augment(u, [False] * n)
-
-    heads = [v for v in range(n) if match_right[v] == -1]
     chains = []
-    for h in heads:
-        chain = [h]
-        while match_left[chain[-1]] != -1:
-            chain.append(match_left[chain[-1]])
-        chains.append(tuple(chain))
+    for head in range(n):
+        if pred[head] == -1:
+            chain = [head]
+            while succ[chain[-1]] != -1:
+                chain.append(succ[chain[-1]])
+            chains.append(tuple(order[i] for i in chain))
     return ChainCover(tuple(sorted(chains)))
 
 

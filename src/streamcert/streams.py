@@ -127,7 +127,7 @@ class SpaceLedger:
 
 
 class ArcStream:
-    """Ordered sequence of signed arc updates over nodes 0..n-1."""
+    """Signed arc updates over nodes 0..n-1, in order; every arc stays at multiplicity 0 or 1."""
 
     __slots__ = ("n", "updates", "model")
 
@@ -137,7 +137,7 @@ class ArcStream:
         if n < 0:
             raise StreamIntegrityError(f"node count must be nonnegative, got {n}")
         ups = []
-        seen_ins: set[tuple[int, int]] = set()
+        present: set[int] = set()  # arcs at multiplicity 1, keyed u * n + v
         for sign, u, v in updates:
             u, v = int(u), int(v)
             if sign not in (1, -1):
@@ -146,12 +146,16 @@ class ArcStream:
                 raise StreamIntegrityError(f"self-loop update ({u},{v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise StreamIntegrityError(f"update ({u},{v}) out of range for n={n}")
-            if model == INSERTION_ONLY:
-                if sign < 0:
-                    raise StreamIntegrityError("deletion in insertion-only stream")
-                if (u, v) in seen_ins:
-                    raise StreamIntegrityError(f"arc ({u},{v}) inserted twice")
-                seen_ins.add((u, v))
+            if sign < 0 and model == INSERTION_ONLY:
+                raise StreamIntegrityError("deletion in insertion-only stream")
+            key = u * n + v
+            if sign > 0 and key not in present:
+                present.add(key)
+            elif sign < 0 and key in present:
+                present.remove(key)
+            else:
+                what = "insertion of present" if sign > 0 else "deletion of absent"
+                raise StreamIntegrityError(f"update {len(ups) + 1}: {what} arc ({u},{v})")
             ups.append((sign, u, v))
         self.n = n
         self.updates = tuple(ups)
@@ -217,17 +221,10 @@ class ArcStream:
 
 
 def final_multiplicity(stream: ArcStream) -> Digraph:
-    """Materialize the stream's end state; raises on malformed turnstile sequences."""
+    """Materialize the stream's end state; every update flips its arc between 0 and 1."""
     present: set[tuple[int, int]] = set()
-    for sign, u, v in stream.updates:
-        if sign > 0:
-            if (u, v) in present:
-                raise StreamIntegrityError(f"arc ({u},{v}) inserted at multiplicity 1")
-            present.add((u, v))
-        else:
-            if (u, v) not in present:
-                raise StreamIntegrityError(f"deletion of absent arc ({u},{v})")
-            present.remove((u, v))
+    for _, u, v in stream.updates:
+        present ^= {(u, v)}
     return Digraph(stream.n, present)
 
 

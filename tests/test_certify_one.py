@@ -4,11 +4,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_digraph, stream_of, turnstile_stream
 from streamcert.certify_one import (
     Certificate,
+    OneCertRun,
     RecursionPlan,
     one_cert_stream,
     tc_preserving_prune,
@@ -84,6 +87,23 @@ def test_prune_keeps_one_cross_arc_per_node_and_chain():
         assert max(kept.values(), default=0) <= 1, sorted(g.arcs)
 
 
+@given(st.data())
+def test_certificates_do_not_depend_on_labelling(data):
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = data.draw(st.permutations(range(n)))
+    g = Digraph(n, ((perm[u], perm[v]) for (u, v), k in zip(pairs, keep) if k))
+    ref = transitive_closure(g)
+    bound = (oracles.independence_number(n, g.arcs) + 2) * n
+    certs = [tc_preserving_prune(g).arcs]
+    for p in (1, 2):
+        certs.append(one_cert_stream(ArcStream.from_graph(g), RecursionPlan(p=p))[0].arcs)
+    for arcs in certs:
+        assert arcs <= g.arcs and len(arcs) <= bound
+        assert transitive_closure(Digraph(n, arcs)) == ref
+
+
 def test_one_pass_run_equals_offline_prune():
     rng = random.Random(11)
     for seed in range(15):
@@ -101,6 +121,15 @@ def test_insertion_pass_budget_is_exact():
         cert, stats = one_cert_stream(st, RecursionPlan(p=p))
         assert stats.passes == p
         assert transitive_closure(cert.graph()) == transitive_closure(g)
+
+
+def test_recursion_tree_has_no_empty_blocks():
+    path = Digraph(4, [(0, 1), (1, 2), (2, 3)])
+    run = OneCertRun(path.n, INSERTION_ONLY, RecursionPlan(p=18), SpaceLedger())
+    assert sum(len(nodes) for nodes in run.by_depth) <= run.size * (run.levels + 1)
+    cert, stats = one_cert_stream(ArcStream.from_graph(path), RecursionPlan(p=40))
+    assert cert.arcs == path.arcs
+    assert (stats.passes, stats.peak_words) == (40, 22)
 
 
 def test_turnstile_pass_budget_matches_split():

@@ -146,6 +146,18 @@ def test_one_strict_space(circ_files, capsys):
     assert "'9**9**9'" in err
 
 
+def test_multiplicity_outside_zero_one_exits_2(tmp_path, capsys):
+    spath = tmp_path / "bad.txt"
+    spath.write_text("3 turn\n- 1 2\n+ 0 1\n+ 0 1\n- 0 1\n+ 1 2\n")
+    for argv in (("one", "--passes", "1"), ("kcert", "--k", "2", "--passes", "1")):
+        code, out, err = run(capsys, *argv, "--input", str(spath))
+        assert code == 2 and out == ""
+        assert "update 1: deletion of absent arc (1,2)" in err
+    spath.write_text("3 turn\n+ 0 1\n+ 0 1\n")
+    code, _, err = run(capsys, "one", "--input", str(spath), "--passes", "1")
+    assert code == 2 and "update 2: insertion of present arc (0,1)" in err
+
+
 def test_output_options_belong_to_bench_only(circ_files, capsys):
     _, spath = circ_files
     for flag, value in (("--format", "json"), ("--out-dir", "results")):

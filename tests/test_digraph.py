@@ -141,10 +141,20 @@ def _assert_valid_chain_cover(g: Digraph, cover: ChainCover):
 def test_chain_cover_is_valid_and_minimum():
     rng = random.Random(6)
     for _ in range(40):
-        g = random_digraph(rng, 1, 8)
-        cover = chain_cover_minimum(g)
-        _assert_valid_chain_cover(g, cover)
-        assert len(cover) == oracles.min_chain_cover_size(g.n, g.arcs)
+        drawn = random_digraph(rng, 1, 8)
+        perm = list(range(drawn.n))
+        rng.shuffle(perm)
+        permuted = Digraph(drawn.n, ((perm[u], perm[v]) for u, v in drawn.arcs))
+        for g in (drawn, permuted):
+            cover = chain_cover_minimum(g)
+            _assert_valid_chain_cover(g, cover)
+            assert len(cover) == oracles.min_chain_cover_size(g.n, g.arcs)
+
+
+def test_chain_cover_of_a_reversed_path_is_one_chain():
+    n = 1000
+    g = Digraph(n, [(v + 1, v) for v in range(n - 1)])
+    assert chain_cover_minimum(g).chains == (tuple(range(n - 1, -1, -1)),)
 
 
 def test_chain_cover_at_most_independence_number():
