@@ -14,7 +14,10 @@ Two layers:
   shared passes, and one extra pass per level finds, for every node x outside
   a block and every chain of the block's cover, the first chain node u with
   arc (x, u) surviving in the stream.  Under deletions that search runs as a
-  multi-pass block-counter minimum selection.
+  multi-pass block-counter minimum selection.  Each update is routed by
+  lookups in per-depth owner tables (node id -> tree node), not by a descent
+  from the root; the tables hold what :func:`~streamcert.streams.block_of`
+  recomputes in O(levels) arithmetic, so they are not charged as space.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .streams import (
     SpaceLedger,
     StreamStats,
     block_bounds,
-    block_of,
     int_root_ceil,
     run_passes,
 )
@@ -175,6 +177,15 @@ class OneCertRun:
     ``universe`` restricts the run to an induced node subset (given as a
     sorted global-id list); ``arc_filter`` drops arcs on the fly without
     storing anything.  Both default to the full stream.
+
+    ``owner[d][x]`` is the index in ``by_depth[d]`` of the depth-d tree node
+    holding local id x.  Like the tree skeleton it depends only on the size
+    and the branching factor b, and a streaming algorithm gets the same value
+    from ``block_of`` in O(levels) arithmetic and O(1) words, so the tables
+    are a lookup cache, not algorithm state, and the ledger does not charge
+    them.  ``begin_pass`` binds ``update`` to a handler for its phase that
+    routes each update by these lookups; ``end_pass`` unbinds it, and an
+    update outside a pass raises ``RuntimeError``.
     """
 
     def __init__(
@@ -231,106 +242,104 @@ class OneCertRun:
                 ]
                 nxt.extend(node.children)
             self.by_depth.append(nxt)
+        # uncharged routing tables (see the class docstring)
+        self.owner: list[list[int]] = []
         for nodes in self.by_depth:
-            for node in nodes:
+            row = [0] * self.size
+            for i, node in enumerate(nodes):
                 node.account = ledger.open(f"{name}/[{node.lo},{node.hi})")
+                row[node.lo:node.hi] = [i] * (node.hi - node.lo)
+            self.owner.append(row)
 
-        # pass schedule: leaf collection, then one level per (set of) pass(es)
-        self.schedule: list[tuple] = [("leaf",)]
+        # pass schedule (kind, depth, j): leaf collection, then q passes per level
+        self.schedule: list[tuple] = [("leaf", self.levels, 0)]
         for depth in range(self.levels - 1, -1, -1):
             for j in range(self.q):
                 self.schedule.append(("level", depth, j))
         self._phase: tuple | None = None
         self.cert_arcs: frozenset | None = None
 
-    # -- routing -----------------------------------------------------------
-
-    def _localize(self, u: int, v: int) -> tuple[int, int] | None:
-        if self.arc_filter is not None and not self.arc_filter(u, v):
-            return None
-        if self._to_local is None:
-            return u, v
-        lu = self._to_local.get(u)
-        if lu is None:
-            return None
-        lv = self._to_local.get(v)
-        if lv is None:
-            return None
-        return lu, lv
-
     # -- pass protocol ------------------------------------------------------
 
     def begin_pass(self, pass_index: int) -> None:
         if pass_index >= len(self.schedule):
             raise RuntimeError(f"{self.name}: no phase scheduled for pass {pass_index}")
-        self._phase = self.schedule[pass_index]
-        if self._phase[0] == "leaf":
-            for leaf in self.by_depth[self.levels]:
+        self._phase = kind, depth, j = self.schedule[pass_index]
+        if kind == "leaf":
+            for leaf in self.by_depth[depth]:
                 leaf.arcs = set()
-        elif self._phase[2] == 0:
-            for node in self.by_depth[self._phase[1]]:
+        elif j == 0:
+            for node in self.by_depth[depth]:
                 node.table = {}
+        self.update = self._handler(kind, depth, j)
 
     def update(self, sign: int, u: int, v: int) -> None:
-        loc = self._localize(u, v)
-        if loc is None:
-            return
-        lu, lv = loc
-        phase = self._phase
+        """Shadowed by the current pass's handler from begin_pass to end_pass."""
+        raise RuntimeError(f"{self.name}: update outside a pass")
+
+    def _handler(self, kind: str, depth: int, j: int):
         # A leaf pass wants the leaf holding both ends; a level pass at depth d
         # wants the depth-d node whose children split u from v.
-        leaf = phase[0] == "leaf"
-        depth = self.levels if leaf else phase[1]
-        node = self.by_depth[0][0]
-        for _ in range(depth if leaf else depth + 1):
-            span = node.hi - node.lo
-            iu = block_of(lu - node.lo, span, self.b)
-            iv = block_of(lv - node.lo, span, self.b)
-            if iu != iv:
-                break
-            node = node.children[iu]
-        if node.depth != depth:
-            return
-        if leaf:
-            if sign > 0:
-                if (lu, lv) not in node.arcs:
-                    node.arcs.add((lu, lv))
-                    node.account.charge(1)
-            elif (lu, lv) in node.arcs:
-                node.arcs.remove((lu, lv))
-                node.account.release(1)
-            return
+        leaf = kind == "leaf"
+        nodes, own = self.by_depth[depth], self.owner[depth]
+        below = None if leaf else self.owner[depth + 1]
+        to_local, keep = self._to_local, self.arc_filter
+        turnstile, passes_left = self.model == TURNSTILE, self.q - j
 
-        j = phase[2]
-        child = node.children[iv]
-        cid, pos = child.chainpos[lv]
-        key = (lu, iv, cid)
-        if self.model == TURNSTILE:
-            inst = node.table.get(key)
-            if inst is None:
-                inst = MinSelect(len(child.chains[cid]), self.q - j, account=node.account)
-                node.account.charge(3)  # active range + bookkeeping of the instance
-                inst.begin_pass()
-                node.table[key] = inst
-            inst.observe(pos, sign)
-        else:
-            cur = node.table.get(key)
-            if cur is None:
-                node.table[key] = pos
-                node.account.charge(1)
-            elif pos < cur:
-                node.table[key] = pos
+        def update(sign: int, u: int, v: int) -> None:
+            if keep is not None and not keep(u, v):
+                return
+            if to_local is not None:
+                u, v = to_local.get(u), to_local.get(v)
+                if u is None or v is None:
+                    return
+            i = own[u]
+            if own[v] != i:
+                return
+            node = nodes[i]
+            if leaf:  # the stream keeps every multiplicity in {0, 1}
+                if sign > 0:
+                    node.arcs.add((u, v))
+                    node.account.charge(1)
+                else:
+                    node.arcs.remove((u, v))
+                    node.account.release(1)
+                return
+            cv = below[v]
+            if below[u] == cv:
+                return
+            iv = cv - below[node.lo]  # the children are contiguous in by_depth[depth + 1]
+            child = node.children[iv]
+            cid, pos = child.chainpos[v]
+            key = (u, iv, cid)
+            if turnstile:
+                inst = node.table.get(key)
+                if inst is None:
+                    inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
+                    node.account.charge(3)  # active range + bookkeeping of the instance
+                    inst.begin_pass()
+                    node.table[key] = inst
+                inst.observe(pos, sign)
+            else:
+                cur = node.table.get(key)
+                if cur is None:
+                    node.table[key] = pos
+                    node.account.charge(1)
+                elif pos < cur:
+                    node.table[key] = pos
+
+        return update
 
     def end_pass(self, pass_index: int) -> None:
-        phase = self._phase
+        del self.update
+        kind, depth, j = self._phase
         self._phase = None
-        if phase[0] == "leaf":
-            for leaf in self.by_depth[self.levels]:
+        if kind == "leaf":
+            for leaf in self.by_depth[depth]:
                 self._finish_leaf(leaf)
             if self.levels == 0:
                 self._finalize()
             return
-        _, depth, j = phase
         if self.model == TURNSTILE:
             for node in self.by_depth[depth]:
                 for inst in node.table.values():

@@ -234,6 +234,9 @@ def final_multiplicity(stream: ArcStream) -> Digraph:
 
 
 class PassConsumer(Protocol):
+    """Receives every update of every pass; ``begin_pass`` may bind an
+    ``update`` made for that pass, which :func:`run_passes` looks up once."""
+
     def begin_pass(self, pass_index: int) -> None: ...
 
     def update(self, sign: int, u: int, v: int) -> None: ...
@@ -251,15 +254,18 @@ def run_passes(
 
     Within a pass every update is handed to each consumer exactly once and in
     stream order; consumers registered together share the physical pass.
+    Each consumer's ``update`` is looked up once per pass, after every
+    ``begin_pass``, so a consumer may bind a pass-specific handler there.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     for pass_index in range(passes):
         for c in consumers:
             c.begin_pass(pass_index)
+        handlers = [c.update for c in consumers]
         for sign, u, v in stream.updates:
-            for c in consumers:
-                c.update(sign, u, v)
+            for update in handlers:
+                update(sign, u, v)
         for c in consumers:
             c.end_pass(pass_index)
     return StreamStats(passes=passes, peak_words=ledger.peak if ledger else 0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -9,6 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_digraph, stream_of, turnstile_stream
+from streamcert.certify_k import (
+    SampleScheme,
+    k_arc_cert_peeling,
+    k_arc_cert_sampled,
+    k_node_cert,
+)
 from streamcert.certify_one import (
     Certificate,
     OneCertRun,
@@ -19,7 +26,14 @@ from streamcert.certify_one import (
 )
 from streamcert.digraph import Digraph, chain_cover_minimum, scc_ids, transitive_closure
 from streamcert.hardgen import embed_tournament, gadget_triangle, transitive_tournament
-from streamcert.streams import INSERTION_ONLY, TURNSTILE, ArcStream, SpaceLedger
+from streamcert.streams import (
+    INSERTION_ONLY,
+    TURNSTILE,
+    ArcStream,
+    SpaceLedger,
+    StreamStats,
+    block_of,
+)
 
 
 def test_certificate_field_validation():
@@ -130,6 +144,69 @@ def test_recursion_tree_has_no_empty_blocks():
     cert, stats = one_cert_stream(ArcStream.from_graph(path), RecursionPlan(p=40))
     assert cert.arcs == path.arcs
     assert (stats.passes, stats.peak_words) == (40, 22)
+
+
+def test_owner_tables_match_block_descent():
+    for levels in range(5):
+        for size in range(1, 301):
+            run = OneCertRun(size, INSERTION_ONLY, RecursionPlan(p=levels + 1), SpaceLedger())
+            assert sum(map(len, run.owner)) == run.size * (run.levels + 1)
+            for x in range(size):
+                node = run.by_depth[0][0]
+                for d in range(levels + 1):
+                    assert run.by_depth[d][run.owner[d][x]] is node, (size, levels, x, d)
+                    if d < levels:
+                        node = node.children[block_of(x - node.lo, node.hi - node.lo, run.b)]
+
+
+def test_update_outside_a_pass_raises():
+    runs = [
+        OneCertRun(6, TURNSTILE, RecursionPlan(p=3), SpaceLedger(), name="whole"),
+        OneCertRun(6, TURNSTILE, RecursionPlan(p=3), SpaceLedger(), name="part", universe=[1, 2]),
+    ]
+    for run in runs:
+        with pytest.raises(RuntimeError, match=f"{run.name}: update outside a pass"):
+            run.update(1, 0, 5)
+        run.begin_pass(0)
+        run.update(1, 0, 5)
+        run.end_pass(0)
+        with pytest.raises(RuntimeError, match="update outside a pass"):
+            run.update(1, 0, 5)
+
+
+_G = random_digraph(random.Random(31), 14, 20, density=0.3)
+_RING = Digraph(12, {(i, (i + j) % 12) for i in range(12) for j in (1, 2, 5)})
+# Runs through MinSelect across q passes, a universe and arc filters, which
+# criterion 7 does not reach: StreamStats, arc count and sorted-arc digest.
+ROUTING_PINS = {
+    "turnstile-mp2": (
+        lambda: one_cert_stream(turnstile_stream(_G, 31), RecursionPlan(p=5, mp_passes=2)),
+        StreamStats(passes=5, peak_words=232), 23, "6179c947ef91eb5b",
+    ),
+    "k-node-universe": (
+        lambda: k_node_cert(ArcStream.from_graph(_G, INSERTION_ONLY, seed=31), 2,
+                            SampleScheme(rho=0.5, seed=7, r=8), RecursionPlan(p=3)),
+        StreamStats(passes=3, peak_words=326), 47, "5386b50797825490",
+    ),
+    "k-arc-sampled-filter": (
+        lambda: k_arc_cert_sampled(turnstile_stream(_G, 32), 2,
+                                   SampleScheme(rho=0.5, seed=7, r=6, mode="arc"), RecursionPlan(p=3)),
+        StreamStats(passes=3, peak_words=1013), 54, "ddc6c89ddb231503",
+    ),
+    "k-arc-peeling-filter": (
+        lambda: k_arc_cert_peeling(turnstile_stream(_RING, 33), 2, RecursionPlan(p=3)),
+        StreamStats(passes=6, peak_words=403), 32, "aecfb65b39403735",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTING_PINS))
+def test_routing_paths_are_pinned(name):
+    run, stats, arcs, digest = ROUTING_PINS[name]
+    cert, got = run()
+    assert got == stats
+    assert len(cert.arcs) == arcs
+    assert hashlib.sha256(repr(sorted(cert.arcs)).encode()).hexdigest()[:16] == digest
 
 
 def test_turnstile_pass_budget_matches_split():
