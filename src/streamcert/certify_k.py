@@ -3,7 +3,9 @@
 Three routes:
 
 * :func:`k_node_cert` — union of 1-certificates of r node-sampled induced
-  subgraphs, all multiplexed onto one shared set of passes.
+  subgraphs, all multiplexed onto one shared set of passes.  Updates are
+  routed by membership mask: arc (u, v) reaches only the samples holding
+  both u and v.
 * :func:`k_arc_cert_sampled` — the arc-sampled analogue (node set untouched,
   arcs kept with probability rho, recomputed on the fly and never stored).
 * :func:`k_arc_cert_peeling` — deterministic; requires the final graph to be
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from .certify_one import Certificate, OneCertRun, RecursionPlan
 from .digraph import Branching, Digraph, degeneracy, independence_number_exact
 from .exact import lambda_st
-from .prf import prf_uniform
+from .prf import prf_uniform, sample_members
 from .streams import ArcStream, SpaceLedger, StreamStats, run_passes
 
 
@@ -85,9 +87,42 @@ class SampleScheme:
         return math.ceil(192.0 / scale * math.log2(max(2, n)))
 
 
+class _MaskRouter:
+    """Pass consumer handing update (u, v) to the runs in ``mask[u] & mask[v]``,
+    in registration order; bit i of ``mask[v]`` says run i's universe holds v.
+    Any other run would drop the update before charging a word."""
+
+    def __init__(self, runs: list[OneCertRun], mask: list[int]):
+        self.runs = runs
+        self.mask = mask
+
+    def begin_pass(self, pass_index: int) -> None:
+        for run in self.runs:
+            run.begin_pass(pass_index)
+        handlers = [run.update for run in self.runs]
+        mask = self.mask
+
+        def update(sign: int, u: int, v: int) -> None:
+            both = mask[u] & mask[v]
+            while both:
+                low = both & -both
+                handlers[low.bit_length() - 1](sign, u, v)
+                both ^= low
+
+        self.update = update
+
+    def end_pass(self, pass_index: int) -> None:
+        del self.update
+        for run in self.runs:
+            run.end_pass(pass_index)
+
+
 def _sampled_cert(
     stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan
 ) -> tuple[Certificate, StreamStats]:
+    """Union of the 1-certificates of r samples sharing one set of passes.
+    Node mode draws all memberships in one sweep and routes updates by
+    membership mask (:class:`_MaskRouter`); arc mode filters by PRF value."""
     n = stream.n
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -95,22 +130,26 @@ def _sampled_cert(
         raise ValueError(f"rho={scheme.rho} exceeds 1/k for k={k}")
     r = scheme.sample_count(k, n)
     ledger = SpaceLedger()
-    runs = []
-    for i in range(r):
-        if scheme.mode == "node":
-            members = [v for v in range(n) if prf_uniform(scheme.seed, i, v) < scheme.rho]
+    if scheme.mode == "node":
+        runs = []
+        mask = [0] * n
+        for i, members in enumerate(sample_members(scheme.seed, r, n, scheme.rho)):
             runs.append(
                 OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", universe=members)
             )
-        else:
-            def keep(u: int, v: int, _i: int = i) -> bool:
-                return prf_uniform(scheme.seed, _i, u * n + v) < scheme.rho
+            for v in members:
+                mask[v] |= 1 << i
+        consumers = [_MaskRouter(runs, mask)]
+    else:
+        def keep_in(i: int):
+            return lambda u, v: prf_uniform(scheme.seed, i, u * n + v) < scheme.rho
 
-            runs.append(
-                OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", arc_filter=keep)
-            )
+        runs = consumers = [
+            OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", arc_filter=keep_in(i))
+            for i in range(r)
+        ]
     passes = runs[0].total_passes
-    run_passes(stream, runs, passes, ledger)
+    run_passes(stream, consumers, passes, ledger)
     union = set()
     for run in runs:
         union |= run.cert_arcs

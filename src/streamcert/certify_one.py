@@ -29,6 +29,7 @@ from typing import Mapping, Sequence
 
 from .digraph import (
     Digraph,
+    _chain_cover,
     chain_cover_minimum,
     grow_branching,
     reachability_masks,
@@ -102,10 +103,10 @@ class RecursionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _scc_branching_arcs(g: Digraph) -> set[tuple[int, int]]:
+def _scc_branching_arcs(g: Digraph, comps: Sequence[frozenset[int]]) -> set[tuple[int, int]]:
     """One in- plus one out-branching inside every nontrivial SCC (min-id root)."""
     arcs: set[tuple[int, int]] = set()
-    for comp in scc_tarjan(g):
+    for comp in comps:
         if len(comp) < 2:
             continue
         nodes = sorted(comp)
@@ -123,14 +124,16 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
     chain of a minimum chain cover, only the arc from x to its earliest
     out-neighbour on that chain, so each node keeps at most chain-cover-size
     <= alpha cross arcs.  One in- and one out-branching per nontrivial
-    strongly connected component add fewer than 2n arcs.
+    strongly connected component add fewer than 2n arcs.  All three steps
+    share one SCC decomposition.
     """
     n = g.n
     if n == 0 or not g.arcs:
         return g
-    comp_id = scc_ids(g)
+    comps = scc_tarjan(g)
+    comp_id = scc_ids(g, comps)
     chain_at = [(-1, -1)] * n  # node -> (chain index, position)
-    for ci, chain in enumerate(chain_cover_minimum(g).chains):
+    for ci, chain in enumerate(_chain_cover(g, comps).chains):
         for pos, v in enumerate(chain):
             chain_at[v] = (ci, pos)
 
@@ -142,7 +145,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
             ci, pos = chain_at[v]
             first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
 
-    arcs = _scc_branching_arcs(g)
+    arcs = _scc_branching_arcs(g, comps)
     arcs.update((x, v) for (x, _), (_, v) in first.items())
     return Digraph(n, arcs)
 

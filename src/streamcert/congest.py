@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .certify_k import SampleScheme
 from .certify_one import tc_preserving_prune
 from .digraph import Digraph
-from .prf import prf_u64, prf_uniform
+from .prf import prf_u64, sample_members
 
 Message = tuple[int, ...]
 
@@ -433,9 +433,10 @@ def congest_k_cert(
     n = g.n
     sim = _Sim(net)
     r = SampleScheme(rho=rho).sample_count(k, n)
-    member = {
-        v: [i for i in range(r) if prf_uniform(seed, i, v) < rho] for v in range(n)
-    }
+    member: dict[int, list[int]] = {v: [] for v in range(n)}
+    for i, members in enumerate(sample_members(seed, r, n, rho)):
+        for v in members:
+            member[v].append(i)
     sim.meta["samples"] = sum(len(m) for m in member.values())
     sim.meta["r"] = r
 

@@ -338,10 +338,13 @@ def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
     return comps
 
 
-def scc_ids(g: Digraph) -> list[int]:
-    """Component id per node; ids follow the reverse topological emission order."""
+def scc_ids(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> list[int]:
+    """Component id per node; ids follow the reverse topological emission order.
+
+    ``comps`` passes in ``scc_tarjan(g)`` when the caller already holds it.
+    """
     ids = [-1] * g.n
-    for i, comp in enumerate(scc_tarjan(g)):
+    for i, comp in enumerate(scc_tarjan(g) if comps is None else comps):
         for v in comp:
             ids[v] = i
     return ids
@@ -468,6 +471,11 @@ def degeneracy(g: Digraph) -> int:
 
 
 def chain_cover_minimum(g: Digraph) -> ChainCover:
+    """A minimum chain cover of ``g`` (see :func:`_chain_cover`)."""
+    return _chain_cover(g, scc_tarjan(g))
+
+
+def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:
     """A minimum chain cover (Dilworth route: path cover by bipartite matching).
 
     Components are numbered in topological order and a component's nodes by
@@ -477,10 +485,10 @@ def chain_cover_minimum(g: Digraph) -> ChainCover:
     ordered only inside components by id, so the matching cost followed the
     labelling (cubic time on a reversed path).  Positions are matched in order
     by an iterative depth-first augmenting search, lowest position first; ids
-    only break ties.
+    only break ties.  ``comps`` is ``scc_tarjan(g)``.
     """
     n = g.n
-    order = [v for comp in reversed(scc_tarjan(g)) for v in sorted(comp)]
+    order = [v for comp in reversed(comps) for v in sorted(comp)]
     pos = {v: i for i, v in enumerate(order)}
     out_rows = [0] * n
     for u, v in g.arcs:

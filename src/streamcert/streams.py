@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .digraph import Digraph
@@ -137,7 +138,7 @@ class ArcStream:
         if n < 0:
             raise StreamIntegrityError(f"node count must be nonnegative, got {n}")
         ups = []
-        present: set[int] = set()  # arcs at multiplicity 1, keyed u * n + v
+        present: set[tuple[int, int, int]] = set()  # arcs at multiplicity 1, as (1, u, v)
         for sign, u, v in updates:
             u, v = int(u), int(v)
             if sign not in (1, -1):
@@ -148,7 +149,8 @@ class ArcStream:
                 raise StreamIntegrityError(f"update ({u},{v}) out of range for n={n}")
             if sign < 0 and model == INSERTION_ONLY:
                 raise StreamIntegrityError("deletion in insertion-only stream")
-            key = u * n + v
+            up = (sign, u, v)
+            key = up if sign > 0 else (1, u, v)  # an insert keys by the tuple ``ups`` keeps
             if sign > 0 and key not in present:
                 present.add(key)
             elif sign < 0 and key in present:
@@ -156,7 +158,7 @@ class ArcStream:
             else:
                 what = "insertion of present" if sign > 0 else "deletion of absent"
                 raise StreamIntegrityError(f"update {len(ups) + 1}: {what} arc ({u},{v})")
-            ups.append((sign, u, v))
+            ups.append(up)
         self.n = n
         self.updates = tuple(ups)
         self.model = model
@@ -289,18 +291,32 @@ def int_root_ceil(n: int, k: int) -> int:
     return b
 
 
-def block_of(offset: int, span: int, nblocks: int) -> int:
-    """Index of the block holding ``offset`` when ``span`` is cut into
-    ``nblocks`` contiguous blocks, the first ``span % nblocks`` one larger."""
+@lru_cache(maxsize=1024)
+def block_finder(span: int, nblocks: int) -> Callable[[int], int]:
+    """``offset -> index`` of the block holding ``offset`` when ``span`` is cut
+    into ``nblocks`` contiguous blocks, the first ``span % nblocks`` one larger.
+
+    The division is done once, here, for callers that look up many offsets;
+    the cache lets the many minimum selections of one span share a finder.
+    """
     base, rem = divmod(span, nblocks)
     threshold = rem * (base + 1)
-    if offset < threshold:
-        return offset // (base + 1)
-    return rem + (offset - threshold) // base
+
+    def find(offset: int) -> int:
+        if offset < threshold:
+            return offset // (base + 1)
+        return rem + (offset - threshold) // base
+
+    return find
+
+
+def block_of(offset: int, span: int, nblocks: int) -> int:
+    """Index of the block holding ``offset`` (see :func:`block_finder`)."""
+    return block_finder(span, nblocks)(offset)
 
 
 def block_bounds(lo: int, span: int, nblocks: int, idx: int) -> tuple[int, int]:
-    """Half-open range of block ``idx`` of ``[lo, lo + span)`` (see :func:`block_of`)."""
+    """Half-open range of block ``idx`` of ``[lo, lo + span)`` (see :func:`block_finder`)."""
     base, rem = divmod(span, nblocks)
     start = lo + idx * base + min(idx, rem)
     return start, start + base + (1 if idx < rem else 0)
@@ -321,7 +337,8 @@ class MinSelect:
     even under deletions.
     """
 
-    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "done", "result", "account")
+    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "done", "result",
+                 "account")
 
     def __init__(self, length: int, q: int, account: SpaceAccount | None = None):
         if q < 1:
@@ -331,6 +348,7 @@ class MinSelect:
         self.passes_left = q
         self.counters: list[int] | None = None
         self.nblocks = 0
+        self.find = None
         self.done = length == 0
         self.result: int | None = None
         self.account = account
@@ -342,6 +360,7 @@ class MinSelect:
             return
         span = self.hi - self.lo
         self.nblocks = int_root_ceil(span, self.passes_left)
+        self.find = block_finder(span, self.nblocks)  # span and nblocks hold for the pass
         self.counters = [0] * self.nblocks
         if self.account is not None:
             self.account.charge(self.nblocks)
@@ -350,8 +369,7 @@ class MinSelect:
         if self.done or self.counters is None:
             return
         if self.lo <= rank < self.hi:
-            span = self.hi - self.lo
-            self.counters[block_of(rank - self.lo, span, self.nblocks)] += sign
+            self.counters[self.find(rank - self.lo)] += sign
 
     def end_pass(self) -> None:
         if self.done or self.counters is None:

@@ -22,6 +22,7 @@ from streamcert.digraph import Digraph, independence_number_exact
 from streamcert.exact import validate_certificate
 from streamcert.hardgen import alpha_family
 from streamcert.prf import prf_uniform
+from streamcert.streams import INSERTION_ONLY, TURNSTILE
 
 
 def complete(n: int) -> Digraph:
@@ -136,6 +137,37 @@ def test_sampled_cert_deterministic_in_seed():
     )
     # different sample coins almost surely pick a different union
     assert a.provenance["seed"] != c.provenance["seed"]
+
+
+@pytest.mark.parametrize("model", ["insertion", "turnstile"])
+def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, model):
+    """Every run gets exactly the updates with both ends in its universe, in
+    stream order, once per pass; no other update reaches its handler."""
+    from streamcert.certify_one import OneCertRun
+
+    got: dict[str, list] = {}
+    handler = OneCertRun._handler
+
+    def counting(self, kind, depth, j):
+        inner = handler(self, kind, depth, j)
+        seen = got.setdefault(self.name, [])
+
+        def update(sign, u, v):
+            seen.append((sign, u, v))
+            inner(sign, u, v)
+
+        return update
+
+    monkeypatch.setattr(OneCertRun, "_handler", counting)
+    g = random_strong_digraph(random.Random(31), 10, 10, extra=0.4)
+    stream = stream_of(g, INSERTION_ONLY if model == "insertion" else TURNSTILE, seed=3)
+    scheme = SampleScheme(rho=0.5, r=9, seed=4)
+    _, stats = k_node_cert(stream, 2, scheme, RecursionPlan(3))
+    assert stats.passes == 3 and len(got) == 9
+    for i in range(9):
+        uni = {v for v in range(g.n) if prf_uniform(4, i, v) < 0.5}
+        want = [(s, u, v) for s, u, v in stream.updates if u in uni and v in uni]
+        assert got[f"sample{i}"] == want * stats.passes, i
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,28 @@ def test_prune_keeps_one_cross_arc_per_node_and_chain():
         assert max(kept.values(), default=0) <= 1, sorted(g.arcs)
 
 
+def test_prune_runs_one_scc_decomposition(monkeypatch):
+    from streamcert import certify_one, digraph
+
+    calls = []
+    tarjan = digraph.scc_tarjan
+
+    def counting(g):
+        calls.append(g)
+        return tarjan(g)
+
+    # both bindings, so a call through scc_ids or chain_cover_minimum counts too
+    monkeypatch.setattr(digraph, "scc_tarjan", counting)
+    monkeypatch.setattr(certify_one, "scc_tarjan", counting)
+    rng = random.Random(15)
+    graphs = [Digraph(0), Digraph(3)] + [random_digraph(rng, 2, 16) for _ in range(60)]
+    for g in graphs:
+        calls.clear()
+        h = tc_preserving_prune(g)
+        assert len(calls) == (1 if g.arcs else 0), sorted(g.arcs)
+        assert transitive_closure(h) == transitive_closure(g)
+
+
 @given(st.data())
 def test_certificates_do_not_depend_on_labelling(data):
     n = data.draw(st.integers(1, 12))
