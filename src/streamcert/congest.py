@@ -74,6 +74,7 @@ class _Sim:
 
     def __init__(self, net: CongestNetwork):
         self.net = net
+        self.links = [set(nb) for nb in net.neighbors]
         self.round = 0
         self.messages = 0
         self.phases: dict[str, int] = {}
@@ -85,15 +86,19 @@ class _Sim:
         self.round += 1
         self.phases[phase] = self.phases.get(phase, 0) + 1
         net = self.net
+        max_words, word_limit = net.max_words, 1 << net.word_bits
         inbox: dict[int, dict[int, Message]] = {}
         for u in sorted(sends):
+            links = self.links[u]
             for w in sorted(sends[u]):
                 msg = sends[u][w]
-                if w not in net.neighbors[u]:
+                if w not in links:
                     raise ValueError(f"node {u} has no link to {w}")
-                bits = sum(_word_count(x, net.word_bits) for x in msg) * net.word_bits
-                if bits > net.max_message_bits:
-                    raise ProtocolViolationError(u, self.round, bits, net.max_message_bits)
+                # a message of at most max_words one-word values fits as it is
+                if len(msg) > max_words or not all(0 <= x < word_limit for x in msg):
+                    bits = sum(_word_count(x, net.word_bits) for x in msg) * net.word_bits
+                    if bits > net.max_message_bits:
+                        raise ProtocolViolationError(u, self.round, bits, net.max_message_bits)
                 inbox.setdefault(w, {})[u] = msg
                 self.messages += 1
         return inbox
@@ -161,22 +166,17 @@ def _convergecast(
     contrib: Mapping[int, tuple[int, ...]],
     phase: str,
 ) -> dict[int, tuple[int, ...]]:
-    """Layered sums toward each component's root, the node that keys it."""
+    """Layered sums toward each component's root, the node that keys it:
+    a node at depth d sends at step (deepest depth in its component) - d."""
     acc = {v: tuple(contrib[v]) for key in comps for v in comps[key]}
-    maxd = {key: max(depth[v] for v in comps[key]) for key in comps}
-    steps = max(maxd.values(), default=0)
-    for step in range(steps):
-        sends = {}
-        for key in comps:
-            layer = maxd[key] - step
-            if layer < 1:
-                continue
-            for v in comps[key]:
-                if depth[v] == layer:
-                    sends.setdefault(v, {})[parent[v]] = acc[v]
-        if not sends:
-            continue
-        inbox = sim.exchange(sends, phase)
+    by_step: dict[int, list[int]] = {}
+    for members in comps.values():
+        bottom = max(depth[v] for v in members)
+        for v in members:
+            if depth[v]:
+                by_step.setdefault(bottom - depth[v], []).append(v)
+    for step in sorted(by_step):
+        inbox = sim.exchange({v: {parent[v]: acc[v]} for v in by_step[step]}, phase)
         for w in inbox:
             for msg in inbox[w].values():
                 acc[w] = tuple(a + b for a, b in zip(acc[w], msg))
@@ -189,6 +189,12 @@ def _convergecast(
 
 
 class _Decomposition:
+    """Schudy-style SCC split: per level, each component of same-label nodes
+    finds its pivot (``_pivot_search``, steps counted as ``search_iters``),
+    and the pivot's floods split it into its SCC and four labelled parts.
+    Set A is the forward reach of the ranks below t*, which are the ranks
+    below the final search interval."""
+
     def __init__(self, net: CongestNetwork, seed: int, with_counters: bool):
         self.net = net
         self.seed = seed
@@ -206,7 +212,6 @@ class _Decomposition:
             return
         g = self.net.topology
         cube = n**3
-        search_iters = max(1, cube.bit_length())
         max_levels = 6 * max(1, n.bit_length()) + 24
         for level in range(max_levels):
             active = [v for v in range(n) if self.scc[v] is None]
@@ -253,17 +258,12 @@ class _Decomposition:
                 {v: (1, len(out_in[v])) for v in active}, "size",
             )
 
-            pivot_rank = self._pivot_search(
-                comps, parent, depth, links, out_in, rank, totals, search_iters
-            )
-
-            tstar = _flood_value(
-                self.sim, links, {key: (pivot_rank[key],) for key in comps}, "tstar"
-            )
-            pivots = [v for v in active if rank[v] == tstar[v][0]]
+            # each interval holds exactly one rank, t*: its node is the pivot
+            bounds = self._pivot_search(comps, parent, depth, links, out_in, rank, totals)
+            pivots = [v for v in active if bounds[v][0] <= rank[v] <= bounds[v][1]]
 
             set_a = _flood_reach(
-                self.sim, sorted(v for v in active if rank[v] < tstar[v][0]),
+                self.sim, sorted(v for v in active if rank[v] < bounds[v][0]),
                 out_in, "reach",
             )
             # the forward flood carries the pivot's id, so its SCC learns it
@@ -336,43 +336,61 @@ class _Decomposition:
         parent = {v: state[v][2] for v in active}
         return leader, depth, parent
 
-    def _pivot_search(
-        self, comps, parent, depth, links, out_in, rank, totals, search_iters
-    ) -> dict[object, int]:
-        """Per-component binary search for the median-weight threshold rank."""
-        bounds = {key: (1, self.n**3) for key in comps}
-        for _ in range(search_iters):
-            open_keys = {key for key in comps if bounds[key][0] < bounds[key][1]}
-            if not open_keys:
-                break
-            mids = {key: sum(bounds[key]) // 2 for key in open_keys}
-            sub = {key: comps[key] for key in open_keys}
-            mid_at = _flood_value(
-                self.sim, links, {key: (mids[key],) for key in open_keys}, "search"
+    def _pivot_search(self, comps, parent, depth, links, out_in, rank, totals):
+        """Per-component bisection of [1, n^3] for t*, the least threshold t
+        whose reach from the ranks <= t weighs half the component (a node
+        weighs 1 + |out_in|).  t* is a rank and stays in [lo, hi], so a root
+        closes its search once [lo, hi] holds one rank: each step's
+        convergecast returns (weight reached, count of ranks in [lo, mid]),
+        and the in-interval count starts at the component's size.  Each
+        flood, the ``search`` floods and the final ``tstar`` one, carries
+        the root's last direction in one word; every node halves its own
+        [lo, hi] by it and computes the next mid.  Returns each node's
+        final [lo, hi].
+        """
+        bounds = {v: (1, self.n**3) for key in comps for v in comps[key]}
+        inside = {key: totals[key][0] for key in comps}
+        went_low = dict.fromkeys(comps, False)  # first flood: no node has a mid yet
+        pending: dict[int, int] = {}  # a node's mid, until it learns the direction
+
+        def tell(keys, phase):
+            told = _flood_value(
+                self.sim, links, {key: (int(went_low[key]),) for key in keys}, phase
             )
-            sources = sorted(
-                v for v in mid_at if rank[v] <= mid_at[v][0]
+            for v, (low,) in told.items():
+                if v in pending:
+                    mid = pending.pop(v)
+                    bounds[v] = (bounds[v][0], mid) if low else (mid + 1, bounds[v][1])
+            return told
+
+        open_keys = sorted(key for key in comps if inside[key] > 1)
+        while open_keys:
+            self.sim.bump("search_iters")
+            told = tell(open_keys, "search")
+            for v in told:
+                pending[v] = sum(bounds[v]) // 2
+            reached = _flood_reach(
+                self.sim, sorted(v for v in told if rank[v] <= pending[v]),
+                out_in, "search",
             )
-            reached = _flood_reach(self.sim, sources, out_in, "search")
             counts = _convergecast(
-                self.sim, sub, parent, depth,
+                self.sim, {key: comps[key] for key in open_keys}, parent, depth,
                 {
-                    v: (int(v in reached), len(out_in[v]) if v in reached else 0)
-                    for key in open_keys
-                    for v in sub[key]
+                    v: (
+                        1 + len(out_in[v]) if v in reached else 0,
+                        int(bounds[v][0] <= rank[v] <= pending[v]),
+                    )
+                    for v in told
                 },
                 "search",
             )
             for key in open_keys:
-                lo, hi = bounds[key]
-                mid = mids[key]
-                cv, ce = counts[key]
-                tv, te = totals[key]
-                if 2 * (cv + ce) >= tv + te:
-                    bounds[key] = (lo, mid)
-                else:
-                    bounds[key] = (mid + 1, hi)
-        return {key: bounds[key][0] for key in comps}
+                weight, in_lower = counts[key]
+                went_low[key] = 2 * weight >= sum(totals[key])
+                inside[key] = in_lower if went_low[key] else inside[key] - in_lower
+            open_keys = [key for key in open_keys if inside[key] > 1]
+        tell(comps, "tstar")
+        return bounds
 
     def _update_counters(self, comps, parent, depth, links, branch) -> None:
         """Verbatim five-set offsets: later sets shift by earlier set sizes.

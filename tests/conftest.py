@@ -72,4 +72,6 @@ def turnstile_stream(g: Digraph, seed: int, churn: int | None = None) -> ArcStre
 def stream_of(g: Digraph, model: str, seed: int) -> ArcStream:
     if model == INSERTION_ONLY:
         return ArcStream.from_graph(g, INSERTION_ONLY, seed=seed)
-    return turnstile_stream(g, seed)
+    if model == TURNSTILE:
+        return turnstile_stream(g, seed)
+    raise ValueError(f"unknown stream model {model!r}")

@@ -61,7 +61,7 @@ def test_scheme_sample_counts():
 
 def test_rho_must_respect_k():
     g = doubled_cycle(8)
-    stream = stream_of(g, "insertion", seed=0)
+    stream = stream_of(g, INSERTION_ONLY, seed=0)
     with pytest.raises(ValueError):
         k_node_cert(stream, 3, SampleScheme(rho=0.5, r=4), RecursionPlan(1))
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_node_sampled_cert_validates():
     rng = random.Random(31)
     for trial in range(8):
         g = random_strong_digraph(rng, 5, 9, extra=0.6)
-        stream = stream_of(g, "insertion", seed=trial)
+        stream = stream_of(g, INSERTION_ONLY, seed=trial)
         scheme = SampleScheme(rho=0.5, seed=trial)
         cert, stats = k_node_cert(stream, 2, scheme, RecursionPlan(1))
         assert cert.kind == "node" and cert.k == 2
@@ -94,7 +94,7 @@ def test_arc_sampled_cert_validates():
     rng = random.Random(32)
     for trial in range(8):
         g = random_strong_digraph(rng, 5, 9, extra=0.6)
-        stream = stream_of(g, "turnstile", seed=trial)
+        stream = stream_of(g, TURNSTILE, seed=trial)
         scheme = SampleScheme(rho=0.5, seed=trial, mode="arc")
         cert, stats = k_arc_cert_sampled(stream, 2, scheme, RecursionPlan(2))
         assert cert.kind == "arc"
@@ -120,7 +120,7 @@ def test_pass_budget_ignores_k_and_r():
     g = doubled_cycle(10)
     seen = set()
     for k, r in [(1, 3), (2, 9), (3, 2)]:
-        stream = stream_of(g, "insertion", seed=0)
+        stream = stream_of(g, INSERTION_ONLY, seed=0)
         _, stats = k_node_cert(stream, k, SampleScheme(rho=1 / k, r=r), RecursionPlan(2))
         seen.add(stats.passes)
     assert seen == {2}
@@ -129,11 +129,12 @@ def test_pass_budget_ignores_k_and_r():
 def test_sampled_cert_deterministic_in_seed():
     g = doubled_cycle(9)
     scheme = SampleScheme(rho=0.5, r=6, seed=5)
-    a, _ = k_node_cert(stream_of(g, "insertion", seed=1), 2, scheme, RecursionPlan(1))
-    b, _ = k_node_cert(stream_of(g, "insertion", seed=1), 2, scheme, RecursionPlan(1))
+    a, _ = k_node_cert(stream_of(g, INSERTION_ONLY, seed=1), 2, scheme, RecursionPlan(1))
+    b, _ = k_node_cert(stream_of(g, INSERTION_ONLY, seed=1), 2, scheme, RecursionPlan(1))
     assert a.arcs == b.arcs
     c, _ = k_node_cert(
-        stream_of(g, "insertion", seed=1), 2, SampleScheme(rho=0.5, r=6, seed=6), RecursionPlan(1)
+        stream_of(g, INSERTION_ONLY, seed=1), 2, SampleScheme(rho=0.5, r=6, seed=6),
+        RecursionPlan(1),
     )
     # different sample coins almost surely pick a different union
     assert a.provenance["seed"] != c.provenance["seed"]
@@ -188,7 +189,7 @@ def _assert_k_arc_cert(g: Digraph, cert, k: int):
 def test_peeling_doubled_cycle():
     g = doubled_cycle(9)
     for p in (1, 2):
-        stream = stream_of(g, "insertion", seed=0)
+        stream = stream_of(g, INSERTION_ONLY, seed=0)
         cert, stats = k_arc_cert_peeling(stream, 2, RecursionPlan(p))
         assert stats.passes == 2 * p
         assert len(cert.arcs) <= 2 * 2 * (g.n - 1)
@@ -197,7 +198,7 @@ def test_peeling_doubled_cycle():
 
 def test_peeling_complete_digraph():
     g = complete(7)
-    stream = stream_of(g, "turnstile", seed=3)
+    stream = stream_of(g, TURNSTILE, seed=3)
     cert, stats = k_arc_cert_peeling(stream, 3, RecursionPlan(2))
     d, q = RecursionPlan(2).turnstile_split()
     assert stats.passes == 3 * (d * q + 1)
@@ -207,7 +208,7 @@ def test_peeling_complete_digraph():
 
 def test_peeling_provenance_branchings():
     g = doubled_cycle(8)
-    cert, _ = k_arc_cert_peeling(stream_of(g, "insertion", seed=0), 2, RecursionPlan(1))
+    cert, _ = k_arc_cert_peeling(stream_of(g, INSERTION_ONLY, seed=0), 2, RecursionPlan(1))
     fams = cert.provenance["branchings"]
     assert len(fams) == 4
     out = [b for b in fams if b.kind == "out"]
@@ -225,7 +226,7 @@ def test_peeling_rejects_weak_input():
     # plain cycle is only 1-arc-strong
     g = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(PromiseViolationError) as exc:
-        k_arc_cert_peeling(stream_of(g, "insertion", seed=0), 2, RecursionPlan(1))
+        k_arc_cert_peeling(stream_of(g, INSERTION_ONLY, seed=0), 2, RecursionPlan(1))
     assert exc.value.t == 2
     assert "cut of size" in str(exc.value)
 

@@ -62,6 +62,15 @@ def test_exchange_validates_links_and_size():
     with pytest.raises(ProtocolViolationError) as exc:
         sim.exchange({0: {1: (1, 1)}}, "x")  # two words into a one-word budget
     assert exc.value.node == 0 and exc.value.bits == 4  # 2 words x 2-bit words
+    with pytest.raises(ProtocolViolationError) as exc:
+        sim.exchange({1: {2: (4,)}}, "x")  # one value needing two 2-bit words
+    assert (exc.value.node, exc.value.round_no, exc.value.bits) == (1, 3, 4)
+    with pytest.raises(ValueError):
+        sim.exchange({1: {0: (-1,)}}, "x")
+    wide = _Sim(CongestNetwork(path(3), max_words=2))
+    assert wide.exchange({1: {0: (15,), 2: (3, 0)}}, "x") == {0: {1: (15,)}, 2: {1: (3, 0)}}
+    with pytest.raises(ProtocolViolationError):
+        wide.exchange({0: {1: (4, 0)}}, "x")
 
 
 def test_flood_value_path():
@@ -129,6 +138,20 @@ def test_scc_matches_sequential():
         assert _blocks(ids) == oracles.scc_partition(g.n, g.arcs)
         assert sum(trace.phases.values()) == trace.rounds_used
         assert trace.meta["depth"] >= 1
+
+
+def test_pivot_search_closes_at_one_rank():
+    """A component's search stops once its interval holds one rank, well
+    before the bit_length(n^3) steps of a full bisection of [1, n^3]."""
+    rng = random.Random(63)
+    for trial in range(16):
+        if trial % 2:
+            g = random_strong_digraph(rng, 8, 40, extra=0.05)
+        else:
+            g = random_digraph(rng, 8, 40, density=0.08)
+        ids, trace = congest_scc(CongestNetwork(g), seed=trial)
+        assert _blocks(ids) == oracles.scc_partition(g.n, g.arcs)
+        assert 1 <= trace.meta["search_iters"] < trace.meta["depth"] * (g.n**3).bit_length()
 
 
 def test_scc_nodes_name_their_pivot():
@@ -204,21 +227,21 @@ def test_protocol_traces_are_pinned():
     g = random_digraph(random.Random(62), 40, 40)
     ids, tr = congest_scc(CongestNetwork(g), seed=3)
     assert ids == [v if v in (14, 24, 30, 31, 33, 35, 39) else 13 for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (224, 3453)
+    assert (tr.rounds_used, tr.messages) == (86, 1862)
     assert tr.phases == {
-        "announce": 3, "leader": 6, "size": 4, "search": 197, "tstar": 4, "reach": 10,
+        "announce": 3, "leader": 6, "size": 4, "search": 59, "tstar": 4, "reach": 10,
     }
-    assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
+    assert tr.meta == {"depth": 3, "search_iters": 9, "virtual_source_wakeups": 42}
 
     ranks, tr = congest_toposort(CongestNetwork(g), seed=3)
     ranks_of = {14: 37, 24: 37, 30: 38, 31: 2, 33: 1, 35: 37, 39: 1}
     assert ranks == [ranks_of.get(v, 4) for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (232, 3567)
+    assert (tr.rounds_used, tr.messages) == (94, 1976)
     assert tr.phases == {
         "announce": 3, "leader": 6, "size": 4,
-        "search": 197, "tstar": 4, "reach": 10, "count": 8,
+        "search": 59, "tstar": 4, "reach": 10, "count": 8,
     }
-    assert tr.meta == {"depth": 3, "virtual_source_wakeups": 59}
+    assert tr.meta == {"depth": 3, "search_iters": 9, "virtual_source_wakeups": 42}
     # the count convergecast's 4-tuples fit the same budget as its flood
     assert congest_toposort(CongestNetwork(g, max_words=4), seed=3) == (ranks, tr)
 
