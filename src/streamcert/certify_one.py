@@ -8,6 +8,8 @@ Two layers:
   node among its out-neighbours.  That acyclic part D has out-degrees at most
   the chain-cover size <= alpha; adding one in- and one out-branching per
   nontrivial strongly connected component gives at most (alpha + 2) * n arcs.
+  The pruned graph has the same closure, so the recursion hands that cover on
+  as the pruned block's own: one SCC decomposition and one cover per tree node.
 * :func:`one_cert_stream` — multi-pass streaming computation of the same kind
   of certificate.  Node ranges are split into contiguous blocks, sub-certificates
   are computed recursively with all instances of a level multiplexed onto
@@ -28,10 +30,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .digraph import (
+    ChainCover,
     Digraph,
     _chain_cover,
     chain_cover_minimum,
-    grow_branching,
     reachability_masks,
     scc_ids,
     scc_tarjan,
@@ -103,18 +105,44 @@ class RecursionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _scc_branching_arcs(g: Digraph, comps: Sequence[frozenset[int]]) -> set[tuple[int, int]]:
-    """One in- plus one out-branching inside every nontrivial SCC (min-id root)."""
+def _scc_branching_arcs(g: Digraph, comps: list[frozenset], comp_id: list[int]) -> set[tuple[int, int]]:
+    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS
+    per direction starts at every root at once and follows only arcs inside a component, so
+    each tree is the lowest-id-first BFS tree of the induced component."""
+    roots = [min(comp) for comp in comps if len(comp) > 1]
     arcs: set[tuple[int, int]] = set()
-    for comp in comps:
-        if len(comp) < 2:
-            continue
-        nodes = sorted(comp)
-        sub = g.induced(nodes)
-        for kind in ("out", "in"):
-            br = grow_branching(sub, 0, kind)
-            arcs.update((nodes[u], nodes[v]) for u, v in br.arcs)
+    for step, out in ((g.out_neighbors, True), (g.in_neighbors, False)):
+        seen = set(roots)
+        queue = list(roots)
+        for u in queue:  # the list grows while it is walked: FIFO order
+            for v in step(u):
+                if v not in seen and comp_id[v] == comp_id[u]:
+                    seen.add(v)
+                    queue.append(v)
+                    arcs.add((u, v) if out else (v, u))
     return arcs
+
+
+def _prune_with_cover(g: Digraph) -> tuple[set[tuple[int, int]], ChainCover]:
+    """The arcs :func:`tc_preserving_prune` keeps, and the minimum chain cover of
+    ``g`` it chose them by.  The kept arcs have ``g``'s transitive closure, so
+    the cover is a minimum chain cover of them too."""
+    comps = scc_tarjan(g)
+    comp_id = scc_ids(g, comps)
+    cover = _chain_cover(g, comps)
+    chain_at = {v: (ci, pos) for ci, chain in enumerate(cover.chains) for pos, v in enumerate(chain)}
+
+    # The earliest chain node reaches the later ones; induction over the
+    # condensation in reverse topological order shows nothing else is lost.
+    first: dict[tuple[int, int], tuple[int, int]] = {}  # (x, chain) -> (pos, v)
+    for x, v in g.arcs:
+        if comp_id[x] != comp_id[v]:
+            ci, pos = chain_at[v]
+            first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
+
+    arcs = _scc_branching_arcs(g, comps, comp_id)
+    arcs.update((x, v) for (x, _), (_, v) in first.items())
+    return arcs, cover
 
 
 def tc_preserving_prune(g: Digraph) -> Digraph:
@@ -125,29 +153,10 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
     out-neighbour on that chain, so each node keeps at most chain-cover-size
     <= alpha cross arcs.  One in- and one out-branching per nontrivial
     strongly connected component add fewer than 2n arcs.  All three steps
-    share one SCC decomposition.
+    share one SCC decomposition.  The streaming recursion calls
+    :func:`_prune_with_cover` and hands its cover on to the parent's level pass.
     """
-    n = g.n
-    if n == 0 or not g.arcs:
-        return g
-    comps = scc_tarjan(g)
-    comp_id = scc_ids(g, comps)
-    chain_at = [(-1, -1)] * n  # node -> (chain index, position)
-    for ci, chain in enumerate(_chain_cover(g, comps).chains):
-        for pos, v in enumerate(chain):
-            chain_at[v] = (ci, pos)
-
-    # The earliest chain node reaches the later ones; induction over the
-    # condensation in reverse topological order shows nothing else is lost.
-    first: dict[tuple[int, int], tuple[int, int]] = {}  # (x, chain) -> (pos, v)
-    for x, v in g.arcs:
-        if comp_id[x] != comp_id[v]:
-            ci, pos = chain_at[v]
-            first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
-
-    arcs = _scc_branching_arcs(g, comps)
-    arcs.update((x, v) for (x, _), (_, v) in first.items())
-    return Digraph(n, arcs)
+    return Digraph(g.n, _prune_with_cover(g)[0]) if g.arcs else g
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +368,17 @@ class OneCertRun:
 
     # -- offline phases ------------------------------------------------------
 
-    def _local_prune(self, node: _TreeNode, arcs: set[tuple[int, int]]) -> Digraph:
+    def _prune_into(self, node: _TreeNode, arcs: set[tuple[int, int]], spent: int) -> None:
+        """Keep the pruned block and, below the root, the prune's chain cover."""
         lo = node.lo
-        shifted = Digraph(node.hi - lo, ((u - lo, v - lo) for u, v in arcs))
-        return tc_preserving_prune(shifted)
-
-    def _store_result(self, node: _TreeNode, pruned: Digraph, spent: int) -> None:
-        lo = node.lo
-        node.h_arcs = {(u + lo, v + lo) for u, v in pruned.arcs}
+        kept, cover = _prune_with_cover(Digraph(node.hi - lo, ((u - lo, v - lo) for u, v in arcs)))
+        node.h_arcs = {(u + lo, v + lo) for u, v in kept}
         keep = len(node.h_arcs)
         if node.depth > 0:  # the root's chain cover is never consumed
-            cover = chain_cover_minimum(pruned)
             node.chains = tuple(tuple(v + lo for v in chain) for chain in cover.chains)
-            node.chainpos = {}
-            for ci, chain in enumerate(node.chains):
-                for pos, v in enumerate(chain):
-                    node.chainpos[v] = (ci, pos)
+            node.chainpos = {
+                v: (ci, pos) for ci, chain in enumerate(node.chains) for pos, v in enumerate(chain)
+            }
             keep += node.hi - node.lo
         node.account.set_extra(keep + spent)
         node.account.release(spent)
@@ -382,9 +386,8 @@ class OneCertRun:
     def _finish_leaf(self, leaf: _TreeNode) -> None:
         scratch = leaf.hi - leaf.lo
         leaf.account.charge(scratch)
-        pruned = self._local_prune(leaf, leaf.arcs)
+        self._prune_into(leaf, leaf.arcs, scratch)
         leaf.arcs = None
-        self._store_result(leaf, pruned, scratch)
 
     def _merge(self, node: _TreeNode) -> None:
         merged: set[tuple[int, int]] = set()
@@ -401,12 +404,11 @@ class OneCertRun:
             merged |= child.h_arcs
         scratch = node.hi - node.lo
         node.account.charge(len(merged) + scratch)
-        pruned = self._local_prune(node, merged)
         for child in node.children:
             child.account.drop()
         node.table = None
         node.account.release(table_words)
-        self._store_result(node, pruned, len(merged) + scratch)
+        self._prune_into(node, merged, len(merged) + scratch)
 
     def _finalize(self) -> None:
         root = self.by_depth[0][0]

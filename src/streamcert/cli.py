@@ -6,6 +6,7 @@ import argparse
 import ast
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from . import apps, bench
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream
 from .congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
-from .digraph import Digraph
+from .digraph import Digraph, require_ascii_decimal
 from .hardgen import (
     alpha_family,
     circulant,
@@ -55,6 +56,11 @@ def _eval_budget(expr: str, names: dict[str, int]) -> int:
             raise ValueError(f"power {a}**{b} too large in space budget expression {expr!r}")
         return a**b
 
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Pow: power,
+              ast.Mod: operator.mod}
+    unary = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
     def walk(node):
         if isinstance(node, ast.Expression):
             return walk(node.body)
@@ -62,26 +68,23 @@ def _eval_budget(expr: str, names: dict[str, int]) -> int:
             return node.value
         if isinstance(node, ast.Name) and node.id in names:
             return names[node.id]
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Pow, ast.Mod)
-        ):
-            left, right = walk(node.left), walk(node.right)
-            ops = {
-                ast.Add: lambda a, b: a + b,
-                ast.Sub: lambda a, b: a - b,
-                ast.Mult: lambda a, b: a * b,
-                ast.Div: lambda a, b: a / b,
-                ast.FloorDiv: lambda a, b: a // b,
-                ast.Pow: power,
-                ast.Mod: lambda a, b: a % b,
-            }
-            return ops[type(node.op)](left, right)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            val = walk(node.operand)
-            return -val if isinstance(node.op, ast.USub) else val
+        if isinstance(node, ast.BinOp) and type(node.op) in binary:
+            return binary[type(node.op)](walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in unary:
+            return unary[type(node.op)](walk(node.operand))
         raise ValueError(f"unsupported token in space budget expression: {ast.dump(node)}")
 
-    return int(walk(ast.parse(expr, mode="eval")))
+    try:
+        return int(walk(ast.parse(expr, mode="eval")))
+    except (SyntaxError, ArithmeticError) as exc:  # 'n*', 1/0, int(1e308*10)
+        raise ValueError(f"bad space budget expression {expr!r}: {exc}") from exc
+
+
+def _rho(k: int, rho: float | None) -> float:
+    """``--rho``, by default 1/k; k is checked first so k = 0 is an error, not a division."""
+    if k < 1:
+        raise ValueError(f"threshold k must be >= 1, got {k}")
+    return rho if rho is not None else 1.0 / k
 
 
 def _emit_cert(cert, stats, extra=None) -> None:
@@ -209,8 +212,7 @@ def cmd_kcert(args) -> int:
     if args.mode == "peel":
         cert, stats = k_arc_cert_peeling(stream, args.k, plan)
     else:
-        rho = args.rho if args.rho is not None else 1.0 / args.k
-        scheme = SampleScheme(rho=rho, r=args.r, seed=seed, mode=args.mode)
+        scheme = SampleScheme(rho=_rho(args.k, args.rho), r=args.r, seed=seed, mode=args.mode)
         runner = k_node_cert if args.mode == "node" else k_arc_cert_sampled
         cert, stats = runner(stream, args.k, scheme, plan)
     _emit_cert(cert, stats, {"model": stream.model, "mode": args.mode})
@@ -236,8 +238,7 @@ def cmd_congest(args) -> int:
         for v, rank in enumerate(out):
             print(f"{v}\t{rank}")
     else:
-        rho = args.rho if args.rho is not None else 1.0 / args.k
-        marks, trace = congest_k_cert(net, args.k, rho, seed)
+        marks, trace = congest_k_cert(net, args.k, _rho(args.k, args.rho), seed)
         for v, arcs in enumerate(marks):
             flat = " ".join(f"{u}->{w}" for u, w in sorted(arcs))
             print(f"{v}\t{flat}")
@@ -313,15 +314,11 @@ def cmd_toposort(args) -> int:
 
 
 def cmd_2sat(args) -> int:
-    clauses = []
-    nvars = 0
-    for ln in _read(args.input).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        a, b = (int(tok) for tok in ln.split())
-        clauses.append((a, b))
-        nvars = max(nvars, abs(a), abs(b))
+    lines = [ln for ln in map(str.strip, _read(args.input).splitlines())
+             if ln and not ln.startswith("#")]
+    require_ascii_decimal("\n".join(lines), ValueError)  # comments may hold anything
+    clauses = [(a, b) for a, b in (map(int, ln.split()) for ln in lines)]
+    nvars = max((abs(x) for clause in clauses for x in clause), default=0)
     result = apps.two_sat(clauses, nvars)
     if result is None:
         print("UNSAT")

@@ -33,6 +33,13 @@ class BudgetError(RuntimeError):
     """Raised when an exact routine is asked to exceed its instance-size budget."""
 
 
+def require_ascii_decimal(text: str, error: type[ValueError]) -> None:
+    """Node ids are ASCII decimal, but ``int`` also reads ``1_0`` as 10 and
+    non-ASCII digits: reject both in one check of the whole text."""
+    if not text.isascii() or "_" in text:
+        raise error("node ids must be ASCII decimal: text holds '_' or a non-ASCII character")
+
+
 class Digraph:
     """Immutable simple digraph on nodes ``0..n-1`` with an explicit arc set."""
 
@@ -100,16 +107,6 @@ class Digraph:
     def reversed(self) -> "Digraph":
         return Digraph(self.n, ((v, u) for u, v in self.arcs))
 
-    def induced(self, nodes: Sequence[int]) -> "Digraph":
-        """Subgraph induced by ``nodes``, re-indexed to 0..len(nodes)-1 in the given order."""
-        index = {v: i for i, v in enumerate(nodes)}
-        sub = [
-            (index[u], index[v])
-            for u, v in self.arcs
-            if u in index and v in index
-        ]
-        return Digraph(len(nodes), sub)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Digraph)
@@ -128,6 +125,7 @@ class Digraph:
     @classmethod
     def from_text(cls, text: str) -> "Digraph":
         """Parse the ``"n m"`` + ``m * "u v"`` format.  Duplicates/self-loops are errors."""
+        require_ascii_decimal(text, GraphFormatError)
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise GraphFormatError("empty graph text")

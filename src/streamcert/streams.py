@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, require_ascii_decimal
 
 INSERTION_ONLY = "ins"
 TURNSTILE = "turn"
@@ -187,6 +187,7 @@ class ArcStream:
 
     @classmethod
     def from_text(cls, text: str) -> "ArcStream":
+        require_ascii_decimal(text, StreamFormatError)
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise StreamFormatError("empty stream text")

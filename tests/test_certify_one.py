@@ -20,11 +20,20 @@ from streamcert.certify_one import (
     Certificate,
     OneCertRun,
     RecursionPlan,
+    _scc_branching_arcs,
     one_cert_stream,
     tc_preserving_prune,
     validate_one_cert,
 )
-from streamcert.digraph import Digraph, chain_cover_minimum, scc_ids, transitive_closure
+from streamcert.digraph import (
+    Digraph,
+    chain_cover_minimum,
+    grow_branching,
+    reachable,
+    scc_ids,
+    scc_tarjan,
+    transitive_closure,
+)
 from streamcert.hardgen import embed_tournament, gadget_triangle, transitive_tournament
 from streamcert.streams import (
     INSERTION_ONLY,
@@ -33,6 +42,7 @@ from streamcert.streams import (
     SpaceLedger,
     StreamStats,
     block_of,
+    run_passes,
 )
 
 
@@ -121,6 +131,70 @@ def test_prune_runs_one_scc_decomposition(monkeypatch):
         h = tc_preserving_prune(g)
         assert len(calls) == (1 if g.arcs else 0), sorted(g.arcs)
         assert transitive_closure(h) == transitive_closure(g)
+
+
+def test_scc_branchings_equal_per_component_bfs():
+    # reference: BFS branchings of each induced component, re-indexed by sorted id
+    rng = random.Random(16)
+    several = 0
+    for _ in range(80):
+        drawn = random_digraph(rng, 6, 24, density=rng.choice((0.08, 0.12, 0.2)))
+        n = drawn.n
+        for g in (drawn, Digraph(n, ((n - 1 - u, n - 1 - v) for u, v in drawn.arcs))):
+            comps = scc_tarjan(g)
+            ref = set()
+            for comp in comps:
+                if len(comp) < 2:
+                    continue
+                nodes = sorted(comp)
+                index = {v: i for i, v in enumerate(nodes)}
+                sub = Digraph(len(nodes), ((index[u], index[v]) for u, v in g.arcs
+                                           if u in index and v in index))
+                for kind in ("out", "in"):
+                    ref.update((nodes[u], nodes[v]) for u, v in grow_branching(sub, 0, kind).arcs)
+            assert _scc_branching_arcs(g, comps, scc_ids(g, comps)) == ref, sorted(g.arcs)
+            several += sum(len(c) > 1 for c in comps) >= 2
+    assert several >= 20
+
+
+def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch):
+    from streamcert import certify_one, digraph
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(24):
+        g = random_digraph(rng, 6, 30)
+        model = (INSERTION_ONLY, TURNSTILE)[seed % 2]
+        run = OneCertRun(g.n, model, RecursionPlan(p=2 + seed % 4), SpaceLedger())
+        with monkeypatch.context() as mp:
+            # every binding, so a second decomposition or closure anywhere counts
+            tarjan = counting("scc", digraph.scc_tarjan)
+            for mod in (digraph, certify_one):
+                mp.setattr(mod, "scc_tarjan", tarjan)
+            mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
+            calls.clear()
+            run_passes(stream_of(g, model, seed), [run], run.total_passes, run.ledger)
+        tree_nodes = sum(map(len, run.by_depth))
+        assert calls == {"scc": tree_nodes, "closure": tree_nodes}
+        assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), run.plan)[0].arcs
+        for nodes in run.by_depth[1:]:
+            for node in nodes:
+                lo, size = node.lo, node.hi - node.lo
+                block = Digraph(size, ((u - lo, v - lo) for u, v in node.h_arcs))
+                chains = [[v - lo for v in chain] for chain in node.chains]
+                assert sorted(v for chain in chains for v in chain) == list(range(size))
+                assert all(reachable(block, a, b) for chain in chains for a, b in zip(chain, chain[1:]))
+                assert len(chains) == len(chain_cover_minimum(block))
+                checked += 1
+    assert checked >= 100
 
 
 @given(st.data())

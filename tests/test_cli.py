@@ -146,6 +146,45 @@ def test_one_strict_space(circ_files, capsys):
     assert "'9**9**9'" in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10"],
+    ids=["zero-division", "syntax", "nesting", "overflow"],
+)
+def test_malformed_budget_expression_exits_2(circ_files, capsys, expr):
+    _, spath = circ_files
+    code, out, err = run(capsys, "one", "--input", spath, "--passes", "1", "--strict-space", expr)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad space budget expression") and err.count("\n") == 1
+
+
+def test_k_below_one_exits_2_before_the_rho_default(circ_files, capsys):
+    gpath, spath = circ_files
+    for argv in (("kcert", "--input", spath, "--passes", "1"), ("congest", "--proto", "kcert", "--input", gpath)):
+        code, out, err = run(capsys, *argv, "--k", "0")
+        assert code == 2 and out == ""
+        assert err == "error: threshold k must be >= 1, got 0\n", argv
+
+
+def test_node_ids_must_be_ascii_decimal(tmp_path, capsys):
+    cases = (
+        (("scc", "--passes", "1"), "11 1\n1_0 2\n"),
+        (("scc", "--passes", "1"), "4 1\n\u0663 2\n"),
+        (("one", "--passes", "1"), "11 ins\n+ 1_0 2\n"),
+        (("one", "--passes", "1"), "4 ins\n+ \u0663 2\n"),
+        (("2sat",), "1 -1_0\n"),
+        (("2sat",), "# comments may hold x_1 or \u00ac x_2\n\u0663 1\n"),
+    )
+    for argv, text in cases:
+        path = tmp_path / "in.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == "", text
+        assert err == "error: node ids must be ASCII decimal: text holds '_' or a non-ASCII character\n"
+    path.write_text("# comments may hold x_1 or \u00ac x_2\n1 -2\n", encoding="utf-8")
+    code, out, _ = run(capsys, "2sat", "--input", str(path))
+    assert code == 0 and out.startswith("SAT")
+
+
 def test_multiplicity_outside_zero_one_exits_2(tmp_path, capsys):
     spath = tmp_path / "bad.txt"
     spath.write_text("3 turn\n- 1 2\n+ 0 1\n+ 0 1\n- 0 1\n+ 1 2\n")

@@ -52,6 +52,13 @@ def test_text_round_trip_and_format_errors():
             Digraph.from_text(bad)
 
 
+@pytest.mark.parametrize("text", ["11 1\n1_0 2\n", "1_1 0\n", "4 1\n\u0663 2\n", "4 1\n0 \uff11\n"])
+def test_graph_text_node_ids_are_ascii_decimal(text):
+    # int() alone would read 1_0 as 10 and the Arabic-Indic or full-width digit as 3 or 1
+    with pytest.raises(GraphFormatError, match="ASCII decimal"):
+        Digraph.from_text(text)
+
+
 def test_reachability_against_bfs_oracle():
     rng = random.Random(0)
     for _ in range(60):

@@ -80,6 +80,12 @@ def test_stream_text_round_trip():
             ArcStream.from_text(bad)
 
 
+@pytest.mark.parametrize("text", ["11 ins\n+ 1_0 2\n", "1_1 ins\n", "4 turn\n+ \u0663 2\n", "4 ins\n+ 0 \uff11\n"])
+def test_stream_text_node_ids_are_ascii_decimal(text):
+    with pytest.raises(StreamFormatError, match="ASCII decimal"):
+        ArcStream.from_text(text)
+
+
 def test_permuted_preserves_multiset():
     g = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
     st = ArcStream.from_graph(g, INSERTION_ONLY, seed=1)
