@@ -15,10 +15,13 @@ from .certify_one import Certificate
 from .digraph import (
     Branching,
     BudgetError,
+    MAX_NODES,
     ChainCover,
     Digraph,
+    _scc_branching_arcs,
     chain_cover_minimum,
     grow_branching,
+    reachable,
     scc_ids,
     scc_tarjan,
     transitive_closure,
@@ -53,8 +56,8 @@ def two_sat(clauses: Sequence[tuple[int, int]], nvars: int) -> list[bool] | None
 
     Returns a satisfying assignment (index v−1 holds variable v) or None.
     """
-    if nvars < 0:
-        raise ValueError(f"nvars must be >= 0, got {nvars}")
+    if not 0 <= 2 * nvars <= MAX_NODES:  # one node per literal
+        raise ValueError(f"nvars must be in [0, {MAX_NODES // 2}], got {nvars}")
 
     def node(lit: int) -> int:
         if lit == 0 or abs(lit) > nvars:
@@ -90,10 +93,6 @@ def min_chain_cover_dag(cert: Certificate) -> ChainCover:
     return chain_cover_minimum(g)
 
 
-def _is_strong(g: Digraph) -> bool:
-    return g.n <= 1 or len(scc_tarjan(g)) == 1
-
-
 def msss_2apx(cert: Certificate) -> Digraph | None:
     """2-approximate minimum spanning strongly connected subgraph.
 
@@ -102,13 +101,10 @@ def msss_2apx(cert: Certificate) -> Digraph | None:
     (then no spanning strongly connected subgraph exists at all).
     """
     g = _require_node_cert(cert)
-    if not _is_strong(g):
+    comps = scc_tarjan(g)
+    if len(comps) > 1:
         return None
-    if g.n <= 1:
-        return Digraph(g.n)
-    out_b = grow_branching(g, 0, "out")
-    in_b = grow_branching(g, 0, "in")
-    return Digraph(g.n, out_b.arcs | in_b.arcs)
+    return Digraph(g.n, _scc_branching_arcs(g, comps, [0] * g.n))
 
 
 def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
@@ -116,16 +112,16 @@ def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
 
     A 1-certificate is not enough — it can turn every one of its own arcs
     into a bridge while the original graph has none — so k >= 2 is enforced.
+    An arc (u, v) is a bridge iff u no longer reaches v without it, and every bridge
+    lies on each spanning out- or in-branching of its component (Italiano, Laura and
+    Santaroni, TCS 2012), so one of each per component holds every candidate.
     """
     if cert2.k < 2:
         raise ValueError(f"strong bridges need a certificate with k >= 2, got k={cert2.k}")
     g = cert2.graph()
-    base = len(scc_tarjan(g))
-    found = set()
-    for arc in sorted(g.arcs):
-        if len(scc_tarjan(Digraph(g.n, g.arcs - {arc}))) > base:
-            found.add(arc)
-    return frozenset(found)
+    comps = scc_tarjan(g)
+    return frozenset((u, v) for u, v in _scc_branching_arcs(g, comps, scc_ids(g, comps))
+                     if not reachable(Digraph(g.n, g.arcs - {(u, v)}), u, v))
 
 
 def arc_disjoint_out_branchings(cert: Certificate, root: int, k: int) -> list[Branching]:
@@ -235,7 +231,7 @@ def distance_d_dominating(cert: Certificate, d: int) -> set[int]:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     g = _require_node_cert(cert)
-    if not _is_strong(g):
+    if len(scc_tarjan(g)) > 1:
         raise ValueError("graph is not strongly connected")
     if g.n == 0:
         return set()

@@ -33,6 +33,7 @@ from .digraph import (
     ChainCover,
     Digraph,
     _chain_cover,
+    _scc_branching_arcs,
     chain_cover_minimum,
     reachability_masks,
     scc_ids,
@@ -77,15 +78,18 @@ class RecursionPlan:
     The branching factor is not a setting: a run with d >= 1 levels cuts every
     range into b = max(2, smallest integer with b**(d+1) >= n) blocks.
     ``mp_passes`` fixes the per-level pass count q of the turnstile minimum
-    selection; the default is floor(sqrt(p-1)) adjusted so d*q+1 <= p.
+    selection; the default is floor(sqrt(p-1)) adjusted so d*q+1 <= p.  p <= 64:
+    a run builds a tree level, an owner table and a schedule entry per pass, and
+    with b >= 2 a level past log2 n <= 16 (``digraph.MAX_NODES``) only copies
+    single-node blocks.
     """
 
     p: int
     mp_passes: int | None = None
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"pass budget p must be >= 1, got {self.p}")
+        if not 1 <= self.p <= 64:
+            raise ValueError(f"pass budget p must be in [1, 64], got {self.p}")
         if self.mp_passes is not None:
             if self.p == 1:
                 raise ValueError("mp_passes is meaningless for a 1-pass plan")
@@ -103,24 +107,6 @@ class RecursionPlan:
 # ---------------------------------------------------------------------------
 # offline pruning
 # ---------------------------------------------------------------------------
-
-
-def _scc_branching_arcs(g: Digraph, comps: list[frozenset], comp_id: list[int]) -> set[tuple[int, int]]:
-    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS
-    per direction starts at every root at once and follows only arcs inside a component, so
-    each tree is the lowest-id-first BFS tree of the induced component."""
-    roots = [min(comp) for comp in comps if len(comp) > 1]
-    arcs: set[tuple[int, int]] = set()
-    for step, out in ((g.out_neighbors, True), (g.in_neighbors, False)):
-        seen = set(roots)
-        queue = list(roots)
-        for u in queue:  # the list grows while it is walked: FIFO order
-            for v in step(u):
-                if v not in seen and comp_id[v] == comp_id[u]:
-                    seen.add(v)
-                    queue.append(v)
-                    arcs.add((u, v) if out else (v, u))
-    return arcs
 
 
 def _prune_with_cover(g: Digraph) -> tuple[set[tuple[int, int]], ChainCover]:

@@ -143,13 +143,15 @@ def _matrices(bits: list[int], at: int, m: int) -> tuple[list[list[int]], list[l
 def cmd_gen(args) -> int:
     seed = args.seed or 0
     fam = args.family
+    if args.n < 0:
+        raise ValueError(f"node count must be >= 0, got {args.n}")
     if fam == "transitive":
         g = transitive_tournament(args.n)
     elif fam == "alpha":
         g = alpha_family(args.n, args.d)
     elif fam in ("plain", "triangle"):
-        if args.d % 3 or args.n % args.d:
-            raise ValueError("need d divisible by 3 and n divisible by d")
+        if args.d < 3 or args.d % 3 or args.n % args.d:
+            raise ValueError("need d >= 3 divisible by 3 and n divisible by d")
         m = args.d // 3
         count = args.n // args.d
         bits = _bits_from_arg(args.bits, 2 * m * m * count, seed)

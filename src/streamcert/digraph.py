@@ -33,6 +33,11 @@ class BudgetError(RuntimeError):
     """Raised when an exact routine is asked to exceed its instance-size budget."""
 
 
+# Most nodes a graph, stream or 2-SAT text may declare: closures hold n**2 bits and
+# runs build per-node tables before reading an arc, so a header alone could ask for gigabytes.
+MAX_NODES = 1 << 16
+
+
 def require_ascii_decimal(text: str, error: type[ValueError]) -> None:
     """Node ids are ASCII decimal, but ``int`` also reads ``1_0`` as 10 and
     non-ASCII digits: reject both in one check of the whole text."""
@@ -136,6 +141,8 @@ class Digraph:
             n, m = int(head[0]), int(head[1])
         except ValueError as exc:
             raise GraphFormatError(f"bad header {lines[0]!r}") from exc
+        if n > MAX_NODES:
+            raise GraphFormatError(f"node count {n} above the ceiling of {MAX_NODES}")
         if len(lines) - 1 != m:
             raise GraphFormatError(
                 f"declared {m} arcs but found {len(lines) - 1} arc lines"
@@ -222,27 +229,27 @@ class Branching:
 # ---------------------------------------------------------------------------
 
 
-def _closure(out_rows: list[int]) -> list[int]:
-    """Transitive closure of bitmask adjacency rows, by one frontier search per row."""
+def _closure(out_rows: list[int], comps: Sequence[Sequence[int]]) -> list[int]:
+    """Transitive closure of bitmask adjacency rows by one sweep over their SCCs ``comps``,
+    sinks first (Purdom, BIT 1970): a component reaches its out-arcs' targets, what they
+    reach, and itself if nontrivial; a target already reached adds nothing."""
     reach = [0] * len(out_rows)
-    for s, frontier in enumerate(out_rows):
-        seen = 0
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= out_rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-        reach[s] = seen
+    for comp in comps:
+        acc = sum(1 << v for v in comp) if len(comp) > 1 else 0
+        for v in comp:
+            rest = out_rows[v] & ~acc
+            while rest:
+                low = rest & -rest
+                acc |= reach[low.bit_length() - 1] | low
+                rest &= ~acc
+        for v in comp:
+            reach[v] = acc
     return reach
 
 
 def reachability_masks(g: Digraph) -> list[int]:
     """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
-    return _closure(g.out_masks())
+    return _closure(g.out_masks(), scc_tarjan(g))
 
 
 def reachable(g: Digraph, s: int, t: int) -> bool:
@@ -479,11 +486,9 @@ def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:
     Components are numbered in topological order and a component's nodes by
     ascending id, so every chain-order successor of a node gets a later number
     and the cover is a minimum path cover of the closure restricted to later
-    numbers (Fulkerson's reduction).  The rule this replaces kept node ids and
-    ordered only inside components by id, so the matching cost followed the
-    labelling (cubic time on a reversed path).  Positions are matched in order
-    by an iterative depth-first augmenting search, lowest position first; ids
-    only break ties.  ``comps`` is ``scc_tarjan(g)``.
+    numbers (Fulkerson's reduction); the closure is swept in these numbers too.
+    Positions are matched in order by an iterative depth-first augmenting
+    search, lowest position first; ids only break ties.  ``comps`` is ``scc_tarjan(g)``.
     """
     n = g.n
     order = [v for comp in reversed(comps) for v in sorted(comp)]
@@ -491,7 +496,7 @@ def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:
     out_rows = [0] * n
     for u, v in g.arcs:
         out_rows[pos[u]] |= 1 << pos[v]
-    reach = _closure(out_rows)
+    reach = _closure(out_rows, [[pos[v] for v in comp] for comp in comps])
     rows = [reach[i] >> (i + 1) << (i + 1) for i in range(n)]
 
     succ = [-1] * n  # position -> the later position it is matched to
@@ -562,3 +567,21 @@ def grow_branching(g: Digraph, root: int, kind: str) -> Branching:
             continue
         arcs.add((u, v) if kind == "out" else (v, u))
     return Branching(root, frozenset(arcs), kind)
+
+
+def _scc_branching_arcs(g: Digraph, comps: list[frozenset], comp_id: list[int]) -> set[tuple[int, int]]:
+    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS
+    per direction starts at every root at once and follows only arcs inside a component, so
+    each tree is the lowest-id-first BFS tree of the induced component."""
+    roots = [min(comp) for comp in comps if len(comp) > 1]
+    arcs: set[tuple[int, int]] = set()
+    for step, out in ((g.out_neighbors, True), (g.in_neighbors, False)):
+        seen = set(roots)
+        queue = list(roots)
+        for u in queue:  # the list grows while it is walked: FIFO order
+            for v in step(u):
+                if v not in seen and comp_id[v] == comp_id[u]:
+                    seen.add(v)
+                    queue.append(v)
+                    arcs.add((u, v) if out else (v, u))
+    return arcs

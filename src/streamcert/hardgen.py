@@ -192,8 +192,8 @@ def reach_backedge(
 
 def alpha_family(n: int, alpha: int) -> Digraph:
     """Benchmark tournament with independence number exactly ``alpha``."""
-    if alpha < 1 or n % alpha:
-        raise ValueError(f"alpha={alpha} must be >= 1 and divide n={n}")
+    if n < 0 or alpha < 1 or n % alpha:
+        raise ValueError(f"need n >= 0 and alpha >= 1 dividing n, got n={n} alpha={alpha}")
     return embed_tournament([Digraph(alpha)] * (n // alpha), alpha)
 
 

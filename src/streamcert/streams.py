@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .digraph import Digraph, require_ascii_decimal
+from .digraph import MAX_NODES, Digraph, require_ascii_decimal
 
 INSERTION_ONLY = "ins"
 TURNSTILE = "turn"
@@ -198,6 +198,8 @@ class ArcStream:
             n = int(head[0])
         except ValueError as exc:
             raise StreamFormatError(f"bad node count {head[0]!r}") from exc
+        if n > MAX_NODES:
+            raise StreamFormatError(f"node count {n} above the ceiling of {MAX_NODES}")
         model = head[1]
         if model not in (INSERTION_ONLY, TURNSTILE):
             raise StreamFormatError(f"unknown model {model!r}")

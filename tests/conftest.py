@@ -21,6 +21,26 @@ def random_digraph(rng: random.Random, n_lo: int = 2, n_hi: int = 14, density: f
     return Digraph(n, arcs)
 
 
+def random_multi_scc_digraph(rng: random.Random, n_lo: int = 8, n_hi: int = 30) -> Digraph:
+    """Sparse random arcs plus three planted cycles on disjoint node sets: several
+    nontrivial components joined by cross arcs."""
+    n = rng.randint(n_lo, n_hi)
+    arcs = set(random_digraph(rng, n, n, density=0.04).arcs)
+    order = rng.sample(range(n), n)
+    for i in range(3):
+        ring = order[i * (n // 3):][: rng.randint(2, n // 3)]
+        arcs.update(zip(ring, ring[1:] + ring[:1]))
+    return Digraph(n, arcs)
+
+
+def relabelled(g: Digraph, rng: random.Random) -> list[Digraph]:
+    """``g``, its copy under v -> n-1-v, and its copy under a random permutation."""
+    n = g.n
+    perm = rng.sample(range(n), n)
+    return [g, Digraph(n, ((n - 1 - u, n - 1 - v) for u, v in g.arcs)),
+            Digraph(n, ((perm[u], perm[v]) for u, v in g.arcs))]
+
+
 def random_strong_digraph(rng: random.Random, n_lo: int = 3, n_hi: int = 10, extra: float = 0.25) -> Digraph:
     """A Hamiltonian cycle plus random chords: strongly connected by construction."""
     n = rng.randint(n_lo, n_hi)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from conftest import random_digraph, random_strong_digraph
+from conftest import random_digraph, random_multi_scc_digraph, random_strong_digraph, relabelled
 from streamcert.apps import (
     arc_disjoint_out_branchings,
     distance_d_dominating,
@@ -18,7 +18,7 @@ from streamcert.apps import (
     two_sat,
 )
 from streamcert.certify_one import Certificate
-from streamcert.digraph import BudgetError, Digraph
+from streamcert.digraph import BudgetError, Digraph, grow_branching, scc_tarjan
 
 
 def as_cert(g: Digraph, k: int = 1) -> Certificate:
@@ -172,6 +172,14 @@ def test_msss_is_spanning_and_within_twice_optimum():
         done += 1
 
 
+def test_msss_is_the_two_branchings_from_node_zero():
+    rng = random.Random(48)
+    for _ in range(40):
+        g = random_strong_digraph(rng, 2, 30, extra=rng.choice((0.05, 0.2, 0.5)))
+        ref = grow_branching(g, 0, "out").arcs | grow_branching(g, 0, "in").arcs
+        assert msss_2apx(as_cert(g)).arcs == ref
+
+
 def test_msss_none_when_not_strong():
     assert msss_2apx(as_cert(Digraph(3, [(0, 1), (1, 2)]))) is None
 
@@ -196,6 +204,19 @@ def test_strong_bridges_against_recount():
     for _ in range(25):
         g = random_digraph(rng, 2, 8)
         assert strong_bridges(as_cert(g, k=2)) == oracles.strong_bridges(g.n, g.arcs)
+
+
+def test_strong_bridges_across_components_and_labellings():
+    rng = random.Random(47)
+    several = found = 0
+    for _ in range(30):
+        drawn = random_multi_scc_digraph(rng, 8, 20)
+        for g in relabelled(drawn, rng):
+            got = strong_bridges(as_cert(g, k=2))
+            assert got == oracles.strong_bridges(g.n, g.arcs), sorted(g.arcs)
+        several += sum(len(c) > 1 for c in scc_tarjan(drawn)) >= 2
+        found += bool(got)
+    assert several >= 10 and found >= 10
 
 
 def test_strong_bridges_need_second_level():

@@ -58,6 +58,8 @@ def test_certificate_field_validation():
 def test_recursion_plan_validation_and_split():
     with pytest.raises(ValueError):
         RecursionPlan(p=0)
+    with pytest.raises(ValueError, match=r"in \[1, 64\], got 65"):
+        RecursionPlan(p=65)
     with pytest.raises(ValueError):
         RecursionPlan(p=1, mp_passes=1)
     with pytest.raises(ValueError):
@@ -231,6 +233,12 @@ def test_insertion_pass_budget_is_exact():
         cert, stats = one_cert_stream(st, RecursionPlan(p=p))
         assert stats.passes == p
         assert transitive_closure(cert.graph()) == transitive_closure(g)
+
+
+def test_reversed_path_is_its_own_one_pass_certificate():
+    path = Digraph(3000, ((i + 1, i) for i in range(2999)))
+    cert, stats = one_cert_stream(ArcStream.from_graph(path), RecursionPlan(p=1))
+    assert cert.arcs == path.arcs and stats.passes == 1
 
 
 def test_recursion_tree_has_no_empty_blocks():

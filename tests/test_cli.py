@@ -86,6 +86,12 @@ def test_gen_rejects_bad_shapes(capsys):
     assert code == 2 and "need 8 bits" in err
     code, _, err = run(capsys, "gen", "--family", "circulant", "--n", "2", "--k", "1")
     assert code == 2 and "error:" in err
+    for family, n, d, message in (("plain", "6", "0", "need d >= 3 divisible by 3 and n divisible by d"),
+                                  ("triangle", "0", "0", "need d >= 3 divisible by 3 and n divisible by d"),
+                                  ("transitive", "-3", "3", "node count must be >= 0, got -3"),
+                                  ("triangle-alpha", "-6", "3", "node count must be >= 0, got -6")):
+        code, out, err = run(capsys, "gen", "--family", family, "--n", n, "--d", d)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), family
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +189,24 @@ def test_node_ids_must_be_ascii_decimal(tmp_path, capsys):
     path.write_text("# comments may hold x_1 or \u00ac x_2\n1 -2\n", encoding="utf-8")
     code, out, _ = run(capsys, "2sat", "--input", str(path))
     assert code == 0 and out.startswith("SAT")
+
+
+def test_pass_and_node_ceilings_exit_2_before_any_table(circ_files, tmp_path, capsys):
+    _, spath = circ_files
+    code, out, err = run(capsys, "one", "--input", spath, "--passes", "100000000")
+    assert (code, out, err) == (2, "", "error: pass budget p must be in [1, 64], got 100000000\n")
+    cases = (
+        (("one", "--passes", "1"), "65537 ins\n", "node count 65537 above the ceiling of 65536"),
+        (("scc", "--passes", "1"), "1000000000 0\n", "node count 1000000000 above the ceiling of 65536"),
+        (("congest", "--proto", "scc"), "65537 0\n", "node count 65537 above the ceiling of 65536"),
+        (("2sat",), "1 1000000000\n", "nvars must be in [0, 32768], got 1000000000"),
+        (("2sat",), "-32769 2\n", "nvars must be in [0, 32768], got 32769"),
+    )
+    for argv, text, message in cases:
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_multiplicity_outside_zero_one_exits_2(tmp_path, capsys):

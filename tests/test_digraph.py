@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_digraph
+from conftest import random_digraph, random_multi_scc_digraph, relabelled
 from streamcert.digraph import (
     Branching,
     ChainCover,
@@ -47,7 +47,7 @@ def test_construction_rejects_self_loops_and_range():
 def test_text_round_trip_and_format_errors():
     g = Digraph(4, [(0, 1), (1, 2), (3, 0)])
     assert Digraph.from_text(g.to_text()).arcs == g.arcs
-    for bad in ("", "3\n", "2 1\n0 0\n", "2 1\n0 1\n0 1\n", "2 one\n"):
+    for bad in ("", "3\n", "2 1\n0 0\n", "2 1\n0 1\n0 1\n", "2 one\n", "65537 0\n"):
         with pytest.raises(GraphFormatError):
             Digraph.from_text(bad)
 
@@ -70,6 +70,25 @@ def test_reachability_against_bfs_oracle():
         for s in range(g.n):
             for t in range(g.n):
                 assert reachable(g, s, t) == (s == t or t in ref[s])
+
+
+def test_closure_sweep_across_components_labellings_and_paths():
+    rng = random.Random(12)
+    several = 0
+    for _ in range(40):
+        drawn = random_multi_scc_digraph(rng)
+        for g in relabelled(drawn, rng):
+            masks = reachability_masks(g)
+            ref = oracles.closure_sets(g.n, g.arcs)
+            assert [{w for w in range(g.n) if masks[v] >> w & 1} for v in range(g.n)] == ref
+        several += sum(len(c) > 1 for c in scc_tarjan(drawn)) >= 2
+    assert several >= 20
+    for n in (1, 2, 60, 500):
+        for path in (Digraph(n, ((i, i + 1) for i in range(n - 1))),
+                     Digraph(n, ((i + 1, i) for i in range(n - 1)))):
+            masks = reachability_masks(path)
+            ref = oracles.closure_sets(n, path.arcs)
+            assert [{w for w in range(n) if masks[v] >> w & 1} for v in range(n)] == ref
 
 
 def test_transitive_closure_matches_oracle():
@@ -159,7 +178,7 @@ def test_chain_cover_is_valid_and_minimum():
 
 
 def test_chain_cover_of_a_reversed_path_is_one_chain():
-    n = 1000
+    n = 3000
     g = Digraph(n, [(v + 1, v) for v in range(n - 1)])
     assert chain_cover_minimum(g).chains == (tuple(range(n - 1, -1, -1)),)
 

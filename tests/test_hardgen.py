@@ -298,6 +298,8 @@ def test_alpha_family_hits_its_independence_number():
         alpha_family(7, 2)
     with pytest.raises(ValueError):
         alpha_family(4, 0)
+    with pytest.raises(ValueError, match="n >= 0"):
+        alpha_family(-3, 1)
 
 
 def test_transitive_tournament_shape():

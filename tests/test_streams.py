@@ -75,7 +75,7 @@ def test_stream_text_round_trip():
     assert again.updates == st.updates and again.model == st.model
     for bad in ("", "4\n", "4 ins\n+ 1\n", "4 ins\nx 0 1\n", "4 wat\n", "2 ins\n- 0 1\n",
                 "2 turn\n+ 0 1\n+- 0 1\n", "-3 ins\n", "3 turn\n- 1 2\n",
-                "2 turn\n+ 0 1\n+ 0 1\n"):
+                "2 turn\n+ 0 1\n+ 0 1\n", "65537 ins\n"):
         with pytest.raises(StreamFormatError):
             ArcStream.from_text(bad)
 
