@@ -21,7 +21,6 @@ from .digraph import (
     _scc_branching_arcs,
     chain_cover_minimum,
     grow_branching,
-    reachable,
     scc_ids,
     scc_tarjan,
     transitive_closure,
@@ -121,7 +120,23 @@ def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
     g = cert2.graph()
     comps = scc_tarjan(g)
     return frozenset((u, v) for u, v in _scc_branching_arcs(g, comps, scc_ids(g, comps))
-                     if not reachable(Digraph(g.n, g.arcs - {(u, v)}), u, v))
+                     if not _detour(g, u, v))
+
+
+def _detour(g: Digraph, u: int, v: int) -> bool:
+    """True iff u reaches v in ``g`` without the arc (u, v).  Such a simple path
+    leaves u by another arc and never returns to u, so the search starts at u's
+    other out-neighbours with u already seen."""
+    stack = [w for w in g.out_neighbors(u) if w != v]
+    seen = {u, *stack}
+    while stack:
+        for w in g.out_neighbors(stack.pop()):
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def arc_disjoint_out_branchings(cert: Certificate, root: int, k: int) -> list[Branching]:

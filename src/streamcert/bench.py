@@ -143,6 +143,8 @@ def tournament_families(
 
     out = []
     for alpha in alphas:
+        if alpha < 1:
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
         size = n - (n % alpha)
         out.append((f"tournament-a{alpha}", alpha_family(size, alpha)))
     return out

@@ -26,6 +26,11 @@ from .exact import lambda_st
 from .prf import prf_uniform, sample_members
 from .streams import ArcStream, SpaceLedger, StreamStats, run_passes
 
+# Most samples one sampled certificate may draw: each is a run with its own
+# tables, and the default count grows as k^2, so a large k alone could ask for
+# millions of runs.
+MAX_SAMPLES = 1 << 12
+
 
 class InfeasibleBranchingError(RuntimeError):
     """The root cannot support the requested number of arc-disjoint branchings."""
@@ -73,14 +78,17 @@ class SampleScheme:
             raise ValueError(f"r must be >= 1, got {self.r}")
 
     def sample_count(self, k: int, n: int) -> int:
+        """Samples to draw; above ``MAX_SAMPLES`` a ``ValueError``."""
         if self.rho == 1.0:
             return 1  # all samples coincide with the whole input
         if self.r is not None:
-            return self.r
-        base = max(2, n)
-        if self.mode == "node":
-            return max(1, math.ceil(8 * k * k * math.log(base)))
-        return max(1, math.ceil(8 * k * math.log(base)))
+            r = self.r
+        else:
+            weight = k * k if self.mode == "node" else k
+            r = max(1, math.ceil(8 * weight * math.log(max(2, n))))
+        if r > MAX_SAMPLES:
+            raise ValueError(f"{r} samples above the ceiling of {MAX_SAMPLES}")
+        return r
 
     def reference_r(self, n: int) -> int:
         scale = self.rho**2 if self.mode == "node" else self.rho
@@ -88,31 +96,37 @@ class SampleScheme:
 
 
 class _MaskRouter:
-    """Pass consumer handing update (u, v) to the runs in ``mask[u] & mask[v]``,
-    in registration order; bit i of ``mask[v]`` says run i's universe holds v.
-    Any other run would drop the update before charging a word."""
+    """Pass consumer over node samples: run i works on positions in the
+    ascending list ``samples[i]``.  Update (u, v) goes, in those positions, to
+    the runs in ``mask[u] & mask[v]`` (bit i of ``mask[v]``: sample i holds v),
+    in registration order.  The router holds the lists, one word per member."""
 
-    def __init__(self, runs: list[OneCertRun], mask: list[int]):
+    def __init__(self, n: int, runs: list[OneCertRun], samples: list[list[int]],
+                 ledger: SpaceLedger):
         self.runs = runs
-        self.mask = mask
+        self.local = [{v: j for j, v in enumerate(members)} for members in samples]
+        self.mask = [0] * n
+        for i, members in enumerate(samples):
+            for v in members:
+                self.mask[v] |= 1 << i
+        ledger.open("samples").charge(sum(map(len, samples)))
 
-    def begin_pass(self, pass_index: int) -> None:
-        for run in self.runs:
-            run.begin_pass(pass_index)
-        handlers = [run.update for run in self.runs]
-        mask = self.mask
+    def begin_pass(self, pass_index: int):
+        handlers = [run.begin_pass(pass_index) for run in self.runs]
+        mask, local = self.mask, self.local
 
         def update(sign: int, u: int, v: int) -> None:
             both = mask[u] & mask[v]
             while both:
                 low = both & -both
-                handlers[low.bit_length() - 1](sign, u, v)
+                i = low.bit_length() - 1
+                ids = local[i]
+                handlers[i](sign, ids[u], ids[v])
                 both ^= low
 
-        self.update = update
+        return update
 
     def end_pass(self, pass_index: int) -> None:
-        del self.update
         for run in self.runs:
             run.end_pass(pass_index)
 
@@ -131,28 +145,24 @@ def _sampled_cert(
     r = scheme.sample_count(k, n)
     ledger = SpaceLedger()
     if scheme.mode == "node":
-        runs = []
-        mask = [0] * n
-        for i, members in enumerate(sample_members(scheme.seed, r, n, scheme.rho)):
-            runs.append(
-                OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", universe=members)
-            )
-            for v in members:
-                mask[v] |= 1 << i
-        consumers = [_MaskRouter(runs, mask)]
+        samples = sample_members(scheme.seed, r, n, scheme.rho)
+        runs = [
+            OneCertRun(len(members), stream.model, plan, ledger, name=f"sample{i}")
+            for i, members in enumerate(samples)
+        ]
+        consumers = [_MaskRouter(n, runs, samples, ledger)]
     else:
         def keep_in(i: int):
             return lambda u, v: prf_uniform(scheme.seed, i, u * n + v) < scheme.rho
 
+        samples = [range(n)] * r  # every arc sample keeps the node ids
         runs = consumers = [
             OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", arc_filter=keep_in(i))
             for i in range(r)
         ]
     passes = runs[0].total_passes
-    run_passes(stream, consumers, passes, ledger)
-    union = set()
-    for run in runs:
-        union |= run.cert_arcs
+    run_passes(stream, consumers, passes)
+    union = {(ids[u], ids[v]) for ids, run in zip(samples, runs) for u, v in run.cert_arcs}
     prov = {
         "algorithm": f"k_{scheme.mode}_cert_sampled",
         "k": k,
@@ -192,10 +202,12 @@ def k_arc_cert_sampled(
 def k_arc_cert_peeling(
     stream: ArcStream, k: int, plan: RecursionPlan
 ) -> tuple[Certificate, StreamStats]:
-    """Deterministic k-arc certificate of a k-arc-strong input, k*p passes."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    """Deterministic k-arc certificate of a k-arc-strong input, k*p passes.
+    No n-node digraph is n-arc-strong, so k <= max(1, n - 1); a one-node input
+    would otherwise loop k times."""
     n = stream.n
+    if not 1 <= k <= max(1, n - 1):
+        raise ValueError(f"k must be in [1, max(1, n-1)] = [1, {max(1, n - 1)}], got {k}")
     ledger = SpaceLedger()
     state = ledger.open("peel/state", constant=4)
     acc_out: set[tuple[int, int]] = set()
@@ -214,7 +226,7 @@ def k_arc_cert_peeling(
             n, stream.model, plan, ledger, name=f"peel{t}/in",
             arc_filter=lambda u, v, _rm=removed_in: (u, v) not in _rm,
         )
-        run_passes(stream, [run_out, run_in], run_out.total_passes, ledger)
+        run_passes(stream, [run_out, run_in], run_out.total_passes)
         total_passes += run_out.total_passes
         before = len(acc_out) + len(acc_in)
         acc_out |= run_out.cert_arcs

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .digraph import (
     ChainCover,
@@ -170,20 +170,20 @@ class _TreeNode:
 
 
 class OneCertRun:
-    """Pass-consumer computing one 1-certificate, multiplexable with peers.
+    """Pass-consumer computing one 1-certificate over nodes ``0..n-1``,
+    multiplexable with peers.
 
-    ``universe`` restricts the run to an induced node subset (given as a
-    sorted global-id list); ``arc_filter`` drops arcs on the fly without
-    storing anything.  Both default to the full stream.
+    ``arc_filter`` drops arcs on the fly without storing anything.  A run over
+    an induced node subset is given that subset's ids ``0..|S|-1``; the caller
+    translates updates and certificate arcs (see ``certify_k._MaskRouter``).
 
     ``owner[d][x]`` is the index in ``by_depth[d]`` of the depth-d tree node
-    holding local id x.  Like the tree skeleton it depends only on the size
-    and the branching factor b, and a streaming algorithm gets the same value
-    from ``block_of`` in O(levels) arithmetic and O(1) words, so the tables
-    are a lookup cache, not algorithm state, and the ledger does not charge
-    them.  ``begin_pass`` binds ``update`` to a handler for its phase that
-    routes each update by these lookups; ``end_pass`` unbinds it, and an
-    update outside a pass raises ``RuntimeError``.
+    holding node x.  Like the tree skeleton it depends only on n and the
+    branching factor b, and a streaming algorithm gets the same value from
+    ``block_of`` in O(levels) arithmetic and O(1) words, so the tables are a
+    lookup cache, not algorithm state, and the ledger does not charge them.
+    ``begin_pass`` returns the handler for its phase, which routes each update
+    by these lookups.
     """
 
     def __init__(
@@ -193,23 +193,13 @@ class OneCertRun:
         plan: RecursionPlan,
         ledger: SpaceLedger,
         name: str = "one",
-        universe: Sequence[int] | None = None,
         arc_filter=None,
     ):
         self.model = model
         self.plan = plan
         self.name = name
         self.arc_filter = arc_filter
-        self.ledger = ledger
-        if universe is None:
-            self._to_local = None
-            self._to_global = None
-            self.size = n
-        else:
-            uni = sorted(universe)
-            self._to_local = {v: i for i, v in enumerate(uni)}
-            self._to_global = uni
-            self.size = len(uni)
+        self.size = n
 
         if model == TURNSTILE:
             self.levels, self.q = plan.turnstile_split()
@@ -224,8 +214,6 @@ class OneCertRun:
             self.b = max(2, self.b)
 
         self.account = ledger.open(f"{name}/run", constant=8)
-        if self._to_global is not None:
-            self.account.charge(len(self._to_global))
 
         # contiguous-range recursion tree, one node list per depth; empty blocks get no node
         root = _TreeNode(0, self.size, 0)
@@ -259,7 +247,7 @@ class OneCertRun:
 
     # -- pass protocol ------------------------------------------------------
 
-    def begin_pass(self, pass_index: int) -> None:
+    def begin_pass(self, pass_index: int):
         if pass_index >= len(self.schedule):
             raise RuntimeError(f"{self.name}: no phase scheduled for pass {pass_index}")
         self._phase = kind, depth, j = self.schedule[pass_index]
@@ -269,28 +257,17 @@ class OneCertRun:
         elif j == 0:
             for node in self.by_depth[depth]:
                 node.table = {}
-        self.update = self._handler(kind, depth, j)
-
-    def update(self, sign: int, u: int, v: int) -> None:
-        """Shadowed by the current pass's handler from begin_pass to end_pass."""
-        raise RuntimeError(f"{self.name}: update outside a pass")
-
-    def _handler(self, kind: str, depth: int, j: int):
         # A leaf pass wants the leaf holding both ends; a level pass at depth d
         # wants the depth-d node whose children split u from v.
         leaf = kind == "leaf"
         nodes, own = self.by_depth[depth], self.owner[depth]
         below = None if leaf else self.owner[depth + 1]
-        to_local, keep = self._to_local, self.arc_filter
+        keep = self.arc_filter
         turnstile, passes_left = self.model == TURNSTILE, self.q - j
 
         def update(sign: int, u: int, v: int) -> None:
             if keep is not None and not keep(u, v):
                 return
-            if to_local is not None:
-                u, v = to_local.get(u), to_local.get(v)
-                if u is None or v is None:
-                    return
             i = own[u]
             if own[v] != i:
                 return
@@ -329,14 +306,13 @@ class OneCertRun:
         return update
 
     def end_pass(self, pass_index: int) -> None:
-        del self.update
         kind, depth, j = self._phase
         self._phase = None
         if kind == "leaf":
             for leaf in self.by_depth[depth]:
                 self._finish_leaf(leaf)
             if self.levels == 0:
-                self._finalize()
+                self.cert_arcs = frozenset(self.by_depth[0][0].h_arcs)
             return
         if self.model == TURNSTILE:
             for node in self.by_depth[depth]:
@@ -350,7 +326,7 @@ class OneCertRun:
         for node in self.by_depth[depth]:
             self._merge(node)
         if depth == 0:
-            self._finalize()
+            self.cert_arcs = frozenset(self.by_depth[0][0].h_arcs)
 
     # -- offline phases ------------------------------------------------------
 
@@ -396,14 +372,6 @@ class OneCertRun:
         node.account.release(table_words)
         self._prune_into(node, merged, len(merged) + scratch)
 
-    def _finalize(self) -> None:
-        root = self.by_depth[0][0]
-        if self._to_global is None:
-            self.cert_arcs = frozenset(root.h_arcs)
-        else:
-            g = self._to_global
-            self.cert_arcs = frozenset((g[u], g[v]) for u, v in root.h_arcs)
-
     def close(self) -> None:
         for nodes in self.by_depth:
             for node in nodes:
@@ -418,7 +386,7 @@ def one_cert_stream(
     if ledger is None:
         ledger = SpaceLedger()
     run = OneCertRun(stream.n, stream.model, plan, ledger)
-    run_passes(stream, [run], run.total_passes, ledger)
+    run_passes(stream, [run], run.total_passes)
     prov = {
         "algorithm": "one_cert_stream",
         "p": plan.p,

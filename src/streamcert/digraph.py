@@ -550,10 +550,8 @@ def grow_branching(g: Digraph, root: int, kind: str) -> Branching:
     step = g.out_neighbors if kind == "out" else g.in_neighbors
     parent = {root: root}
     queue = deque([root])
-    order = []
     while queue:
         u = queue.popleft()
-        order.append(u)
         for v in step(u):
             if v not in parent:
                 parent[v] = u

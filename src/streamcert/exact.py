@@ -135,21 +135,32 @@ class CertValidationReport:
 def validate_certificate(g: Digraph, cert: Certificate) -> CertValidationReport:
     """All-pairs check of min{k, conn(G)} <= conn(cert) for the cert's kind.
 
-    For each pair the certificate side is evaluated first with the flow capped
-    at k; the input graph is only consulted when the cap is not reached, which
-    keeps the oracle usable over whole acceptance suites.
+    At k = 1 both connectivities reduce to reachability, so the check compares
+    closure rows and works at any n.  Above that, for each pair the certificate
+    side is evaluated first with the flow capped at k; the input graph is only
+    consulted when the cap is not reached, which keeps the oracle usable over
+    whole acceptance suites, up to 64 nodes.
     """
-    if g.n > _VALIDATE_BUDGET:
-        raise BudgetError(f"validate_certificate limited to n <= {_VALIDATE_BUDGET}, got {g.n}")
+    k = cert.k
+    if k > 1 and g.n > _VALIDATE_BUDGET:
+        raise BudgetError(f"validate_certificate at k >= 2 limited to n <= {_VALIDATE_BUDGET}, "
+                          f"got {g.n}")
     if cert.base_n != g.n:
         raise ValueError(f"certificate is over {cert.base_n} nodes, graph has {g.n}")
     h = cert.graph()
     conn = kappa_st if cert.kind == "node" else lambda_st
     contained = cert.arcs <= g.arcs
     violations = []
-    k = cert.k
     # pairs that are not even reachable in g need nothing; prune them cheaply
     reach_g = reachability_masks(g)
+    if k == 1:
+        for s, (row, got) in enumerate(zip(reach_g, reachability_masks(h))):
+            lost = row & ~got & ~(1 << s)
+            while lost:
+                low = lost & -lost
+                violations.append((s, low.bit_length() - 1, 1, 0))
+                lost ^= low
+        return CertValidationReport(cert.kind, k, contained, tuple(violations))
     for s in range(g.n):
         row = reach_g[s]
         for t in range(g.n):

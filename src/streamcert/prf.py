@@ -46,13 +46,6 @@ def sample_members(seed: int, r: int, n: int, rho: float) -> list[list[int]]:
     return out
 
 
-def prf_int(seed: int, *parts: int, mod: int) -> int:
-    """Integer in [0, mod). Modulo bias is negligible for desk-scale mod."""
-    if mod <= 0:
-        raise ValueError("mod must be positive")
-    return prf_u64(seed, *parts) % mod
-
-
 def prf_bits(seed: int, count: int, tag: int = 0) -> list[int]:
     """`count` reproducible bits derived from (seed, tag)."""
     out = []

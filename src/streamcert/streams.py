@@ -239,41 +239,30 @@ def final_multiplicity(stream: ArcStream) -> Digraph:
 
 
 class PassConsumer(Protocol):
-    """Receives every update of every pass; ``begin_pass`` may bind an
-    ``update`` made for that pass, which :func:`run_passes` looks up once."""
+    """Receives every update of every pass through the handler that
+    ``begin_pass`` returns for that pass."""
 
-    def begin_pass(self, pass_index: int) -> None: ...
-
-    def update(self, sign: int, u: int, v: int) -> None: ...
+    def begin_pass(self, pass_index: int) -> Callable[[int, int, int], None]: ...
 
     def end_pass(self, pass_index: int) -> None: ...
 
 
-def run_passes(
-    stream: ArcStream,
-    consumers: Sequence[PassConsumer],
-    passes: int,
-    ledger: SpaceLedger | None = None,
-) -> StreamStats:
+def run_passes(stream: ArcStream, consumers: Sequence[PassConsumer], passes: int) -> None:
     """Deliver the stream ``passes`` times to every consumer, in registration order.
 
-    Within a pass every update is handed to each consumer exactly once and in
-    stream order; consumers registered together share the physical pass.
-    Each consumer's ``update`` is looked up once per pass, after every
-    ``begin_pass``, so a consumer may bind a pass-specific handler there.
+    Within a pass every update is handed to each consumer's handler for that
+    pass exactly once and in stream order; consumers registered together share
+    the physical pass.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     for pass_index in range(passes):
-        for c in consumers:
-            c.begin_pass(pass_index)
-        handlers = [c.update for c in consumers]
+        handlers = [c.begin_pass(pass_index) for c in consumers]
         for sign, u, v in stream.updates:
             for update in handlers:
                 update(sign, u, v)
         for c in consumers:
             c.end_pass(pass_index)
-    return StreamStats(passes=passes, peak_words=ledger.peak if ledger else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +394,11 @@ class _MinSelectAdapter:
         self.instance = instance
         self.rank_of_arc = rank_of_arc
 
-    def begin_pass(self, pass_index: int) -> None:
+    def begin_pass(self, pass_index: int):
         self.instance.begin_pass()
+        return self._observe
 
-    def update(self, sign: int, u: int, v: int) -> None:
+    def _observe(self, sign: int, u: int, v: int) -> None:
         rank = self.rank_of_arc.get((u, v))
         if rank is not None:
             self.instance.observe(rank, sign)

@@ -111,3 +111,9 @@ def test_tournament_families_sizes():
     names = [name for name, _ in fams]
     assert names == ["tournament-a1", "tournament-a2", "tournament-a4"]
     assert [g.n for _, g in fams] == [10, 10, 8]
+
+
+def test_tournament_families_reject_alpha_below_one():
+    for alpha in (0, -1):  # zero was a modulo by zero
+        with pytest.raises(ValueError, match=f"alpha must be >= 1, got {alpha}"):
+            tournament_families(alphas=(1, alpha), n=10)

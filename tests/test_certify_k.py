@@ -8,6 +8,7 @@ import pytest
 import oracles
 from conftest import random_strong_digraph, stream_of
 from streamcert.certify_k import (
+    MAX_SAMPLES,
     InfeasibleBranchingError,
     PromiseViolationError,
     SampleScheme,
@@ -22,7 +23,7 @@ from streamcert.digraph import Digraph, independence_number_exact
 from streamcert.exact import validate_certificate
 from streamcert.hardgen import alpha_family
 from streamcert.prf import prf_uniform
-from streamcert.streams import INSERTION_ONLY, TURNSTILE
+from streamcert.streams import INSERTION_ONLY, TURNSTILE, ArcStream
 
 
 def complete(n: int) -> Digraph:
@@ -57,6 +58,18 @@ def test_scheme_sample_counts():
     # rho=1 keeps everything, so one run suffices regardless of r
     assert SampleScheme(rho=1.0).sample_count(2, 30) == 1
     assert SampleScheme(rho=0.5).reference_r(30) == 3769
+
+
+def test_sample_count_has_a_ceiling():
+    # the default grows as k^2: k = 64 on 7 nodes would draw 63 764 runs
+    assert SampleScheme(rho=0.5, r=MAX_SAMPLES).sample_count(2, 7) == MAX_SAMPLES
+    for scheme, k in ((SampleScheme(rho=1 / 64), 64), (SampleScheme(rho=0.5, r=MAX_SAMPLES + 1), 2),
+                      (SampleScheme(rho=0.5, r=2**63), 2)):
+        with pytest.raises(ValueError, match=f"above the ceiling of {MAX_SAMPLES}"):
+            scheme.sample_count(k, 7)
+    stream = stream_of(doubled_cycle(7), INSERTION_ONLY, seed=0)
+    with pytest.raises(ValueError, match="ceiling"):
+        k_node_cert(stream, 64, SampleScheme(rho=1 / 64), RecursionPlan(1))
 
 
 def test_rho_must_respect_k():
@@ -142,15 +155,16 @@ def test_sampled_cert_deterministic_in_seed():
 
 @pytest.mark.parametrize("model", ["insertion", "turnstile"])
 def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, model):
-    """Every run gets exactly the updates with both ends in its universe, in
-    stream order, once per pass; no other update reaches its handler."""
+    """Every run gets exactly the updates with both ends in its sample, in
+    stream order, once per pass and in the sample's local ids; no other update
+    reaches its handler."""
     from streamcert.certify_one import OneCertRun
 
     got: dict[str, list] = {}
-    handler = OneCertRun._handler
+    begin_pass = OneCertRun.begin_pass
 
-    def counting(self, kind, depth, j):
-        inner = handler(self, kind, depth, j)
+    def counting(self, pass_index):
+        inner = begin_pass(self, pass_index)
         seen = got.setdefault(self.name, [])
 
         def update(sign, u, v):
@@ -159,15 +173,15 @@ def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, mode
 
         return update
 
-    monkeypatch.setattr(OneCertRun, "_handler", counting)
+    monkeypatch.setattr(OneCertRun, "begin_pass", counting)
     g = random_strong_digraph(random.Random(31), 10, 10, extra=0.4)
     stream = stream_of(g, INSERTION_ONLY if model == "insertion" else TURNSTILE, seed=3)
     scheme = SampleScheme(rho=0.5, r=9, seed=4)
     _, stats = k_node_cert(stream, 2, scheme, RecursionPlan(3))
     assert stats.passes == 3 and len(got) == 9
     for i in range(9):
-        uni = {v for v in range(g.n) if prf_uniform(4, i, v) < 0.5}
-        want = [(s, u, v) for s, u, v in stream.updates if u in uni and v in uni]
+        local = {v: j for j, v in enumerate(v for v in range(g.n) if prf_uniform(4, i, v) < 0.5)}
+        want = [(s, local[u], local[v]) for s, u, v in stream.updates if u in local and v in local]
         assert got[f"sample{i}"] == want * stats.passes, i
 
 
@@ -220,6 +234,16 @@ def test_peeling_provenance_branchings():
         assert fam.is_valid_for(host)
     assert not (out[0].arcs & out[1].arcs)
     assert not (inn[0].arcs & inn[1].arcs)
+
+
+def test_peeling_k_is_bounded_by_the_node_count():
+    # k = n - 1 is the most any n-node digraph supports; one node stops at k = 1
+    cert, stats = k_arc_cert_peeling(stream_of(complete(4), INSERTION_ONLY, seed=0), 3, RecursionPlan(1))
+    assert stats.passes == 3
+    _assert_k_arc_cert(complete(4), cert, 3)
+    for n, k in ((4, 4), (2, 2), (1, 2), (1, 2**63), (0, 2)):
+        with pytest.raises(ValueError, match=rf"max\(1, n-1\)\] = \[1, {max(1, n - 1)}\], got {k}"):
+            k_arc_cert_peeling(ArcStream(n, [], INSERTION_ONLY), k, RecursionPlan(1))
 
 
 def test_peeling_rejects_weak_input():

@@ -183,7 +183,7 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
                 mp.setattr(mod, "scc_tarjan", tarjan)
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
-            run_passes(stream_of(g, model, seed), [run], run.total_passes, run.ledger)
+            run_passes(stream_of(g, model, seed), [run], run.total_passes)
         tree_nodes = sum(map(len, run.by_depth))
         assert calls == {"scc": tree_nodes, "closure": tree_nodes}
         assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), run.plan)[0].arcs
@@ -263,24 +263,9 @@ def test_owner_tables_match_block_descent():
                         node = node.children[block_of(x - node.lo, node.hi - node.lo, run.b)]
 
 
-def test_update_outside_a_pass_raises():
-    runs = [
-        OneCertRun(6, TURNSTILE, RecursionPlan(p=3), SpaceLedger(), name="whole"),
-        OneCertRun(6, TURNSTILE, RecursionPlan(p=3), SpaceLedger(), name="part", universe=[1, 2]),
-    ]
-    for run in runs:
-        with pytest.raises(RuntimeError, match=f"{run.name}: update outside a pass"):
-            run.update(1, 0, 5)
-        run.begin_pass(0)
-        run.update(1, 0, 5)
-        run.end_pass(0)
-        with pytest.raises(RuntimeError, match="update outside a pass"):
-            run.update(1, 0, 5)
-
-
 _G = random_digraph(random.Random(31), 14, 20, density=0.3)
 _RING = Digraph(12, {(i, (i + j) % 12) for i in range(12) for j in (1, 2, 5)})
-# Runs through MinSelect across q passes, a universe and arc filters, which
+# Runs through MinSelect across q passes, a node sample and arc filters, which
 # criterion 7 does not reach: StreamStats, arc count and sorted-arc digest.
 ROUTING_PINS = {
     "turnstile-mp2": (

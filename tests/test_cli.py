@@ -10,7 +10,7 @@ import pytest
 
 from streamcert import cli
 from streamcert.cli import main
-from streamcert.digraph import Digraph
+from streamcert.digraph import Digraph, reachable
 from streamcert.hardgen import has_triangle, transitive_tournament
 from streamcert.streams import ArcStream, final_multiplicity
 
@@ -126,6 +126,26 @@ def test_one_then_verify_roundtrip(circ_files, tmp_path, capsys):
     assert code == 0 and out.strip().endswith("OK")
 
 
+def test_verify_k1_certificates_beyond_64_nodes(tmp_path, capsys):
+    gen = ("gen", "--family", "alpha", "--n", "80", "--d", "4")
+    _, gtext, _ = run(capsys, *gen)
+    _, stext, _ = run(capsys, *gen, "--stream", "--seed", "5")
+    gpath, spath = tmp_path / "g.txt", tmp_path / "s.txt"
+    gpath.write_text(gtext)
+    spath.write_text(stext)
+    code, out, _ = run(capsys, "one", "--input", str(spath), "--passes", "2")
+    assert code == 0
+    cert = Digraph.from_text(out)
+    cpath = write_graph(tmp_path / "cert.txt", cert)
+    code, report, _ = run(capsys, "verify", "--graph", str(gpath), "--cert", cpath)
+    assert code == 0 and report.endswith("OK\n")
+    u, v = next(a for a in sorted(cert.arcs) if not reachable(Digraph(80, cert.arcs - {a}), *a))
+    cpath = write_graph(tmp_path / "cut.txt", Digraph(80, cert.arcs - {(u, v)}))
+    code, report, _ = run(capsys, "verify", "--graph", str(gpath), "--cert", cpath)
+    assert code == 1 and report.endswith("FAIL\n")
+    assert f"pair ({u}, {v}): required 1, certificate has 0" in report
+
+
 def test_verify_flags_a_bad_certificate(circ_files, tmp_path, capsys):
     gpath, _ = circ_files
     ring = Digraph(9, [(i, (i + 1) % 9) for i in range(9)])
@@ -169,6 +189,24 @@ def test_k_below_one_exits_2_before_the_rho_default(circ_files, capsys):
         code, out, err = run(capsys, *argv, "--k", "0")
         assert code == 2 and out == ""
         assert err == "error: threshold k must be >= 1, got 0\n", argv
+
+
+def test_runaway_sizes_exit_2_before_any_work(circ_files, tmp_path, capsys):
+    gpath, spath = circ_files
+    one = tmp_path / "one.txt"
+    one.write_text("1 ins\n")
+    huge = "9223372036854775808"
+    cases = (
+        (("kcert", "--input", spath, "--passes", "1", "--k", "64"), "above the ceiling of 4096"),
+        (("kcert", "--input", spath, "--passes", "1", "--k", "2", "--r", huge), "above the ceiling of 4096"),
+        (("congest", "--proto", "kcert", "--input", gpath, "--k", "64"), "above the ceiling of 4096"),
+        (("kcert", "--input", str(one), "--passes", "1", "--mode", "peel", "--k", huge),
+         f"got {huge}"),
+        (("bench", "--n", "4", "--alphas", "1,0"), "alpha must be >= 1, got 0"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
 
 
 def test_node_ids_must_be_ascii_decimal(tmp_path, capsys):

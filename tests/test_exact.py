@@ -100,6 +100,25 @@ def test_validate_certificate_node_kind():
     assert any(v[:2] == (1, 2) for v in rep.violations)
 
 
+def test_validate_certificate_at_k1_compares_closures_at_any_n():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_digraph(rng, 1, 12)
+        sub = frozenset(a for a in g.arcs if rng.random() < 0.6)
+        reach_g, reach_h = oracles.closure_sets(g.n, g.arcs), oracles.closure_sets(g.n, sub)
+        want = [(s, t, 1, 0) for s in range(g.n) for t in sorted(reach_g[s] - reach_h[s]) if t != s]
+        for kind in ("node", "arc"):
+            rep = validate_certificate(g, Certificate(g.n, sub, kind=kind, k=1))
+            assert list(rep.violations) == want, (g.arcs, sub, kind)
+    # k = 1 skips the 64-node budget of the flow checks; k = 2 keeps it
+    path = Digraph(80, ((i, i + 1) for i in range(79)))
+    assert validate_certificate(path, Certificate(80, path.arcs, kind="node", k=1)).ok
+    rep = validate_certificate(path, Certificate(80, path.arcs - {(40, 41)}, kind="arc", k=1))
+    assert len(rep.violations) == 41 * 39 and (0, 79, 1, 0) in rep.violations
+    with pytest.raises(BudgetError, match="k >= 2 limited to n <= 64, got 80"):
+        validate_certificate(path, Certificate(80, path.arcs, kind="node", k=2))
+
+
 def test_validate_certificate_arc_kind_and_containment():
     two_cycle = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     sub = Certificate(3, frozenset({(0, 1), (1, 0), (1, 2)}), kind="arc", k=1)

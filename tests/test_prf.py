@@ -1,4 +1,4 @@
-from streamcert.prf import prf_bits, prf_int, prf_u64, prf_uniform, sample_members
+from streamcert.prf import prf_bits, prf_u64, prf_uniform, sample_members
 
 
 def test_prf_is_deterministic_and_seed_sensitive():
@@ -13,15 +13,6 @@ def test_prf_uniform_range_and_spread():
     assert 0.45 < sum(vals) / len(vals) < 0.55
     below = sum(1 for v in vals if v < 0.25)
     assert 400 < below < 600
-
-
-def test_prf_int_mod():
-    for i in range(200):
-        assert 0 <= prf_int(3, i, mod=7) < 7
-    counts = [0] * 7
-    for i in range(7000):
-        counts[prf_int(3, i, mod=7)] += 1
-    assert min(counts) > 800
 
 
 def test_prf_bits_shape():
