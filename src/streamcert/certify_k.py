@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .certify_one import Certificate, OneCertRun, RecursionPlan
 from .digraph import Branching, Digraph, degeneracy, independence_number_exact
-from .exact import lambda_st
+from .exact import FlowNet, lambda_st
 from .prf import prf_uniform, sample_members
 from .streams import ArcStream, SpaceLedger, StreamStats, run_passes
 
@@ -262,7 +262,9 @@ def extract_disjoint_branchings(
 
     Greedy arc-at-a-time construction: an arc joining the current tree is
     committed once the residual graph still offers ``remaining`` arc-disjoint
-    routes from the root to every node outside the grown tree.
+    routes from the root to every node outside the grown tree.  Candidates are
+    tried in sorted order on one network of the residual arcs per commit,
+    each query leaving the candidate out.
     """
     if kind not in ("out", "in"):
         raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
@@ -289,35 +291,24 @@ def extract_disjoint_branchings(
         remaining = t - 1 - i
         tree = {root}
         tree_arcs: set[tuple[int, int]] = set()
+        arcs = sorted(current)  # a committed arc's head is in the tree, so it is skipped
         while len(tree) < g.n:
-            committed = False
-            for u, v in sorted(current - tree_arcs):
+            net = FlowNet(g.n, current - tree_arcs, split=False) if remaining else None
+            for u, v in arcs:
                 if u not in tree or v in tree:
                     continue
-                if remaining == 0 or _keeps_routes(
-                    current - tree_arcs - {(u, v)}, g.n, root, tree, remaining
+                if net is None or all(
+                    net.max_flow(root, w, remaining, without=(u, v)) == remaining
+                    for w in range(g.n) if w not in tree
                 ):
                     tree.add(v)
                     tree_arcs.add((u, v))
-                    committed = True
                     break
-            if not committed:  # pragma: no cover - exchange argument forbids this
+            else:  # pragma: no cover - exchange argument forbids this
                 raise AssertionError("no admissible arc while growing a branching")
         out.append(Branching(root, frozenset(tree_arcs), "out"))
         current -= tree_arcs
     return out
-
-
-def _keeps_routes(
-    arcs: set[tuple[int, int]], n: int, root: int, settled: set[int], need: int
-) -> bool:
-    rest = Digraph(n, arcs)
-    for w in range(n):
-        if w in settled:
-            continue
-        if lambda_st(rest, root, w, limit=need) < need:
-            return False
-    return True
 
 
 def residual_independence_check(g: Digraph, h: Digraph) -> bool:

@@ -425,8 +425,9 @@ def validate_one_cert(g: Digraph, cert: Certificate) -> OneCertReport:
     h = cert.graph()
     contained = cert.arcs <= g.arcs
 
+    comps = scc_tarjan(h)
     reach_g = reachability_masks(g)
-    reach_h = reachability_masks(h)
+    reach_h = reachability_masks(h, comps)
     violations = []
     for s in range(g.n):
         diff = reach_g[s] ^ reach_h[s]
@@ -435,8 +436,8 @@ def validate_one_cert(g: Digraph, cert: Certificate) -> OneCertReport:
             violations.append((s, low.bit_length() - 1))
             diff ^= low
 
-    comp_id = scc_ids(h)
-    nchains = len(chain_cover_minimum(h))
+    comp_id = scc_ids(h, comps)
+    nchains = len(chain_cover_minimum(h, comps))
     cross_deg = [0] * g.n
     intra: Counter[int] = Counter()
     for u, v in h.arcs:

@@ -7,6 +7,7 @@ import ast
 import json
 import math
 import operator
+import string
 import sys
 from pathlib import Path
 
@@ -113,11 +114,13 @@ def _bits_from_arg(arg: str | None, need: int, seed: int) -> list[int]:
     text = arg
     candidate = Path(arg)
     if candidate.is_file():
-        text = candidate.read_text().strip()
+        text = candidate.read_text()
     bits = []
-    for ch in text.strip():
-        if ch in " \n\t_":
+    for ch in text:
+        if ch in string.whitespace:
             continue
+        if ch not in string.hexdigits:
+            raise ValueError(f"--bits must hold ASCII hex digits and whitespace, got {ch!r}")
         val = int(ch, 16)
         bits.extend((val >> 3 & 1, val >> 2 & 1, val >> 1 & 1, val & 1))
     if len(bits) < need:

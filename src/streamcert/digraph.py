@@ -247,9 +247,10 @@ def _closure(out_rows: list[int], comps: Sequence[Sequence[int]]) -> list[int]:
     return reach
 
 
-def reachability_masks(g: Digraph) -> list[int]:
-    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle)."""
-    return _closure(g.out_masks(), scc_tarjan(g))
+def reachability_masks(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> list[int]:
+    """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle).
+    ``comps`` passes in ``scc_tarjan(g)`` when the caller already holds it."""
+    return _closure(g.out_masks(), scc_tarjan(g) if comps is None else comps)
 
 
 def reachable(g: Digraph, s: int, t: int) -> bool:
@@ -475,9 +476,10 @@ def degeneracy(g: Digraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def chain_cover_minimum(g: Digraph) -> ChainCover:
-    """A minimum chain cover of ``g`` (see :func:`_chain_cover`)."""
-    return _chain_cover(g, scc_tarjan(g))
+def chain_cover_minimum(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> ChainCover:
+    """A minimum chain cover of ``g`` (see :func:`_chain_cover`); ``comps`` passes
+    in ``scc_tarjan(g)`` when the caller already holds it."""
+    return _chain_cover(g, scc_tarjan(g) if comps is None else comps)
 
 
 def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:

@@ -1,20 +1,21 @@
 """Brute-force ground truth: exact local connectivities and certificate checks.
 
 Everything here favours exactness over scale.  Connectivities come from
-unit-capacity max-flow with BFS augmentation.  Each digraph's network is built
-once and kept in a small cache, so a loop over pairs never rebuilds it; every
-query augments on its own copy of the capacities.  The node version splits
-node v into an in/out pair joined by a unit arc, and a query raises only the
-split arcs of s and t, so a direct (s,t) arc contributes exactly one extra
-path.  Each augmentation carries exactly one unit, because every augmenting
-path leaves the source through an arc of the graph, which holds at most one.
+unit-capacity max-flow with depth-first augmentation.  Each digraph's network
+is built once and kept in a small cache.  Every query augments its own copy of
+the same capacities, so one search tree over them from the latest source gives
+each target t its first augmenting path, and t outside the tree has none.  The
+node version splits node v into an in/out pair joined by a unit arc and runs
+from s's out-node to t's in-node, so a direct (s,t) arc is one more path.  Each
+augmentation carries one unit, because every augmenting path leaves the source
+through an arc of the graph, which holds at most one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .certify_one import Certificate
 from .digraph import BudgetError, Digraph, reachability_masks
@@ -30,17 +31,16 @@ class ConnReport:
     lambda_: int
 
 
-class _FlowNet:
-    """Unit-capacity network of one digraph: arc i is entry 2i of ``to`` and
-    ``cap``, its residual twin entry 2i+1.  Split mode stores node v's arc
-    2v -> 2v+1 first, as arc v, and maps arc (u, v) to 2u+1 -> 2v."""
+class FlowNet:
+    """Unit-capacity network of ``arcs`` on nodes ``0..n-1``: arc i is entry 2i
+    of ``to`` and ``cap``, its residual twin entry 2i+1.  Split mode stores node
+    v's arc 2v -> 2v+1 first, as arc v, and maps arc (u, v) to 2u+1 -> 2v."""
 
-    def __init__(self, g: Digraph, split: bool):
-        self.n = g.n
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]], split: bool):
         self.split = split
-        ends = [(2 * v, 2 * v + 1) for v in range(g.n)] if split else []
-        ends += [(2 * u + 1, 2 * v) if split else (u, v) for u, v in g.arcs]
-        self.incident: list[list[int]] = [[] for _ in range(2 * g.n if split else g.n)]
+        ends = [(2 * v, 2 * v + 1) for v in range(n)] if split else []
+        ends += [(2 * u + 1, 2 * v) if split else (u, v) for u, v in arcs]
+        self.incident: list[list[int]] = [[] for _ in range(2 * n if split else n)]
         self.to: list[int] = []
         for u, v in ends:
             self.incident[u].append(len(self.to))
@@ -48,42 +48,64 @@ class _FlowNet:
             self.incident[v].append(len(self.to))
             self.to.append(u)
         self.cap = [1, 0] * len(ends)
+        self.root = -1  # the latest source, and its search tree over cap
+        self.tree: list[int] = []
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        """Number of unit augmentations from s to t, stopping at ``limit``."""
-        cap = self.cap.copy()
-        if self.split:
-            cap[2 * s] = cap[2 * t] = self.n + 1
-            s, t = 2 * s + 1, 2 * t
+    def _search(self, cap: list[int], src: int, dst: int) -> list[int]:
+        """Entry into each node reached from ``src`` over positive ``cap``, depth first
+        (-1 unreached, -2 at ``src``); it stops on reaching ``dst``."""
         incident, to = self.incident, self.to
+        parent = [-1] * len(incident)
+        parent[src] = -2
+        stack = [src]
+        while stack:
+            for ei in incident[stack.pop()]:
+                if cap[ei]:
+                    w = to[ei]
+                    if parent[w] == -1:
+                        parent[w] = ei
+                        if w == dst:
+                            return parent
+                        stack.append(w)
+        return parent
+
+    def max_flow(self, s: int, t: int, limit: int | None = None,
+                 without: tuple[int, int] | None = None) -> int:
+        """Number of unit augmentations from s to t, stopping at ``limit``;
+        ``without`` leaves one arc (u, v) of the digraph out of this query."""
+        src, dst = (2 * s + 1, 2 * t) if self.split else (s, t)
+        cap, to = self.cap.copy(), self.to
+        path = None
+        if without is None:
+            if self.root != src:
+                self.root, self.tree = src, self._search(self.cap, src, -1)
+            path = self.tree
+        else:
+            tail, head = (2 * without[0] + 1, 2 * without[1]) if self.split else without
+            for ei in self.incident[tail]:
+                if not ei & 1 and to[ei] == head:
+                    cap[ei] = 0
         flow = 0
         while limit is None or flow < limit:
-            parent = [-1] * len(incident)
-            parent[s] = -2
-            queue = deque([s])
-            while queue and parent[t] == -1:
-                u = queue.popleft()
-                for ei in incident[u]:
-                    w = to[ei]
-                    if cap[ei] and parent[w] == -1:
-                        parent[w] = ei
-                        queue.append(w)
-            if parent[t] == -1:
+            if path is None:
+                path = self._search(cap, src, dst)
+            if path[dst] == -1:
                 break
-            v = t
-            while v != s:
-                ei = parent[v]
+            v = dst
+            while v != src:
+                ei = path[v]
                 cap[ei] -= 1
                 cap[ei ^ 1] += 1
                 v = to[ei ^ 1]
             flow += 1
+            path = None
         return flow
 
 
 @lru_cache(maxsize=4)
-def _network(g: Digraph, split: bool) -> _FlowNet:
+def _network(g: Digraph, split: bool) -> FlowNet:
     """The flow network of ``g``; four entries hold two graphs of both kinds."""
-    return _FlowNet(g, split)
+    return FlowNet(g.n, g.arcs, split)
 
 
 def lambda_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:

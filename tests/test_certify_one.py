@@ -34,7 +34,7 @@ from streamcert.digraph import (
     scc_tarjan,
     transitive_closure,
 )
-from streamcert.hardgen import embed_tournament, gadget_triangle, transitive_tournament
+from streamcert.hardgen import alpha_family, embed_tournament, gadget_triangle, transitive_tournament
 from streamcert.streams import (
     INSERTION_ONLY,
     TURNSTILE,
@@ -133,6 +133,25 @@ def test_prune_runs_one_scc_decomposition(monkeypatch):
         h = tc_preserving_prune(g)
         assert len(calls) == (1 if g.arcs else 0), sorted(g.arcs)
         assert transitive_closure(h) == transitive_closure(g)
+
+
+def test_validator_decomposes_each_graph_once(monkeypatch):
+    from streamcert import certify_one, digraph
+
+    g = alpha_family(64, 4)
+    cert = Certificate(g.n, tc_preserving_prune(g).arcs, kind="node", k=1)
+    assert cert.graph() != g
+    calls = Counter()
+    tarjan = digraph.scc_tarjan
+
+    def counting(x):
+        calls["g" if x == g else "h"] += 1
+        return tarjan(x)
+
+    monkeypatch.setattr(digraph, "scc_tarjan", counting)
+    monkeypatch.setattr(certify_one, "scc_tarjan", counting)
+    assert validate_one_cert(g, cert).ok
+    assert calls == {"h": 1, "g": 1}
 
 
 def test_scc_branchings_equal_per_component_bfs():

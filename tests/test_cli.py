@@ -84,6 +84,11 @@ def test_gen_rejects_bad_shapes(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "gen", "--family", "triangle", "--n", "6", "--d", "6", "--bits", "f")
     assert code == 2 and "need 8 bits" in err
+    for bits in ("\u0663\u0663", "3_3", "3\u00a03"):
+        code, out, err = run(capsys, "gen", "--family", "triangle", "--n", "6", "--d", "6", "--bits", bits)
+        bad = next(ch for ch in bits if ch != "3")
+        assert (code, out, err) == (
+            2, "", f"error: --bits must hold ASCII hex digits and whitespace, got {bad!r}\n"), bits
     code, _, err = run(capsys, "gen", "--family", "circulant", "--n", "2", "--k", "1")
     assert code == 2 and "error:" in err
     for family, n, d, message in (("plain", "6", "0", "need d >= 3 divisible by 3 and n divisible by d"),

@@ -10,6 +10,7 @@ from conftest import random_digraph
 from streamcert.certify_one import Certificate
 from streamcert.digraph import BudgetError, Digraph
 from streamcert.exact import (
+    FlowNet,
     _network,
     connectivity,
     kappa_st,
@@ -23,24 +24,48 @@ def _capped(value: int, limit: int | None) -> int:
     return value if limit is None else min(value, limit)
 
 
+def _shuffled_queries(rng: random.Random, n: int) -> list[tuple[int, int, int | None]]:
+    # sources interleave, so each network's tree of its latest source is
+    # rebuilt between queries as well as reused by the next target
+    queries = [(s, t, limit) for s, t in itertools.permutations(range(n), 2) for limit in (None, 0, 1, 2)]
+    rng.shuffle(queries)
+    return queries
+
+
 def test_lambda_equals_minimum_directed_cut():
     rng = random.Random(20)
     for _ in range(50):
-        g = random_digraph(rng, 2, 8)
-        for s, t in itertools.permutations(range(g.n), 2):
-            want = oracles.min_cut_lambda(g.n, g.arcs, s, t)
-            for limit in (None, 1, 2):
-                assert lambda_st(g, s, t, limit) == _capped(want, limit), (g.arcs, s, t, limit)
+        g = random_digraph(rng, 2, 9)
+        want = {(s, t): oracles.min_cut_lambda(g.n, g.arcs, s, t)
+                for s, t in itertools.permutations(range(g.n), 2)}
+        for s, t, limit in _shuffled_queries(rng, g.n):
+            assert lambda_st(g, s, t, limit) == _capped(want[s, t], limit), (g.arcs, s, t, limit)
 
 
 def test_kappa_equals_smallest_separator():
     rng = random.Random(21)
     for _ in range(50):
-        g = random_digraph(rng, 2, 8)
-        for s, t in itertools.permutations(range(g.n), 2):
-            want = oracles.separator_kappa(g.n, g.arcs, s, t)
-            for limit in (None, 1, 2):
-                assert kappa_st(g, s, t, limit) == _capped(want, limit), (g.arcs, s, t, limit)
+        g = random_digraph(rng, 2, 9)
+        want = {(s, t): oracles.separator_kappa(g.n, g.arcs, s, t)
+                for s, t in itertools.permutations(range(g.n), 2)}
+        for s, t, limit in _shuffled_queries(rng, g.n):
+            assert kappa_st(g, s, t, limit) == _capped(want[s, t], limit), (g.arcs, s, t, limit)
+
+
+def test_leaving_an_arc_out_matches_a_network_built_without_it():
+    rng = random.Random(25)
+    for _ in range(30):
+        g = random_digraph(rng, 2, 9)
+        for split in (False, True):
+            net = FlowNet(g.n, g.arcs, split)
+            fresh = {a: FlowNet(g.n, g.arcs - {a}, split)
+                     for a in rng.sample(sorted(g.arcs), min(3, g.m))}
+            fresh[None] = FlowNet(g.n, g.arcs, split)
+            queries = [(a, s, t, limit) for a in fresh for s, t, limit in _shuffled_queries(rng, g.n)]
+            rng.shuffle(queries)
+            for a, s, t, limit in queries:
+                want = fresh[a].max_flow(s, t, limit)
+                assert net.max_flow(s, t, limit, without=a) == want, (g.arcs, split, a, s, t, limit)
 
 
 def test_interleaved_queries_match_fresh_networks():
