@@ -114,9 +114,18 @@ def verify_all(
 ) -> tuple[int, str]:
     """Exit code 0 iff the certificate file certifies the graph file at level k."""
     try:
-        g = Digraph.from_text(Path(graph_path).read_text())
-        h = Digraph.from_text(Path(cert_path).read_text())
-    except (OSError, ValueError) as exc:
+        texts = Path(graph_path).read_text(), Path(cert_path).read_text()
+    except OSError as exc:
+        return 2, f"error: {exc}"
+    return verify_texts(*texts, k, kind)
+
+
+def verify_texts(graph_text: str, cert_text: str, k: int = 1, kind: str = "node") -> tuple[int, str]:
+    """:func:`verify_all` on the texts of the two files."""
+    try:
+        g = Digraph.from_text(graph_text)
+        h = Digraph.from_text(cert_text)
+    except ValueError as exc:
         return 2, f"error: {exc}"
     if h.n != g.n:
         return 2, f"error: node counts differ (graph {g.n}, certificate {h.n})"

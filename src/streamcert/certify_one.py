@@ -32,7 +32,6 @@ from typing import Mapping
 from .digraph import (
     ChainCover,
     Digraph,
-    _chain_cover,
     _scc_branching_arcs,
     chain_cover_minimum,
     reachability_masks,
@@ -115,7 +114,7 @@ def _prune_with_cover(g: Digraph) -> tuple[set[tuple[int, int]], ChainCover]:
     the cover is a minimum chain cover of them too."""
     comps = scc_tarjan(g)
     comp_id = scc_ids(g, comps)
-    cover = _chain_cover(g, comps)
+    cover = chain_cover_minimum(g, comps)
     chain_at = {v: (ci, pos) for ci, chain in enumerate(cover.chains) for pos, v in enumerate(chain)}
 
     # The earliest chain node reaches the later ones; induction over the
@@ -163,8 +162,8 @@ class _TreeNode:
         self.h_arcs: set[tuple[int, int]] = set()
         self.chains: tuple[tuple[int, ...], ...] | None = None
         self.chainpos: dict[int, tuple[int, int]] | None = None
-        # level-pass table per (x, child, chain): the best position so far
-        # (insertion-only) or a MinSelect instance (turnstile)
+        # level-pass table keyed by (x, child node, chain id): the best chain
+        # position so far (insertion-only) or a MinSelect instance (turnstile)
         self.table: dict | None = None
         self.account = None
 
@@ -177,13 +176,13 @@ class OneCertRun:
     an induced node subset is given that subset's ids ``0..|S|-1``; the caller
     translates updates and certificate arcs (see ``certify_k._MaskRouter``).
 
-    ``owner[d][x]`` is the index in ``by_depth[d]`` of the depth-d tree node
-    holding node x.  Like the tree skeleton it depends only on n and the
-    branching factor b, and a streaming algorithm gets the same value from
-    ``block_of`` in O(levels) arithmetic and O(1) words, so the tables are a
-    lookup cache, not algorithm state, and the ledger does not charge them.
-    ``begin_pass`` returns the handler for its phase, which routes each update
-    by these lookups.
+    ``owner[d][x]`` is the depth-d tree node holding node x.  Like the tree
+    skeleton it depends only on n and the branching factor b, and a streaming
+    algorithm finds the same node with ``block_of`` in O(levels) arithmetic and
+    O(1) words, so the tables are a lookup cache, not algorithm state, and the
+    ledger does not charge them.  Both pass hooks read their phase from
+    ``schedule[pass_index]``; the handler routes each update by these lookups,
+    and a turnstile level's MinSelect instances open their own passes.
     """
 
     def __init__(
@@ -229,12 +228,12 @@ class OneCertRun:
                 nxt.extend(node.children)
             self.by_depth.append(nxt)
         # uncharged routing tables (see the class docstring)
-        self.owner: list[list[int]] = []
+        self.owner: list[list[_TreeNode]] = []
         for nodes in self.by_depth:
-            row = [0] * self.size
-            for i, node in enumerate(nodes):
+            row = [root] * self.size
+            for node in nodes:
                 node.account = ledger.open(f"{name}/[{node.lo},{node.hi})")
-                row[node.lo:node.hi] = [i] * (node.hi - node.lo)
+                row[node.lo:node.hi] = [node] * (node.hi - node.lo)
             self.owner.append(row)
 
         # pass schedule (kind, depth, j): leaf collection, then q passes per level
@@ -242,7 +241,6 @@ class OneCertRun:
         for depth in range(self.levels - 1, -1, -1):
             for j in range(self.q):
                 self.schedule.append(("level", depth, j))
-        self._phase: tuple | None = None
         self.cert_arcs: frozenset | None = None
 
     # -- pass protocol ------------------------------------------------------
@@ -250,7 +248,7 @@ class OneCertRun:
     def begin_pass(self, pass_index: int):
         if pass_index >= len(self.schedule):
             raise RuntimeError(f"{self.name}: no phase scheduled for pass {pass_index}")
-        self._phase = kind, depth, j = self.schedule[pass_index]
+        kind, depth, j = self.schedule[pass_index]
         if kind == "leaf":
             for leaf in self.by_depth[depth]:
                 leaf.arcs = set()
@@ -260,7 +258,7 @@ class OneCertRun:
         # A leaf pass wants the leaf holding both ends; a level pass at depth d
         # wants the depth-d node whose children split u from v.
         leaf = kind == "leaf"
-        nodes, own = self.by_depth[depth], self.owner[depth]
+        own = self.owner[depth]
         below = None if leaf else self.owner[depth + 1]
         keep = self.arc_filter
         turnstile, passes_left = self.model == TURNSTILE, self.q - j
@@ -268,10 +266,9 @@ class OneCertRun:
         def update(sign: int, u: int, v: int) -> None:
             if keep is not None and not keep(u, v):
                 return
-            i = own[u]
-            if own[v] != i:
+            node = own[u]
+            if own[v] is not node:
                 return
-            node = nodes[i]
             if leaf:  # the stream keeps every multiplicity in {0, 1}
                 if sign > 0:
                     node.arcs.add((u, v))
@@ -280,19 +277,16 @@ class OneCertRun:
                     node.arcs.remove((u, v))
                     node.account.release(1)
                 return
-            cv = below[v]
-            if below[u] == cv:
+            child = below[v]
+            if below[u] is child:
                 return
-            iv = cv - below[node.lo]  # the children are contiguous in by_depth[depth + 1]
-            child = node.children[iv]
             cid, pos = child.chainpos[v]
-            key = (u, iv, cid)
+            key = (u, child, cid)
             if turnstile:
                 inst = node.table.get(key)
                 if inst is None:
-                    inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
                     node.account.charge(3)  # active range + bookkeeping of the instance
-                    inst.begin_pass()
+                    inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
                     node.table[key] = inst
                 inst.observe(pos, sign)
             else:
@@ -306,27 +300,22 @@ class OneCertRun:
         return update
 
     def end_pass(self, pass_index: int) -> None:
-        kind, depth, j = self._phase
-        self._phase = None
+        kind, depth, j = self.schedule[pass_index]
+        nodes = self.by_depth[depth]
         if kind == "leaf":
-            for leaf in self.by_depth[depth]:
+            for leaf in nodes:
                 self._finish_leaf(leaf)
-            if self.levels == 0:
-                self.cert_arcs = frozenset(self.by_depth[0][0].h_arcs)
-            return
-        if self.model == TURNSTILE:
-            for node in self.by_depth[depth]:
-                for inst in node.table.values():
-                    inst.end_pass()
-            if j < self.q - 1:
-                for node in self.by_depth[depth]:
+        else:
+            if self.model == TURNSTILE:
+                for node in nodes:
                     for inst in node.table.values():
-                        inst.begin_pass()
+                        inst.end_pass()
+            if j < self.q - 1:
                 return
-        for node in self.by_depth[depth]:
-            self._merge(node)
+            for node in nodes:
+                self._merge(node)
         if depth == 0:
-            self.cert_arcs = frozenset(self.by_depth[0][0].h_arcs)
+            self.cert_arcs = frozenset(nodes[0].h_arcs)
 
     # -- offline phases ------------------------------------------------------
 
@@ -352,16 +341,13 @@ class OneCertRun:
         leaf.arcs = None
 
     def _merge(self, node: _TreeNode) -> None:
+        turnstile = self.model == TURNSTILE
         merged: set[tuple[int, int]] = set()
-        if self.model == TURNSTILE:
-            for (x, ci, cid), inst in node.table.items():
-                if inst.result is not None:
-                    merged.add((x, node.children[ci].chains[cid][inst.result]))
-            table_words = 3 * len(node.table)
-        else:
-            for (x, ci, cid), pos in node.table.items():
-                merged.add((x, node.children[ci].chains[cid][pos]))
-            table_words = len(node.table)
+        for (x, child, cid), entry in node.table.items():
+            pos = entry.result if turnstile else entry  # a MinSelect without survivor answers None
+            if pos is not None:
+                merged.add((x, child.chains[cid][pos]))
+        table_words = (3 if turnstile else 1) * len(node.table)
         for child in node.children:
             merged |= child.h_arcs
         scratch = node.hi - node.lo

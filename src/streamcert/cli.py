@@ -225,8 +225,10 @@ def cmd_kcert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code, report = bench.verify_all(args.graph, args.cert, args.k, args.kind)
-    print(report)
+    if args.graph == args.cert == "-":
+        raise ValueError("--graph and --cert cannot both be read from stdin")
+    code, report = bench.verify_texts(_read(args.graph), _read(args.cert), args.k, args.kind)
+    print(report, file=sys.stderr if code == 2 else sys.stdout)  # errors go where main's do
     return code
 
 

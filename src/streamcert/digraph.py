@@ -477,12 +477,6 @@ def degeneracy(g: Digraph) -> int:
 
 
 def chain_cover_minimum(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> ChainCover:
-    """A minimum chain cover of ``g`` (see :func:`_chain_cover`); ``comps`` passes
-    in ``scc_tarjan(g)`` when the caller already holds it."""
-    return _chain_cover(g, scc_tarjan(g) if comps is None else comps)
-
-
-def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:
     """A minimum chain cover (Dilworth route: path cover by bipartite matching).
 
     Components are numbered in topological order and a component's nodes by
@@ -490,8 +484,10 @@ def _chain_cover(g: Digraph, comps: Sequence[frozenset[int]]) -> ChainCover:
     and the cover is a minimum path cover of the closure restricted to later
     numbers (Fulkerson's reduction); the closure is swept in these numbers too.
     Positions are matched in order by an iterative depth-first augmenting
-    search, lowest position first; ids only break ties.  ``comps`` is ``scc_tarjan(g)``.
+    search, lowest position first; ids only break ties.  ``comps`` passes in
+    ``scc_tarjan(g)`` when the caller already holds it.
     """
+    comps = scc_tarjan(g) if comps is None else comps
     n = g.n
     order = [v for comp in reversed(comps) for v in sorted(comp)]
     pos = {v: i for i, v in enumerate(order)}

@@ -21,16 +21,6 @@ from .certify_one import Certificate
 from .digraph import BudgetError, Digraph, reachability_masks
 
 
-@dataclass(frozen=True)
-class ConnReport:
-    """Exact local connectivity of one ordered pair."""
-
-    s: int
-    t: int
-    kappa: int
-    lambda_: int
-
-
 class FlowNet:
     """Unit-capacity network of ``arcs`` on nodes ``0..n-1``: arc i is entry 2i
     of ``to`` and ``cap``, its residual twin entry 2i+1.  Split mode stores node
@@ -129,10 +119,6 @@ def kappa_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
     return _network(g, True).max_flow(s, t, limit)
-
-
-def connectivity(g: Digraph, s: int, t: int) -> ConnReport:
-    return ConnReport(s, t, kappa_st(g, s, t), lambda_st(g, s, t))
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,10 @@ class MinSelect:
     blocks with one net counter per block; the lowest-indexed block with a
     positive end-of-pass counter survives to the next pass.  Counters are
     net over the full update sequence, so a single number per block is enough
-    even under deletions.
+    even under deletions.  Construction opens the first pass and
+    :meth:`end_pass` the next until the search is done, releasing the old
+    counters first; a span of at most b**P leaves a block of at most
+    b**(P-1), so a pass never holds more counters than the one before.
     """
 
     __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "done", "result",
@@ -340,16 +343,13 @@ class MinSelect:
         self.passes_left = q
         self.counters: list[int] | None = None
         self.nblocks = 0
-        self.find = None
         self.done = length == 0
         self.result: int | None = None
         self.account = account
-        if self.done:
-            self.passes_left = 0
+        if not self.done:
+            self._open_pass()
 
-    def begin_pass(self) -> None:
-        if self.done:
-            return
+    def _open_pass(self) -> None:
         span = self.hi - self.lo
         self.nblocks = int_root_ceil(span, self.passes_left)
         self.find = block_finder(span, self.nblocks)  # span and nblocks hold for the pass
@@ -358,13 +358,11 @@ class MinSelect:
             self.account.charge(self.nblocks)
 
     def observe(self, rank: int, sign: int) -> None:
-        if self.done or self.counters is None:
-            return
-        if self.lo <= rank < self.hi:
+        if not self.done and self.lo <= rank < self.hi:
             self.counters[self.find(rank - self.lo)] += sign
 
     def end_pass(self) -> None:
-        if self.done or self.counters is None:
+        if self.done:
             return
         span = self.hi - self.lo
         chosen = -1
@@ -378,13 +376,14 @@ class MinSelect:
         self.passes_left -= 1
         if chosen < 0:
             self.done = True
-            self.result = None
             return
         self.lo, self.hi = block_bounds(self.lo, span, self.nblocks, chosen)
         if self.hi - self.lo == 1:
             # the surviving block is a single rank with positive net count
             self.done = True
             self.result = self.lo
+        else:
+            self._open_pass()
 
 
 class _MinSelectAdapter:
@@ -395,7 +394,6 @@ class _MinSelectAdapter:
         self.rank_of_arc = rank_of_arc
 
     def begin_pass(self, pass_index: int):
-        self.instance.begin_pass()
         return self._observe
 
     def _observe(self, sign: int, u: int, v: int) -> None:

@@ -277,7 +277,7 @@ def test_owner_tables_match_block_descent():
             for x in range(size):
                 node = run.by_depth[0][0]
                 for d in range(levels + 1):
-                    assert run.by_depth[d][run.owner[d][x]] is node, (size, levels, x, d)
+                    assert run.owner[d][x] is node, (size, levels, x, d)
                     if d < levels:
                         node = node.children[block_of(x - node.lo, node.hi - node.lo, run.b)]
 

@@ -324,6 +324,22 @@ def test_stdin_input(circ_files, capsys, monkeypatch):
     assert code == 0 and json.loads(err)["passes"] == 1
 
 
+def test_verify_reads_either_file_from_stdin(circ_files, capsys, monkeypatch):
+    gpath, _ = circ_files
+    text = open(gpath).read()  # a graph certifies itself
+    for argv in (("--graph", "-", "--cert", gpath), ("--graph", gpath, "--cert", "-")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and out.endswith("OK\n"), argv
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "--graph", "-", "--cert", "-")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("9 x\n"))
+    code, out, err = run(capsys, "verify", "--graph", gpath, "--cert", "-")
+    assert code == 2 and out == "" and err.startswith("error: bad header")
+
+
 # ---------------------------------------------------------------------------
 # congest + bench
 # ---------------------------------------------------------------------------

@@ -197,7 +197,6 @@ def test_int_root_ceil_is_the_smallest_root():
 def test_min_select_block_counter_walkthrough():
     """Sixteen candidates, the first eight deleted: two 4-block passes land on 9."""
     inst = MinSelect(16, 2)
-    inst.begin_pass()
     assert inst.nblocks == 4
     for rank in range(16):
         inst.observe(rank, 1)
@@ -205,7 +204,6 @@ def test_min_select_block_counter_walkthrough():
         inst.observe(rank, -1)
     inst.end_pass()
     assert not inst.done and (inst.lo, inst.hi) == (8, 12)
-    inst.begin_pass()
     assert inst.nblocks == 4
     for rank in range(16):
         inst.observe(rank, 1)
@@ -220,7 +218,6 @@ def test_min_select_counter_space_is_charged():
     acct = ledger.open("select")
     inst = MinSelect(16, 2, account=acct)
     for _ in range(2):
-        inst.begin_pass()
         for rank in range(16):
             inst.observe(rank, 1)
         for rank in range(8):
@@ -228,6 +225,32 @@ def test_min_select_counter_space_is_charged():
         inst.end_pass()
     assert inst.result == 8
     assert ledger.peak == 4  # one counter per block, four blocks a pass
+
+
+def test_min_select_passes_never_grow():
+    """A span of at most b**P leaves a block of at most b**(P-1), so no pass
+    has more blocks than the one before; the account holds exactly the open
+    pass's counters, so moving on to the next pass never raises the peak."""
+    for span in range(1, 301):
+        for q in range(1, 6):
+            for target in sorted({0, span // 2, span - 1}) + [None]:
+                ledger = SpaceLedger()
+                acct = ledger.open("select")
+                inst = MinSelect(span, q, account=acct)
+                blocks = [inst.nblocks]
+                assert acct.extra == len(inst.counters) == inst.nblocks
+                while not inst.done:
+                    if target is not None:
+                        inst.observe(target, 1)
+                    inst.end_pass()
+                    if inst.done:
+                        assert acct.extra == 0 and inst.counters is None
+                    else:
+                        assert acct.extra == len(inst.counters) == inst.nblocks
+                        blocks.append(inst.nblocks)
+                assert blocks == sorted(blocks, reverse=True), (span, q, target, blocks)
+                assert len(blocks) <= q and ledger.peak == blocks[0]
+                assert inst.result == target
 
 
 def test_mp_min_select_spec_values():
