@@ -75,11 +75,8 @@ def _run_alg(alg: str, stream: ArcStream, k: int, p: int, seed: int):
 
 
 def _verdict(g: Digraph, cert: Certificate) -> str:
-    if cert.k == 1 and cert.kind == "node":
-        return "pass" if validate_one_cert(g, cert).ok else "FAIL"
-    if g.n > _ORACLE_BUDGET:
-        return "skipped"
-    return "pass" if validate_certificate(g, cert).ok else "FAIL"
+    validate = validate_one_cert if cert.k == 1 and cert.kind == "node" else validate_certificate
+    return "pass" if validate(g, cert).ok else "FAIL"
 
 
 def rows_to_csv(rows: Sequence[dict]) -> str:
@@ -109,19 +106,9 @@ def save_results(rows: Sequence[dict], out_dir: str | Path, config: dict) -> tup
     return csv_path, manifest_path
 
 
-def verify_all(
-    graph_path: str | Path, cert_path: str | Path, k: int = 1, kind: str = "node"
-) -> tuple[int, str]:
-    """Exit code 0 iff the certificate file certifies the graph file at level k."""
-    try:
-        texts = Path(graph_path).read_text(), Path(cert_path).read_text()
-    except OSError as exc:
-        return 2, f"error: {exc}"
-    return verify_texts(*texts, k, kind)
-
-
 def verify_texts(graph_text: str, cert_text: str, k: int = 1, kind: str = "node") -> tuple[int, str]:
-    """:func:`verify_all` on the texts of the two files."""
+    """Exit code 0 iff the certificate text certifies the graph text at level k,
+    and the report; every check runs at any n the parser accepts."""
     try:
         g = Digraph.from_text(graph_text)
         h = Digraph.from_text(cert_text)
@@ -132,7 +119,7 @@ def verify_texts(graph_text: str, cert_text: str, k: int = 1, kind: str = "node"
     try:
         cert = Certificate(h.n, h.arcs, kind=kind, k=k)
         report = validate_certificate(g, cert)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return 2, f"error: {exc}"
     lines = [
         f"kind={kind} k={k} n={g.n} graph_arcs={g.m} cert_arcs={h.m}",

@@ -347,6 +347,12 @@ class _Decomposition:
         the root's last direction in one word; every node halves its own
         [lo, hi] by it and computes the next mid.  Returns each node's
         final [lo, hi].
+
+        A pair covers at most n - 1 nodes of weight <= n, so it fits three
+        words: the weight two, the count one.  Two words overflow on some 3-
+        and 5-node inputs.  Over all 64 arc sets on 3 nodes and 400 random
+        5-node digraphs at seeds 0-2, ``congest_scc`` fails at max_words = 2
+        (in ``announce``, ``size`` and ``search``) and never at 3.
         """
         bounds = {v: (1, self.n**3) for key in comps for v in comps[key]}
         inside = {key: totals[key][0] for key in comps}

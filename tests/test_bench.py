@@ -11,7 +11,7 @@ from streamcert.bench import (
     rows_to_csv,
     save_results,
     tournament_families,
-    verify_all,
+    verify_texts,
 )
 from streamcert.digraph import Digraph
 from streamcert.hardgen import circulant, transitive_tournament
@@ -76,33 +76,17 @@ def test_save_results_manifest(tmp_path):
     assert json.loads(other.read_text())["config_hash"] != manifest["config_hash"]
 
 
-def _write_graph(path, g: Digraph):
-    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in sorted(g.arcs)]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_verify_all_exit_codes(tmp_path):
-    g = circulant(7, 2)
-    gp = tmp_path / "g.txt"
-    _write_graph(gp, g)
-
-    good = tmp_path / "good.txt"
-    _write_graph(good, g)  # the graph certifies itself
-    code, text = verify_all(gp, good, k=2)
+def test_verify_texts_exit_codes():
+    g = circulant(7, 2).to_text()
+    code, text = verify_texts(g, g, k=2)  # the graph certifies itself
     assert code == 0 and text.endswith("OK")
 
-    ring = tmp_path / "ring.txt"
-    _write_graph(ring, Digraph(7, [(i, (i + 1) % 7) for i in range(7)]))
-    code, text = verify_all(gp, ring, k=2)
+    ring = Digraph(7, [(i, (i + 1) % 7) for i in range(7)]).to_text()
+    code, text = verify_texts(g, ring, k=2)
     assert code == 1 and text.endswith("FAIL")
     assert "required" in text
 
-    code, text = verify_all(gp, tmp_path / "missing.txt")
-    assert code == 2 and text.startswith("error:")
-
-    small = tmp_path / "small.txt"
-    _write_graph(small, Digraph(3, [(0, 1)]))
-    code, text = verify_all(gp, small)
+    code, text = verify_texts(g, Digraph(3, [(0, 1)]).to_text())
     assert code == 2 and "node counts differ" in text
 
 

@@ -151,7 +151,7 @@ def test_validator_decomposes_each_graph_once(monkeypatch):
     monkeypatch.setattr(digraph, "scc_tarjan", counting)
     monkeypatch.setattr(certify_one, "scc_tarjan", counting)
     assert validate_one_cert(g, cert).ok
-    assert calls == {"h": 1, "g": 1}
+    assert calls == {"h": 1}
 
 
 def test_scc_branchings_equal_per_component_bfs():
@@ -420,7 +420,7 @@ def test_validator_flags_broken_and_foreign_certs():
         path, Certificate(3, frozenset({(0, 1)}), kind="node", k=1)
     )
     assert not broken.tc_equal
-    assert (1, 2) in broken.violations and (0, 2) in broken.violations
+    assert broken.violations == ((1, 2),)
     foreign = validate_one_cert(
         path, Certificate(3, frozenset({(2, 1)}), kind="node", k=1)
     )

@@ -472,6 +472,9 @@ def test_two_sat_command(tmp_path, capsys):
     assert code == 1 and out.strip() == "UNSAT"
 
 
-def test_missing_file_is_an_error(capsys):
+def test_missing_file_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "one", "--input", "/nonexistent/s.txt", "--passes", "1")
+    assert code == 2 and "error:" in err
+    gpath = write_graph(tmp_path / "g.txt", Digraph(3, [(0, 1)]))
+    code, _, err = run(capsys, "verify", "--graph", gpath, "--cert", "/nonexistent/c.txt")
     assert code == 2 and "error:" in err

@@ -154,6 +154,24 @@ def test_pivot_search_closes_at_one_rank():
         assert 1 <= trace.meta["search_iters"] < trace.meta["depth"] * (g.n**3).bit_length()
 
 
+def test_search_pair_needs_three_words(monkeypatch):
+    """Node 1 sends its parent a (weight, count) pair of three 2-bit words."""
+    g = Digraph(3, [(1, 0), (1, 2)])
+    phases = []
+    exchange = _Sim.exchange
+
+    def recording(sim, sends, phase):
+        phases.append(phase)
+        return exchange(sim, sends, phase)
+
+    monkeypatch.setattr(_Sim, "exchange", recording)
+    with pytest.raises(ProtocolViolationError, match=r"node 1 sent a 6-bit message in round 11 \(budget 4\)"):
+        congest_scc(CongestNetwork(g, max_words=2))
+    assert phases[-1] == "search"
+    ids, _ = congest_scc(CongestNetwork(g, max_words=3))
+    assert _blocks(ids) == oracles.scc_partition(g.n, g.arcs)
+
+
 def test_scc_nodes_name_their_pivot():
     ids, _ = congest_scc(CongestNetwork(Digraph(1)))
     assert ids == [0]

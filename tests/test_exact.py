@@ -128,18 +128,42 @@ def test_validate_certificate_at_k1_compares_closures_at_any_n():
     for _ in range(60):
         g = random_digraph(rng, 1, 12)
         sub = frozenset(a for a in g.arcs if rng.random() < 0.6)
-        reach_g, reach_h = oracles.closure_sets(g.n, g.arcs), oracles.closure_sets(g.n, sub)
-        want = [(s, t, 1, 0) for s in range(g.n) for t in sorted(reach_g[s] - reach_h[s]) if t != s]
+        reach_h = oracles.closure_sets(g.n, sub)
+        want = [(u, v, 1, 0) for u, v in sorted(g.arcs - sub) if v not in reach_h[u]]
         for kind in ("node", "arc"):
             rep = validate_certificate(g, Certificate(g.n, sub, kind=kind, k=1))
             assert list(rep.violations) == want, (g.arcs, sub, kind)
-    # k = 1 skips the 64-node budget of the flow checks; k = 2 keeps it
+    # no size cap at any k: the report names the one missing arc that lost its path
     path = Digraph(80, ((i, i + 1) for i in range(79)))
-    assert validate_certificate(path, Certificate(80, path.arcs, kind="node", k=1)).ok
-    rep = validate_certificate(path, Certificate(80, path.arcs - {(40, 41)}, kind="arc", k=1))
-    assert len(rep.violations) == 41 * 39 and (0, 79, 1, 0) in rep.violations
-    with pytest.raises(BudgetError, match="k >= 2 limited to n <= 64, got 80"):
-        validate_certificate(path, Certificate(80, path.arcs, kind="node", k=2))
+    cut = path.arcs - {(40, 41)}
+    for k in (1, 2):
+        for kind in ("node", "arc"):
+            assert validate_certificate(path, Certificate(80, path.arcs, kind=kind, k=k)).ok
+            rep = validate_certificate(path, Certificate(80, cut, kind=kind, k=k))
+            assert rep.violations == ((40, 41, 1, 0),), (k, kind)
+
+
+def test_local_arc_test_matches_all_pairs_oracles():
+    rng = random.Random(26)
+    oracle = {"arc": oracles.min_cut_lambda, "node": oracles.separator_kappa}
+    verdicts = invalid = 0
+    for _ in range(400):
+        g = random_digraph(rng, 2, 6)
+        sub = frozenset(a for a in g.arcs if rng.random() < rng.choice((0.4, 0.7, 1.0)))
+        pairs = list(itertools.permutations(range(g.n), 2))
+        for kind, conn in oracle.items():
+            in_g = {p: conn(g.n, g.arcs, *p) for p in pairs}
+            in_h = {p: conn(g.n, sub, *p) for p in pairs}
+            for k in (1, 2, 3):
+                want = all(in_h[p] >= min(k, in_g[p]) for p in pairs)
+                rep = validate_certificate(g, Certificate(g.n, sub, kind=kind, k=k))
+                assert rep.ok == want, (g.n, sorted(g.arcs), sorted(sub), kind, k)
+                for u, v, need, got in rep.violations:
+                    assert (u, v) in g.arcs - sub
+                    assert (need, got) == (min(k, in_g[u, v]), min(k, in_h[u, v])) and got < need
+                verdicts += 1
+                invalid += not want
+    assert verdicts == 2400 and invalid > verdicts // 2, invalid
 
 
 def test_validate_certificate_arc_kind_and_containment():
