@@ -99,7 +99,8 @@ class _MaskRouter:
     """Pass consumer over node samples: run i works on positions in the
     ascending list ``samples[i]``.  Update (u, v) goes, in those positions, to
     the runs in ``mask[u] & mask[v]`` (bit i of ``mask[v]``: sample i holds v),
-    in registration order.  The router holds the lists, one word per member."""
+    one update at a time, in registration order.  The router holds the lists,
+    one word per member."""
 
     def __init__(self, n: int, runs: list[OneCertRun], samples: list[list[int]],
                  ledger: SpaceLedger):
@@ -112,19 +113,20 @@ class _MaskRouter:
         ledger.open("samples").charge(sum(map(len, samples)))
 
     def begin_pass(self, pass_index: int):
-        handlers = [run.begin_pass(pass_index) for run in self.runs]
+        feeds = [run.begin_pass(pass_index) for run in self.runs]
         mask, local = self.mask, self.local
 
-        def update(sign: int, u: int, v: int) -> None:
-            both = mask[u] & mask[v]
-            while both:
-                low = both & -both
-                i = low.bit_length() - 1
-                ids = local[i]
-                handlers[i](sign, ids[u], ids[v])
-                both ^= low
+        def feed(updates) -> None:
+            for sign, u, v in updates:
+                both = mask[u] & mask[v]
+                while both:
+                    low = both & -both
+                    i = low.bit_length() - 1
+                    ids = local[i]
+                    feeds[i](((sign, ids[u], ids[v]),))
+                    both ^= low
 
-        return update
+        return feed
 
     def end_pass(self, pass_index: int) -> None:
         for run in self.runs:

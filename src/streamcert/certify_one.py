@@ -16,8 +16,8 @@ Two layers:
   shared passes, and one extra pass per level finds, for every node x outside
   a block and every chain of the block's cover, the first chain node u with
   arc (x, u) surviving in the stream.  Under deletions that search runs as a
-  multi-pass block-counter minimum selection.  Each update is routed by
-  lookups in per-depth owner tables (node id -> tree node), not by a descent
+  multi-pass block-counter minimum selection.  A pass's feed routes each update
+  by lookups in per-depth owner tables (node id -> tree node), not by a descent
   from the root; the tables hold what :func:`~streamcert.streams.block_of`
   recomputes in O(levels) arithmetic, so they are not charged as space.
 """
@@ -182,8 +182,9 @@ class OneCertRun:
     algorithm finds the same node with ``block_of`` in O(levels) arithmetic and
     O(1) words, so the tables are a lookup cache, not algorithm state, and the
     ledger does not charge them.  Both pass hooks read their phase from
-    ``schedule[pass_index]``; the handler routes each update by these lookups,
-    and a turnstile level's MinSelect instances open their own passes.
+    ``schedule[pass_index]``; the feed routes each update it is handed by these
+    lookups and bumps a turnstile level's MinSelect counters itself, and each
+    instance opens its own passes.
     """
 
     def __init__(
@@ -264,41 +265,41 @@ class OneCertRun:
         keep = self.arc_filter
         turnstile, passes_left = self.model == TURNSTILE, self.q - j
 
-        def update(sign: int, u: int, v: int) -> None:
-            if keep is not None and not keep(u, v):
-                return
-            node = own[u]
-            if own[v] is not node:
-                return
-            if leaf:  # the stream keeps every multiplicity in {0, 1}
-                if sign > 0:
-                    node.arcs.add((u, v))
-                    node.account.charge(1)
+        def feed(updates) -> None:
+            for sign, u, v in updates:
+                node = own[u]
+                if own[v] is not node or keep is not None and not keep(u, v):
+                    continue
+                if leaf:  # the stream keeps every multiplicity in {0, 1}
+                    if sign > 0:
+                        node.arcs.add((u, v))
+                        node.account.charge(1)
+                    else:
+                        node.arcs.remove((u, v))
+                        node.account.release(1)
+                    continue
+                child = below[v]
+                if below[u] is child:
+                    continue
+                cid, pos = child.chainpos[v]
+                key = (u, child, cid)
+                if turnstile:
+                    inst = node.table.get(key)
+                    if inst is None:
+                        node.account.charge(3)  # active range + bookkeeping of the instance
+                        inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
+                        node.table[key] = inst
+                    if not inst.done and inst.lo <= pos < inst.hi:  # MinSelect.observe, inlined
+                        inst.counters[inst.find(pos - inst.lo)] += sign
                 else:
-                    node.arcs.remove((u, v))
-                    node.account.release(1)
-                return
-            child = below[v]
-            if below[u] is child:
-                return
-            cid, pos = child.chainpos[v]
-            key = (u, child, cid)
-            if turnstile:
-                inst = node.table.get(key)
-                if inst is None:
-                    node.account.charge(3)  # active range + bookkeeping of the instance
-                    inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
-                    node.table[key] = inst
-                inst.observe(pos, sign)
-            else:
-                cur = node.table.get(key)
-                if cur is None:
-                    node.table[key] = pos
-                    node.account.charge(1)
-                elif pos < cur:
-                    node.table[key] = pos
+                    cur = node.table.get(key)
+                    if cur is None:
+                        node.table[key] = pos
+                        node.account.charge(1)
+                    elif pos < cur:
+                        node.table[key] = pos
 
-        return update
+        return feed
 
     def end_pass(self, pass_index: int) -> None:
         kind, depth, j = self.schedule[pass_index]

@@ -158,21 +158,22 @@ def validate_certificate(g: Digraph, cert: Certificate) -> CertValidationReport:
     X + {s} does if it is and u != s, and X + {t} does if u = s (then v != t).
     Each has kappa_H(s, t) < k nodes, and none holds u or v.
 
-    At k = 1 conn_H is read off H's closure.  Arcs are visited in sorted order,
-    so consecutive flow queries share their source's first-path tree.
+    At k = 1 conn_H is H's closure bit, and only the arcs it loses get sorted.
+    Sorted order lets consecutive flow queries share a first-path tree.
     """
     if cert.base_n != g.n:
         raise ValueError(f"certificate is over {cert.base_n} nodes, graph has {g.n}")
     k, h = cert.k, cert.graph()
     conn = kappa_st if cert.kind == "node" else lambda_st
-    reach_h = reachability_masks(h) if k == 1 else None
+    missing = g.arcs - cert.arcs
+    if k == 1:
+        reach_h = reachability_masks(h)
+        missing = [(u, v) for u, v in missing if not (reach_h[u] >> v) & 1]
     violations = []
-    for u, v in sorted(g.arcs - cert.arcs):
-        got = (reach_h[u] >> v) & 1 if k == 1 else conn(h, u, v, limit=k)
-        if got < k:
-            have = 1 if k == 1 else conn(g, u, v, limit=k)
-            if have > got:
-                violations.append((u, v, have, got))
+    for u, v in sorted(missing):
+        got = 0 if k == 1 else conn(h, u, v, limit=k)
+        if got < k and (have := 1 if k == 1 else conn(g, u, v, limit=k)) > got:
+            violations.append((u, v, have, got))
     return CertValidationReport(cert.kind, k, cert.arcs <= g.arcs, tuple(violations))
 
 

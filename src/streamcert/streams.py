@@ -239,10 +239,10 @@ def final_multiplicity(stream: ArcStream) -> Digraph:
 
 
 class PassConsumer(Protocol):
-    """Receives every update of every pass through the handler that
-    ``begin_pass`` returns for that pass."""
+    """Receives each pass through the feed that ``begin_pass`` returns for it;
+    ``feed(updates)`` loops over the updates it is handed, in order."""
 
-    def begin_pass(self, pass_index: int) -> Callable[[int, int, int], None]: ...
+    def begin_pass(self, pass_index: int) -> Callable[[Sequence[tuple[int, int, int]]], None]: ...
 
     def end_pass(self, pass_index: int) -> None: ...
 
@@ -250,17 +250,22 @@ class PassConsumer(Protocol):
 def run_passes(stream: ArcStream, consumers: Sequence[PassConsumer], passes: int) -> None:
     """Deliver the stream ``passes`` times to every consumer, in registration order.
 
-    Within a pass every update is handed to each consumer's handler for that
-    pass exactly once and in stream order; consumers registered together share
-    the physical pass.
+    Within a pass every update reaches each consumer's feed exactly once and
+    in stream order.  A lone consumer's feed is handed ``stream.updates``
+    itself, in one call.  Consumers registered together share the physical
+    pass and see it interleaved, one update at a time in registration order,
+    so their accounts charge in the order the shared pass holds the words.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
     for pass_index in range(passes):
-        handlers = [c.begin_pass(pass_index) for c in consumers]
-        for sign, u, v in stream.updates:
-            for update in handlers:
-                update(sign, u, v)
+        feeds = [c.begin_pass(pass_index) for c in consumers]
+        if len(feeds) == 1:
+            feeds[0](stream.updates)
+        else:
+            for one in zip(stream.updates):  # 1-tuples
+                for feed in feeds:
+                    feed(one)
         for c in consumers:
             c.end_pass(pass_index)
 
@@ -394,12 +399,13 @@ class _MinSelectAdapter:
         self.rank_of_arc = rank_of_arc
 
     def begin_pass(self, pass_index: int):
-        return self._observe
+        return self._feed
 
-    def _observe(self, sign: int, u: int, v: int) -> None:
-        rank = self.rank_of_arc.get((u, v))
-        if rank is not None:
-            self.instance.observe(rank, sign)
+    def _feed(self, updates) -> None:
+        for sign, u, v in updates:
+            rank = self.rank_of_arc.get((u, v))
+            if rank is not None:
+                self.instance.observe(rank, sign)
 
     def end_pass(self, pass_index: int) -> None:
         self.instance.end_pass()

@@ -167,11 +167,11 @@ def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, mode
         inner = begin_pass(self, pass_index)
         seen = got.setdefault(self.name, [])
 
-        def update(sign, u, v):
-            seen.append((sign, u, v))
-            inner(sign, u, v)
+        def feed(updates):
+            seen.extend(updates)
+            inner(updates)
 
-        return update
+        return feed
 
     monkeypatch.setattr(OneCertRun, "begin_pass", counting)
     g = random_strong_digraph(random.Random(31), 10, 10, extra=0.4)

@@ -143,6 +143,19 @@ def test_validate_certificate_at_k1_compares_closures_at_any_n():
             assert rep.violations == ((40, 41, 1, 0),), (k, kind)
 
 
+def test_k1_violations_on_a_dense_graph_are_the_sorted_lost_arcs():
+    # complete digraph on 6 nodes; H keeps the cycle 0 -> 1 -> 2 -> 0 and the
+    # path 2 -> 3 -> 4 -> 5, so the arcs back out of {3, 4, 5} lose their path
+    g = Digraph(6, itertools.permutations(range(6), 2))
+    h = frozenset({(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)})
+    lost = ((3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3),
+            (5, 0), (5, 1), (5, 2), (5, 3), (5, 4))
+    for kind in ("node", "arc"):
+        rep = validate_certificate(g, Certificate(6, h, kind=kind, k=1))
+        assert rep.violations == tuple((u, v, 1, 0) for u, v in lost), kind
+        assert not rep.ok and rep.contained
+
+
 def test_local_arc_test_matches_all_pairs_oracles():
     rng = random.Random(26)
     oracle = {"arc": oracles.min_cut_lambda, "node": oracles.separator_kappa}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -100,11 +101,12 @@ class _StoreAll:
         self.seen = []
 
     def begin_pass(self, i):
-        return self.update
+        return self.feed
 
-    def update(self, sign, u, v):
-        self.seen.append((sign, u, v))
-        self.account.charge(1)
+    def feed(self, updates):
+        for update in updates:
+            self.seen.append(update)
+            self.account.charge(1)
 
     def end_pass(self, i):
         pass
@@ -119,6 +121,57 @@ def test_run_passes_delivers_in_order_each_pass():
     assert consumer.seen == list(st.updates) * 3
     # one word per stored update plus the account constant
     assert ledger.peak == 3 * len(st.updates) + 1
+
+
+class _HoldPresent:
+    """Logs every update it is fed into a shared list and holds one word per
+    present arc: charged on ``+``, released on ``-``."""
+
+    def __init__(self, name, ledger, log):
+        self.name, self.log = name, log
+        self.account = ledger.open(name)
+
+    def begin_pass(self, i):
+        return self.feed
+
+    def feed(self, updates):
+        for sign, u, v in updates:
+            self.log.append((self.name, sign, u, v))
+            if sign > 0:
+                self.account.charge(1)
+            else:
+                self.account.release(1)
+
+    def end_pass(self, i):
+        self.account.set_extra(0)
+
+
+def test_shared_pass_interleaves_consumers_and_the_ledger_sees_it():
+    hand = ArcStream(3, [(1, 0, 1), (1, 1, 2), (1, 2, 0), (-1, 0, 1), (-1, 1, 2), (1, 0, 1)], TURNSTILE)
+    rng = random.Random(11)
+    for st in [hand] + [turnstile_stream(random_digraph(rng, 3, 9), seed) for seed in range(5)]:
+        ledger, log = SpaceLedger(), []
+        run_passes(st, [_HoldPresent("a", ledger, log), _HoldPresent("b", ledger, log)], 2)
+        assert log == [(name, *up) for up in st.updates for name in "ab"] * 2
+        # both hold the present arcs at once; delivering the pass to one
+        # consumer after the other would report a lower peak
+        alone = max(itertools.accumulate(sign for sign, _, _ in st.updates))
+        assert ledger.peak == 2 * alone
+
+
+def test_a_lone_consumer_is_fed_the_streams_own_tuple_once_per_pass():
+    st = turnstile_stream(Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 2)
+    fed = []
+
+    class _Keep:
+        def begin_pass(self, i):
+            return fed.append
+
+        def end_pass(self, i):
+            pass
+
+    run_passes(st, [_Keep()], 3)
+    assert len(fed) == 3 and all(batch is st.updates for batch in fed)
 
 
 def test_space_ledger_peak_and_release():
