@@ -20,7 +20,6 @@ from .digraph import (
     Digraph,
     _scc_branching_arcs,
     chain_cover_minimum,
-    grow_branching,
     scc_ids,
     scc_tarjan,
     transitive_closure,
@@ -250,28 +249,26 @@ def distance_d_dominating(cert: Certificate, d: int) -> set[int]:
         raise ValueError("graph is not strongly connected")
     if g.n == 0:
         return set()
-    tree = grow_branching(g, 0, "out")
-    parent = {v: u for u, v in tree.arcs}
-    depth = {v: _tree_depth(v, parent) for v in range(g.n)}
+    # the lowest-id-first BFS tree of grow_branching(g, 0, "out"), with depths
+    parent, depth = {}, {0: 0}
+    order = [0]
+    for u in order:  # the list grows while it is walked: FIFO order
+        for v in g.out_neighbors(u):
+            if v not in depth:
+                parent[v], depth[v] = u, depth[u] + 1
+                order.append(v)
 
-    active = set(range(g.n))
+    covered: set[int] = set()
     chosen: set[int] = set()
-    while active:
-        v = max(active, key=lambda w: (depth[w], -w))
+    for v in sorted(order, key=lambda w: (-depth[w], w)):  # deepest first, then lowest id
+        if v in covered:
+            continue
         up = v
         for _ in range(min(d, depth[v])):
             up = parent[up]
         chosen.add(up)
-        active -= _ball_out(g, up, d)
+        covered |= _ball_out(g, up, d)
     return chosen
-
-
-def _tree_depth(v: int, parent: dict[int, int]) -> int:
-    steps = 0
-    while v in parent:
-        v = parent[v]
-        steps += 1
-    return steps
 
 
 def _ball_out(g: Digraph, source: int, d: int) -> set[int]:

@@ -12,13 +12,11 @@ from typing import Sequence
 from . import __version__
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream, validate_one_cert
-from .digraph import Digraph, independence_greedy_bound, independence_number_exact
+from .digraph import BudgetError, Digraph, independence_greedy_bound, independence_number_exact
 from .exact import validate_certificate
 from .streams import INSERTION_ONLY, ArcStream
 
 CSV_FIELDS = ("n", "alpha", "k", "p", "model", "peak_words", "passes", "cert_size", "verified")
-
-_ORACLE_BUDGET = 64
 
 
 def bench_space_passes(
@@ -34,11 +32,10 @@ def bench_space_passes(
         raise ValueError(f"alg must be one|kcert|peel, got {alg!r}")
     rows = []
     for name, g in families:
-        alpha = (
-            independence_number_exact(g)
-            if g.n <= _ORACLE_BUDGET
-            else independence_greedy_bound(g)
-        )
+        try:
+            alpha = independence_number_exact(g)
+        except BudgetError:
+            alpha = independence_greedy_bound(g)
         for model in models:
             for p in p_values:
                 for seed in seeds:

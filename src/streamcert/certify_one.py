@@ -18,7 +18,7 @@ Two layers:
   arc (x, u) surviving in the stream.  Under deletions that search runs as a
   multi-pass block-counter minimum selection.  A pass's feed routes each update
   by lookups in per-depth owner tables (node id -> tree node), not by a descent
-  from the root; the tables hold what :func:`~streamcert.streams.block_of`
+  from the root; the tables hold what :func:`~streamcert.streams.blocks`
   recomputes in O(levels) arithmetic, so they are not charged as space.
 """
 
@@ -45,7 +45,7 @@ from .streams import (
     MinSelect,
     SpaceLedger,
     StreamStats,
-    block_bounds,
+    blocks,
     int_root_ceil,
     run_passes,
 )
@@ -179,7 +179,7 @@ class OneCertRun:
 
     ``owner[d][x]`` is the depth-d tree node holding node x.  Like the tree
     skeleton it depends only on n and the branching factor b, and a streaming
-    algorithm finds the same node with ``block_of`` in O(levels) arithmetic and
+    algorithm finds the same node with ``blocks`` in O(levels) arithmetic and
     O(1) words, so the tables are a lookup cache, not algorithm state, and the
     ledger does not charge them.  Both pass hooks read their phase from
     ``schedule[pass_index]``; the feed routes each update it is handed by these
@@ -222,10 +222,10 @@ class OneCertRun:
         for depth in range(self.levels):
             nxt = []
             for node in self.by_depth[depth]:
-                span = node.hi - node.lo
+                starts = blocks(node.hi - node.lo, self.b)[1]
                 node.children = [
-                    _TreeNode(*block_bounds(node.lo, span, self.b, i), depth + 1)
-                    for i in range(min(self.b, span))
+                    _TreeNode(node.lo + a, node.lo + z, depth + 1)
+                    for a, z in zip(starts, starts[1:]) if a < z
                 ]
                 nxt.extend(node.children)
             self.by_depth.append(nxt)
@@ -289,7 +289,7 @@ class OneCertRun:
                         node.account.charge(3)  # active range + bookkeeping of the instance
                         inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
                         node.table[key] = inst
-                    if not inst.done and inst.lo <= pos < inst.hi:  # MinSelect.observe, inlined
+                    if inst.lo <= pos < inst.hi:  # MinSelect.observe, inlined
                         inst.counters[inst.find(pos - inst.lo)] += sign
                 else:
                     cur = node.table.get(key)

@@ -88,10 +88,9 @@ class _Sim:
         net = self.net
         max_words, word_limit = net.max_words, 1 << net.word_bits
         inbox: dict[int, dict[int, Message]] = {}
-        for u in sorted(sends):
+        for u, out in sends.items():  # every reader of the inbox is order-independent
             links = self.links[u]
-            for w in sorted(sends[u]):
-                msg = sends[u][w]
+            for w, msg in out.items():
                 if w not in links:
                     raise ValueError(f"node {u} has no link to {w}")
                 # a message of at most max_words one-word values fits as it is
@@ -227,12 +226,8 @@ class _Decomposition:
                 if out:
                     sends[v] = out
             inbox = self.sim.exchange(sends, "announce") if sends else {}
-            nbr_label = {
-                v: {w: inbox.get(v, {}).get(w, (None,))[0] for w in self.net.neighbors[v]}
-                for v in active
-            }
             links = {
-                v: {w for w in self.net.neighbors[v] if nbr_label[v][w] == self.label[v]}
+                v: {w for w, (lab,) in inbox.get(v, {}).items() if lab == self.label[v]}
                 for v in active
             }
 

@@ -51,27 +51,42 @@ class StreamStats:
 
 
 class SpaceAccount:
+    """Words one part of an algorithm holds: a constant overhead plus ``extra``.
+
+    :meth:`charge` is the one path that raises the ledger's peak or checks its
+    budget; releasing and dropping only lower the ledger's current total.
+    """
+
     __slots__ = ("_ledger", "name", "constant", "extra", "closed")
 
     def __init__(self, ledger: "SpaceLedger", name: str, constant: int):
         self._ledger = ledger
         self.name = name
         self.constant = constant
-        self.extra = 0
+        self.extra = -constant  # the opening charge holds the constant, not extra words
         self.closed = False
-        ledger._bump(constant)
+        self.charge(constant)
 
     def charge(self, words: int = 1) -> None:
         if words < 0:
             raise ValueError("charge must be nonnegative")
         self.extra += words
-        self._ledger._bump(words)
+        ledger = self._ledger
+        ledger.current += words
+        if ledger.current > ledger.peak:
+            ledger.peak = ledger.current
+        if ledger.budget is not None and ledger.current > ledger.budget:
+            if ledger.strict:
+                raise SpaceBudgetError(ledger.current, ledger.budget)
+            ledger.violation_count += 1
+            if not ledger.violations:
+                ledger.violations.append(("total", ledger.current, ledger.budget))
 
     def release(self, words: int = 1) -> None:
-        if words > self.extra:
-            raise ValueError(f"account {self.name!r} releasing {words} > held {self.extra}")
+        if not 0 <= words <= self.extra:
+            raise ValueError(f"account {self.name!r} cannot release {words} of {self.extra} held")
         self.extra -= words
-        self._ledger._bump(-words)
+        self._ledger.current -= words
 
     def set_extra(self, words: int) -> None:
         """Adjust held words to an absolute value (convenience for rebuilds)."""
@@ -85,7 +100,7 @@ class SpaceAccount:
         """Release everything, including the constant overhead."""
         if self.closed:
             return
-        self._ledger._bump(-(self.constant + self.extra))
+        self._ledger.current -= self.constant + self.extra
         self.constant = 0
         self.extra = 0
         self.closed = True
@@ -94,9 +109,9 @@ class SpaceAccount:
 class SpaceLedger:
     """Tracks current and peak total words over all open accounts.
 
-    Outside strict mode a budget overrun is recorded, not raised:
-    ``violations`` keeps the first overrun, as ``("total", words, budget)``,
-    and ``violation_count`` counts every one.
+    Outside strict mode a charge that takes the total over budget is recorded,
+    not raised: ``violations`` keeps the first overrun, as ``("total", words,
+    budget)``, and ``violation_count`` counts every such charge.
     """
 
     def __init__(self, strict: bool = False, budget: int | None = None):
@@ -109,17 +124,6 @@ class SpaceLedger:
 
     def open(self, name: str, constant: int = 0) -> SpaceAccount:
         return SpaceAccount(self, name, constant)
-
-    def _bump(self, delta: int) -> None:
-        self.current += delta
-        if self.current > self.peak:
-            self.peak = self.current
-        if self.budget is not None and self.current > self.budget:
-            if self.strict:
-                raise SpaceBudgetError(self.current, self.budget)
-            self.violation_count += 1
-            if not self.violations:
-                self.violations.append(("total", self.current, self.budget))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +279,7 @@ def run_passes(stream: ArcStream, consumers: Sequence[PassConsumer], passes: int
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def int_root_ceil(n: int, k: int) -> int:
     """Smallest b >= 1 with b**k >= n: the block count whose k-fold
     refinement resolves a span of n."""
@@ -289,34 +294,26 @@ def int_root_ceil(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def block_finder(span: int, nblocks: int) -> Callable[[int], int]:
-    """``offset -> index`` of the block holding ``offset`` when ``span`` is cut
-    into ``nblocks`` contiguous blocks, the first ``span % nblocks`` one larger.
+def blocks(span: int, nblocks: int) -> tuple[Callable[[int], int], tuple[int, ...]]:
+    """Cut of ``[0, span)`` into ``nblocks`` contiguous blocks, the first
+    ``span % nblocks`` one larger: ``(find, starts)``, where block i is
+    ``[starts[i], starts[i + 1])`` and ``find(offset)`` is the index of the
+    block holding ``offset``.
 
-    The division is done once, here, for callers that look up many offsets;
-    the cache lets the many minimum selections of one span share a finder.
+    The division is done once, here; the cache lets every minimum selection
+    and tree node of one span share a cut, and ``starts`` is a tuple so a
+    shared cut cannot be changed by one of them.
     """
     base, rem = divmod(span, nblocks)
     threshold = rem * (base + 1)
+    starts = tuple(i * base + min(i, rem) for i in range(nblocks + 1))
 
     def find(offset: int) -> int:
         if offset < threshold:
             return offset // (base + 1)
         return rem + (offset - threshold) // base
 
-    return find
-
-
-def block_of(offset: int, span: int, nblocks: int) -> int:
-    """Index of the block holding ``offset`` (see :func:`block_finder`)."""
-    return block_finder(span, nblocks)(offset)
-
-
-def block_bounds(lo: int, span: int, nblocks: int, idx: int) -> tuple[int, int]:
-    """Half-open range of block ``idx`` of ``[lo, lo + span)`` (see :func:`block_finder`)."""
-    base, rem = divmod(span, nblocks)
-    start = lo + idx * base + min(idx, rem)
-    return start, start + base + (1 if idx < rem else 0)
+    return find, starts
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +331,11 @@ class MinSelect:
     even under deletions.  Construction opens the first pass and
     :meth:`end_pass` the next until the search is done, releasing the old
     counters first; a span of at most b**P leaves a block of at most
-    b**(P-1), so a pass never holds more counters than the one before.
+    b**(P-1), so a pass never holds more counters than the one before.  A
+    finished search has the empty range ``lo == hi``, so it observes nothing.
     """
 
-    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "done", "result",
+    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "starts", "result",
                  "account")
 
     def __init__(self, length: int, q: int, account: SpaceAccount | None = None):
@@ -348,28 +346,30 @@ class MinSelect:
         self.passes_left = q
         self.counters: list[int] | None = None
         self.nblocks = 0
-        self.done = length == 0
         self.result: int | None = None
         self.account = account
-        if not self.done:
+        if length:
             self._open_pass()
+
+    @property
+    def done(self) -> bool:
+        return self.lo == self.hi
 
     def _open_pass(self) -> None:
         span = self.hi - self.lo
         self.nblocks = int_root_ceil(span, self.passes_left)
-        self.find = block_finder(span, self.nblocks)  # span and nblocks hold for the pass
+        self.find, self.starts = blocks(span, self.nblocks)  # the cut holds for the pass
         self.counters = [0] * self.nblocks
         if self.account is not None:
             self.account.charge(self.nblocks)
 
     def observe(self, rank: int, sign: int) -> None:
-        if not self.done and self.lo <= rank < self.hi:
+        if self.lo <= rank < self.hi:
             self.counters[self.find(rank - self.lo)] += sign
 
     def end_pass(self) -> None:
-        if self.done:
+        if self.lo == self.hi:
             return
-        span = self.hi - self.lo
         chosen = -1
         for i, c in enumerate(self.counters):
             if c > 0:
@@ -380,13 +380,12 @@ class MinSelect:
         self.counters = None
         self.passes_left -= 1
         if chosen < 0:
-            self.done = True
+            self.hi = self.lo
             return
-        self.lo, self.hi = block_bounds(self.lo, span, self.nblocks, chosen)
+        self.lo, self.hi = self.lo + self.starts[chosen], self.lo + self.starts[chosen + 1]
         if self.hi - self.lo == 1:
             # the surviving block is a single rank with positive net count
-            self.done = True
-            self.result = self.lo
+            self.result = self.hi = self.lo
         else:
             self._open_pass()
 

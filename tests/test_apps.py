@@ -308,6 +308,18 @@ def test_dominating_set_covers_within_budget():
         assert covered == set(range(g.n))
 
 
+def test_dominating_set_on_a_long_cycle_covers_within_budget():
+    """The BFS tree of a 20 000-node cycle is 19 999 levels deep.  On the
+    cycle i -> i+1 the ball of s is s..s+d, mod n."""
+    n = 20_000
+    g = cycle(n)
+    for d in (1, 2, 50):
+        chosen = distance_d_dominating(as_cert(g), d)
+        assert len(chosen) <= -(-n // d)
+        covered = {(s + j) % n for s in chosen for j in range(d + 1)}
+        assert covered == set(range(n)), d
+
+
 def test_dominating_set_rejects_bad_input():
     with pytest.raises(ValueError):
         distance_d_dominating(as_cert(cycle(4)), 0)

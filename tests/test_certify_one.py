@@ -41,7 +41,7 @@ from streamcert.streams import (
     ArcStream,
     SpaceLedger,
     StreamStats,
-    block_of,
+    blocks,
     run_passes,
 )
 
@@ -279,7 +279,7 @@ def test_owner_tables_match_block_descent():
                 for d in range(levels + 1):
                     assert run.owner[d][x] is node, (size, levels, x, d)
                     if d < levels:
-                        node = node.children[block_of(x - node.lo, node.hi - node.lo, run.b)]
+                        node = node.children[blocks(node.hi - node.lo, run.b)[0](x - node.lo)]
 
 
 _G = random_digraph(random.Random(31), 14, 20, density=0.3)

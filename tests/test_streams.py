@@ -17,8 +17,7 @@ from streamcert.streams import (
     SpaceLedger,
     StreamFormatError,
     StreamIntegrityError,
-    block_bounds,
-    block_of,
+    blocks,
     final_multiplicity,
     int_root_ceil,
     mp_min_select,
@@ -217,6 +216,19 @@ def test_space_budget_strict_vs_recording():
         SpaceLedger(strict=True, budget=2).open("wide", constant=3)
 
 
+def test_a_release_above_budget_is_not_another_overrun():
+    """Only a charge counts an overrun: releasing words lowers the total even
+    when it stays above budget, and the peak stays where the charge left it."""
+    ledger = SpaceLedger(budget=3)
+    acct = ledger.open("probe")
+    acct.charge(5)
+    acct.release(1)
+    assert ledger.current == 4 and ledger.peak == 5
+    assert ledger.violation_count == 1 and ledger.violations == [("total", 5, 3)]
+    acct.drop()
+    assert ledger.current == 0 and ledger.violation_count == 1
+
+
 def test_global_budget_applies_across_accounts():
     ledger = SpaceLedger(strict=True, budget=6)
     a = ledger.open("a")
@@ -230,13 +242,15 @@ def test_block_helpers_tile_every_span():
     lo = 5
     for span in range(201):
         for nblocks in range(1, span + 2):
-            bounds = [block_bounds(lo, span, nblocks, i) for i in range(nblocks)]
+            find, starts = blocks(span, nblocks)
+            assert isinstance(starts, tuple) and len(starts) == nblocks + 1
+            bounds = [(lo + a, lo + z) for a, z in zip(starts, starts[1:])]
             assert bounds[0][0] == lo and bounds[-1][1] == lo + span
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
             sizes = [hi - start for start, hi in bounds]
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
             for i, (start, hi) in enumerate(bounds):
-                assert all(block_of(x - lo, span, nblocks) == i for x in range(start, hi))
+                assert all(find(x - lo) == i for x in range(start, hi))
 
 
 def test_int_root_ceil_is_the_smallest_root():
@@ -264,6 +278,24 @@ def test_min_select_block_counter_walkthrough():
         inst.observe(rank, -1)
     inst.end_pass()
     assert inst.done and inst.result == 8  # rank 8 = ninth candidate
+
+
+def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
+    """A search ends with no positive block or with one surviving rank; either
+    way ``lo == hi`` and a later update changes nothing."""
+    for survivor in (None, 5):
+        inst = MinSelect(16, 2)
+        while not inst.done:
+            if survivor is not None:
+                inst.observe(survivor, 1)
+            inst.end_pass()
+        assert inst.lo == inst.hi and inst.counters is None and inst.result == survivor
+        for rank in range(16):
+            inst.observe(rank, 1)
+        inst.end_pass()
+        assert inst.lo == inst.hi and inst.result == survivor
+    empty = MinSelect(0, 3)
+    assert empty.done and empty.lo == empty.hi and empty.result is None
 
 
 def test_min_select_counter_space_is_charged():
