@@ -86,9 +86,10 @@ def two_sat(clauses: Sequence[tuple[int, int]], nvars: int) -> list[bool] | None
 def min_chain_cover_dag(cert: Certificate) -> ChainCover:
     """Minimum chain cover of an acyclic certificate's reachability order."""
     g = _require_node_cert(cert)
-    if any(len(c) > 1 for c in scc_tarjan(g)):
+    comps = scc_tarjan(g)
+    if any(len(c) > 1 for c in comps):
         raise ValueError("input graph is not acyclic")
-    return chain_cover_minimum(g)
+    return chain_cover_minimum(g, comps)
 
 
 def msss_2apx(cert: Certificate) -> Digraph | None:

@@ -129,9 +129,10 @@ class Digraph:
 
     @classmethod
     def from_text(cls, text: str) -> "Digraph":
-        """Parse the ``"n m"`` + ``m * "u v"`` format.  Duplicates/self-loops are errors."""
+        """Parse the ``"n m"`` + ``m * "u v"`` format.  Duplicates, self-loops and ids
+        out of range are errors; the constructor checks the last two."""
         require_ascii_decimal(text, GraphFormatError)
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
         if not lines:
             raise GraphFormatError("empty graph text")
         head = lines[0].split()
@@ -153,17 +154,16 @@ class Digraph:
             if len(parts) != 2:
                 raise GraphFormatError(f"bad arc line {ln!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                arc = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphFormatError(f"bad arc line {ln!r}") from exc
-            if u == v:
-                raise GraphFormatError(f"self-loop line {ln!r}")
-            if (u, v) in seen:
+            if arc in seen:
                 raise GraphFormatError(f"duplicate arc line {ln!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"arc line {ln!r} out of range for n={n}")
-            seen.add((u, v))
-        return cls(n, seen)
+            seen.add(arc)
+        try:
+            return cls(n, seen)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from exc
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.m}"]
@@ -197,30 +197,18 @@ class Branching:
     kind: str  # "out" | "in"
 
     def is_valid_for(self, g: Digraph) -> bool:
-        """Check the branching invariants against ``g`` (arc containment + spanning tree)."""
-        if self.kind not in ("out", "in"):
+        """Check the branching against ``g``: n - 1 arcs of ``g`` that reach every node from
+        the root (``out``) or lead every node to it (``in``).  A search that reaches all n
+        nodes over only n - 1 arcs uses each of them as a tree arc, so every non-root node
+        then has exactly one parent and the root has none."""
+        if self.kind not in ("out", "in") or not 0 <= self.root < g.n:
             return False
-        if not self.arcs <= g.arcs:
+        if len(self.arcs) != g.n - 1 or not self.arcs <= g.arcs:
             return False
-        n = g.n
-        if len(self.arcs) != n - 1:
+        try:
+            grow_branching(Digraph(g.n, self.arcs), self.root, self.kind)
+        except CoverageError:
             return False
-        parent: dict[int, int] = {}
-        for u, v in self.arcs:
-            child = v if self.kind == "out" else u
-            if child in parent or child == self.root:
-                return False
-            parent[child] = u if self.kind == "out" else v
-        if len(parent) != n - 1:
-            return False
-        for v in parent:
-            seen = {v}
-            cur = v
-            while cur != self.root:
-                cur = parent[cur]
-                if cur in seen:
-                    return False
-                seen.add(cur)
         return True
 
 
@@ -302,45 +290,42 @@ def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
     counter = 0
 
     # Iterative Tarjan so large certify/bench instances cannot hit the
-    # interpreter recursion limit.
+    # interpreter recursion limit: each frame holds its node and an iterator
+    # over the out-neighbours it has not yet tried.
+    out = g.out_neighbors
     for root in range(n):
         if index_of[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index_of[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(out(root)))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            out = g.out_neighbors(v)
-            while pi < len(out):
-                w = out[pi]
-                pi += 1
+            v, nbrs = work[-1]
+            for w in nbrs:
                 if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index_of[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(out(w))))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if on_stack[w] and index_of[w] < low[v]:
+                    low[v] = index_of[w]
+            else:
+                work.pop()
+                if low[v] == index_of[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(frozenset(comp))
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return comps
 
 

@@ -57,14 +57,13 @@ class SpaceAccount:
     budget; releasing and dropping only lower the ledger's current total.
     """
 
-    __slots__ = ("_ledger", "name", "constant", "extra", "closed")
+    __slots__ = ("_ledger", "name", "constant", "extra")
 
     def __init__(self, ledger: "SpaceLedger", name: str, constant: int):
         self._ledger = ledger
         self.name = name
         self.constant = constant
         self.extra = -constant  # the opening charge holds the constant, not extra words
-        self.closed = False
         self.charge(constant)
 
     def charge(self, words: int = 1) -> None:
@@ -97,13 +96,10 @@ class SpaceAccount:
             self.release(-delta)
 
     def drop(self) -> None:
-        """Release everything, including the constant overhead."""
-        if self.closed:
-            return
+        """Release everything, including the constant overhead; a second drop releases nothing."""
         self._ledger.current -= self.constant + self.extra
         self.constant = 0
         self.extra = 0
-        self.closed = True
 
 
 class SpaceLedger:
@@ -192,7 +188,7 @@ class ArcStream:
     @classmethod
     def from_text(cls, text: str) -> "ArcStream":
         require_ascii_decimal(text, StreamFormatError)
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
         if not lines:
             raise StreamFormatError("empty stream text")
         head = lines[0].split()

@@ -133,6 +133,27 @@ def test_chain_cover_on_dag_is_minimum():
         done += 1
 
 
+def test_chain_cover_decomposes_its_graph_once(monkeypatch):
+    from streamcert import apps, digraph
+
+    calls = []
+    tarjan = digraph.scc_tarjan
+
+    def counting(g):
+        calls.append(g)
+        return tarjan(g)
+
+    # both bindings, so a call through chain_cover_minimum counts too
+    monkeypatch.setattr(digraph, "scc_tarjan", counting)
+    monkeypatch.setattr(apps, "scc_tarjan", counting)
+    rng = random.Random(45)
+    for _ in range(20):
+        g = Digraph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.3])
+        calls.clear()
+        cover = min_chain_cover_dag(as_cert(g))
+        assert len(calls) == 1 and len(cover) == oracles.min_chain_cover_size(g.n, g.arcs)
+
+
 def test_chain_cover_rejects_cycles():
     with pytest.raises(ValueError):
         min_chain_cover_dag(as_cert(cycle(3)))

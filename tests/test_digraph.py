@@ -47,7 +47,8 @@ def test_construction_rejects_self_loops_and_range():
 def test_text_round_trip_and_format_errors():
     g = Digraph(4, [(0, 1), (1, 2), (3, 0)])
     assert Digraph.from_text(g.to_text()).arcs == g.arcs
-    for bad in ("", "3\n", "2 1\n0 0\n", "2 1\n0 1\n0 1\n", "2 one\n", "65537 0\n"):
+    for bad in ("", "3\n", "2 1\n0 0\n", "2 1\n0 1\n0 1\n", "2 one\n", "65537 0\n",
+                "-1 0\n", "3 1\n0 7\n", "3 1\n-1 0\n"):
         with pytest.raises(GraphFormatError):
             Digraph.from_text(bad)
 
@@ -107,6 +108,20 @@ def test_scc_tarjan_matches_mutual_reachability():
     for _ in range(60):
         g = random_digraph(rng, 1, 12)
         assert set(scc_tarjan(g)) == oracles.scc_partition(g.n, g.arcs)
+
+
+def test_scc_tarjan_pins_its_emission_order():
+    # three components, {0,1} and {3,4} incomparable above the sink {2,5}: the order
+    # follows the depth-first visit from node 0, and every component id depends on it
+    g = Digraph(6, [(0, 1), (1, 0), (1, 2), (3, 4), (4, 3), (2, 5), (4, 5), (5, 2)])
+    assert scc_tarjan(g) == [{2, 5}, {0, 1}, {3, 4}]
+
+
+def test_scc_tarjan_runs_deeper_than_the_recursion_limit():
+    n = 50_000
+    path = scc_tarjan(Digraph(n, [(i, i + 1) for i in range(n - 1)]))
+    assert len(path) == n and path[0] == {n - 1} and path[-1] == {0}
+    assert scc_tarjan(Digraph(n, [(i, (i + 1) % n) for i in range(n)])) == [set(range(n))]
 
 
 def test_scc_ids_reverse_topological():
@@ -224,3 +239,22 @@ def test_branching_validity_rejects_wrong_shapes():
     assert not Branching(0, frozenset({(0, 1), (2, 1)}), "out").is_valid_for(g)
     # cycle instead of a tree
     assert not Branching(1, frozenset({(0, 2), (2, 0)}), "out").is_valid_for(g)
+
+
+@pytest.mark.parametrize("kind", ["out", "in"])
+def test_branching_root_outside_the_graph_is_invalid(kind):
+    one, path = Digraph(1), Digraph(3, [(0, 1), (1, 2), (1, 0), (2, 1)])
+    tree = grow_branching(path, 1, kind).arcs
+    for g, arcs in ((one, frozenset()), (path, tree)):
+        for root in (-1, g.n):
+            assert not Branching(root, arcs, kind).is_valid_for(g)
+
+
+def test_branching_validity_on_a_long_path():
+    n = 20_000
+    g = Digraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 2)])
+    b = grow_branching(g, 0, "out")
+    assert b.is_valid_for(g)
+    # reversing the last tree arc leaves node n-1 unreached, with n-1 arcs still in g
+    flipped = (b.arcs - {(n - 2, n - 1)}) | {(n - 1, n - 2)}
+    assert not Branching(0, flipped, "out").is_valid_for(g)

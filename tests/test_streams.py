@@ -185,6 +185,8 @@ def test_space_ledger_peak_and_release():
     b.set_extra(0)
     a.drop()
     assert ledger.current == 0 and ledger.peak == 10
+    a.drop()  # a second drop has nothing left to release
+    assert ledger.current == 0 and ledger.peak == 10
     with pytest.raises(ValueError):
         b.release(1)
 

@@ -25,3 +25,12 @@ def test_the_printout_has_one_line_per_workload_and_seed(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split()[:2] for ln in lines] == [["kcert", "seed=1"], ["kcert", "seed=2"]]
     assert all(ln.split()[2] == "cases=3" and ln.split()[3].startswith("sha256=") for ln in lines)
+
+
+def test_the_cases_printout_has_one_line_per_case(capsys):
+    args = ["--workload", "kcert", "--seeds", "1", "--scale", "tiny"]
+    assert summary_digest.main(args + ["--cases"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [case.name for case in summary_digest.workloads.build("kcert", 1, "tiny")[0]]
+    assert [ln.split()[:3] for ln in lines] == [["kcert", "seed=1", f"case={name}"] for name in names]
+    assert len(names) == 3 and all(len(ln.split()[3]) == len("sha256=") + 64 for ln in lines)
