@@ -19,7 +19,9 @@ Two layers:
   multi-pass block-counter minimum selection.  A pass's feed routes each update
   by lookups in per-depth owner tables (node id -> tree node), not by a descent
   from the root; the tables hold what :func:`~streamcert.streams.blocks`
-  recomputes in O(levels) arithmetic, so they are not charged as space.
+  recomputes in O(levels) arithmetic, so they are not charged as space.  One
+  run-wide chain table (node id -> head of its chain, position on it) indexes
+  the covers the prunes already charge, so it is charged nothing more.
 """
 
 from __future__ import annotations
@@ -151,8 +153,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
 
 
 class _TreeNode:
-    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "chains",
-                 "chainpos", "table", "account")
+    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "chains", "table", "account")
 
     def __init__(self, lo: int, hi: int, depth: int):
         self.lo = lo
@@ -160,11 +161,10 @@ class _TreeNode:
         self.depth = depth
         self.children: list[_TreeNode] = []
         self.arcs: set[tuple[int, int]] | None = None
-        self.h_arcs: set[tuple[int, int]] = set()
+        self.h_arcs: set[tuple[int, int]] | None = None  # set by the node's prune
         self.chains: tuple[tuple[int, ...], ...] | None = None
-        self.chainpos: dict[int, tuple[int, int]] | None = None
-        # level-pass table keyed by (x, child node, chain id): the best chain
-        # position so far (insertion-only) or a MinSelect instance (turnstile)
+        # level-pass table keyed by x * n + the head of a child's chain (one word):
+        # the best chain position so far (insertion-only) or a MinSelect (turnstile)
         self.table: dict | None = None
         self.account = None
 
@@ -181,10 +181,14 @@ class OneCertRun:
     skeleton it depends only on n and the branching factor b, and a streaming
     algorithm finds the same node with ``blocks`` in O(levels) arithmetic and
     O(1) words, so the tables are a lookup cache, not algorithm state, and the
-    ledger does not charge them.  Both pass hooks read their phase from
-    ``schedule[pass_index]``; the feed routes each update it is handed by these
-    lookups and bumps a turnstile level's MinSelect counters itself, and each
-    instance opens its own passes.
+    ledger does not charge them.  ``head[x]`` is the first node of x's chain
+    in its block's cover one level down, ``pos[x]`` x's place on it and
+    ``chain_at[h]`` the chain headed by h: one run-wide table, as a level pass
+    reads only the level below and a node's prune rewrites its own range after
+    its merge has read the children.  It indexes the cover ``_prune_into``
+    charges as ``hi - lo`` words, so it is charged nothing more.  ``begin_pass``
+    picks the leaf, insertion-only or turnstile level feed once per pass, and
+    each MinSelect instance opens its own passes.
     """
 
     def __init__(
@@ -237,6 +241,7 @@ class OneCertRun:
                 node.account = ledger.open(f"{name}/[{node.lo},{node.hi})")
                 row[node.lo:node.hi] = [node] * (node.hi - node.lo)
             self.owner.append(row)
+        self.head, self.pos, self.chain_at = [0] * self.size, [0] * self.size, [None] * self.size
 
         # pass schedule (kind, depth, j): leaf collection, then q passes per level
         self.schedule: list[tuple] = [("leaf", self.levels, 0)]
@@ -251,62 +256,72 @@ class OneCertRun:
         if pass_index >= len(self.schedule):
             raise RuntimeError(f"{self.name}: no phase scheduled for pass {pass_index}")
         kind, depth, j = self.schedule[pass_index]
+        # A leaf pass wants the leaf holding both ends; a level pass at depth d
+        # wants the depth-d node whose children split u from v.
+        own, keep = self.owner[depth], self.arc_filter
         if kind == "leaf":
             for leaf in self.by_depth[depth]:
                 leaf.arcs = set()
-        elif j == 0:
-            for node in self.by_depth[depth]:
-                node.table = {}
-        # A leaf pass wants the leaf holding both ends; a level pass at depth d
-        # wants the depth-d node whose children split u from v.
-        leaf = kind == "leaf"
-        own = self.owner[depth]
-        below = None if leaf else self.owner[depth + 1]
-        keep = self.arc_filter
-        turnstile, passes_left = self.model == TURNSTILE, self.q - j
 
-        def feed(updates) -> None:
-            for sign, u, v in updates:
-                node = own[u]
-                if own[v] is not node or keep is not None and not keep(u, v):
-                    continue
-                if leaf:  # the stream keeps every multiplicity in {0, 1}
-                    if sign > 0:
+            def leaf_feed(updates) -> None:
+                for sign, u, v in updates:
+                    node = own[u]
+                    if own[v] is not node or keep is not None and not keep(u, v):
+                        continue
+                    if sign > 0:  # the stream keeps every multiplicity in {0, 1}
                         node.arcs.add((u, v))
                         node.account.charge(1)
                     else:
                         node.arcs.remove((u, v))
                         node.account.release(1)
-                    continue
-                child = below[v]
-                if below[u] is child:
-                    continue
-                cid, pos = child.chainpos[v]
-                key = (u, child, cid)
-                if turnstile:
-                    inst = node.table.get(key)
-                    if inst is None:
-                        node.account.charge(3)  # active range + bookkeeping of the instance
-                        inst = MinSelect(len(child.chains[cid]), passes_left, account=node.account)
-                        node.table[key] = inst
-                    if inst.lo <= pos < inst.hi:  # MinSelect.observe, inlined
-                        inst.counters[inst.find(pos - inst.lo)] += sign
-                else:
+
+            return leaf_feed
+        if j == 0:
+            for node in self.by_depth[depth]:
+                node.table = {}
+        below, size, head, pos = self.owner[depth + 1], self.size, self.head, self.pos
+        if self.model != TURNSTILE:
+            def insertion_feed(updates) -> None:
+                for _, u, v in updates:
+                    node = own[u]
+                    if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                        continue
+                    key, at = u * size + head[v], pos[v]
                     cur = node.table.get(key)
                     if cur is None:
-                        node.table[key] = pos
+                        node.table[key] = at
                         node.account.charge(1)
-                    elif pos < cur:
-                        node.table[key] = pos
+                    elif at < cur:
+                        node.table[key] = at
 
-        return feed
+            return insertion_feed
+        chain_at, passes_left = self.chain_at, self.q - j
+
+        def turnstile_feed(updates) -> None:
+            for sign, u, v in updates:
+                node = own[u]
+                if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                    continue
+                h = head[v]
+                key = u * size + h
+                inst = node.table.get(key)
+                if inst is None:
+                    node.account.charge(3)  # active range + bookkeeping of the instance
+                    inst = node.table[key] = MinSelect(len(chain_at[h]), passes_left, account=node.account)
+                at = pos[v]
+                if inst.lo <= at < inst.hi:  # MinSelect.observe, inlined
+                    inst.counters[inst.find(at - inst.lo)] += sign
+
+        return turnstile_feed
 
     def end_pass(self, pass_index: int) -> None:
         kind, depth, j = self.schedule[pass_index]
         nodes = self.by_depth[depth]
         if kind == "leaf":
             for leaf in nodes:
-                self._finish_leaf(leaf)
+                leaf.account.charge(leaf.hi - leaf.lo)  # the prune's scratch
+                self._prune_into(leaf, leaf.arcs, leaf.hi - leaf.lo)
+                leaf.arcs = None
         else:
             if self.model == TURNSTILE:
                 for node in nodes:
@@ -329,26 +344,22 @@ class OneCertRun:
         keep = len(node.h_arcs)
         if node.depth > 0:  # the root's chain cover is never consumed
             node.chains = tuple(tuple(v + lo for v in chain) for chain in cover.chains)
-            node.chainpos = {
-                v: (ci, pos) for ci, chain in enumerate(node.chains) for pos, v in enumerate(chain)
-            }
+            for chain in node.chains:  # this node's range of the chain table
+                self.chain_at[chain[0]] = chain
+                for i, v in enumerate(chain):
+                    self.head[v], self.pos[v] = chain[0], i
             keep += node.hi - node.lo
         node.account.set_extra(keep + spent)
         node.account.release(spent)
 
-    def _finish_leaf(self, leaf: _TreeNode) -> None:
-        scratch = leaf.hi - leaf.lo
-        leaf.account.charge(scratch)
-        self._prune_into(leaf, leaf.arcs, scratch)
-        leaf.arcs = None
-
     def _merge(self, node: _TreeNode) -> None:
         turnstile = self.model == TURNSTILE
         merged: set[tuple[int, int]] = set()
-        for (x, child, cid), entry in node.table.items():
+        for key, entry in node.table.items():
             pos = entry.result if turnstile else entry  # a MinSelect without survivor answers None
             if pos is not None:
-                merged.add((x, child.chains[cid][pos]))
+                x, h = divmod(key, self.size)
+                merged.add((x, self.chain_at[h][pos]))
         table_words = (3 if turnstile else 1) * len(node.table)
         for child in node.children:
             merged |= child.h_arcs

@@ -90,16 +90,18 @@ class _Sim:
         inbox: dict[int, dict[int, Message]] = {}
         for u, out in sends.items():  # every reader of the inbox is order-independent
             links = self.links[u]
+            if not links.issuperset(out):
+                raise ValueError(f"node {u} has no link to {next(w for w in out if w not in links)}")
+            checked = None  # a flood hands every neighbour one message object
             for w, msg in out.items():
-                if w not in links:
-                    raise ValueError(f"node {u} has no link to {w}")
                 # a message of at most max_words one-word values fits as it is
-                if len(msg) > max_words or not all(0 <= x < word_limit for x in msg):
+                if msg is not checked and (len(msg) > max_words or not all(0 <= x < word_limit for x in msg)):
                     bits = sum(_word_count(x, net.word_bits) for x in msg) * net.word_bits
                     if bits > net.max_message_bits:
                         raise ProtocolViolationError(u, self.round, bits, net.max_message_bits)
+                checked = msg
                 inbox.setdefault(w, {})[u] = msg
-                self.messages += 1
+            self.messages += len(out)
         return inbox
 
     def bump(self, key: str, amount: int = 1) -> None:

@@ -9,6 +9,7 @@ accounts.  Output written to a sink is not working space and is never charged.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -203,19 +204,17 @@ class ArcStream:
         model = head[1]
         if model not in (INSERTION_ONLY, TURNSTILE):
             raise StreamFormatError(f"unknown model {model!r}")
-        ups = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] not in ("+", "-"):
-                raise StreamFormatError(f"bad update line {ln!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise StreamFormatError(f"bad update line {ln!r}") from exc
-            ups.append((1 if parts[0] == "+" else -1, u, v))
-        try:
-            return cls(n, ups, model)
-        except StreamIntegrityError as exc:
+
+        def updates():  # lazily, so no line's id tokens outlive its update
+            for ln in lines[1:]:
+                parts = ln.split()
+                if len(parts) != 3 or parts[0] not in ("+", "-"):
+                    raise StreamFormatError(f"bad update line {ln!r}")
+                yield 1 if parts[0] == "+" else -1, parts[1], parts[2]
+
+        try:  # the constructor converts each id token once
+            return cls(n, updates(), model)
+        except ValueError as exc:  # a token int() refuses, or a broken stream
             raise StreamFormatError(str(exc)) from exc
 
     def to_text(self) -> str:
@@ -298,11 +297,14 @@ def blocks(span: int, nblocks: int) -> tuple[Callable[[int], int], tuple[int, ..
 
     The division is done once, here; the cache lets every minimum selection
     and tree node of one span share a cut, and ``starts`` is a tuple so a
-    shared cut cannot be changed by one of them.
+    shared cut cannot be changed by one of them.  Blocks of one offset (every
+    last pass of a selection) find by the C-level identity.
     """
     base, rem = divmod(span, nblocks)
     threshold = rem * (base + 1)
     starts = tuple(i * base + min(i, rem) for i in range(nblocks + 1))
+    if nblocks >= span:
+        return operator.index, starts
 
     def find(offset: int) -> int:
         if offset < threshold:
@@ -310,6 +312,12 @@ def blocks(span: int, nblocks: int) -> tuple[Callable[[int], int], tuple[int, ..
         return rem + (offset - threshold) // base
 
     return find, starts
+
+
+@lru_cache(maxsize=1024)
+def _pass_cut(span: int, passes: int) -> tuple[int, Callable[[int], int], tuple[int, ...]]:
+    """``(nblocks, find, starts)`` of a selection pass over ``span`` ranks, ``passes`` passes left."""
+    return (nblocks := int_root_ceil(span, passes), *blocks(span, nblocks))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +360,7 @@ class MinSelect:
         return self.lo == self.hi
 
     def _open_pass(self) -> None:
-        span = self.hi - self.lo
-        self.nblocks = int_root_ceil(span, self.passes_left)
-        self.find, self.starts = blocks(span, self.nblocks)  # the cut holds for the pass
+        self.nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)
         self.counters = [0] * self.nblocks
         if self.account is not None:
             self.account.charge(self.nblocks)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -282,6 +283,28 @@ def test_owner_tables_match_block_descent():
                         node = node.children[blocks(node.hi - node.lo, run.b)[0](x - node.lo)]
 
 
+def test_chain_table_is_one_row_per_run():
+    """The level passes find a node's chain in one run-wide table of n entries
+    per column, which every tree node's prune rewrites over its own range."""
+    tracemalloc.start()
+    try:
+        run = OneCertRun(4096, INSERTION_ONLY, RecursionPlan(p=13), SpaceLedger())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert run.levels == 12 and held < 5_300_000
+    assert len(run.head) == len(run.pos) == len(run.chain_at) == run.size
+    for model, seed in ((INSERTION_ONLY, 3), (TURNSTILE, 4)):
+        g = random_digraph(random.Random(seed), 40, 60, density=0.1)
+        run = OneCertRun(g.n, model, RecursionPlan(p=4), SpaceLedger())
+        run_passes(stream_of(g, model, seed), [run], run.total_passes)
+        assert len(run.head) == len(run.pos) == len(run.chain_at) == g.n
+        for node in run.by_depth[1]:  # the last level written holds depth 1
+            for chain in node.chains:
+                assert run.chain_at[chain[0]] is chain
+                assert [(run.head[v], run.pos[v]) for v in chain] == [(chain[0], i) for i in range(len(chain))]
+
+
 _G = random_digraph(random.Random(31), 14, 20, density=0.3)
 _RING = Digraph(12, {(i, (i + j) % 12) for i in range(12) for j in (1, 2, 5)})
 # Runs through MinSelect across q passes, a node sample and arc filters, which
@@ -304,6 +327,16 @@ ROUTING_PINS = {
     "k-arc-peeling-filter": (
         lambda: k_arc_cert_peeling(turnstile_stream(_RING, 33), 2, RecursionPlan(p=3)),
         StreamStats(passes=6, peak_words=403), 32, "aecfb65b39403735",
+    ),
+    # q = 1: every observation falls on a cut of one rank per block
+    "turnstile-unit-cut": (
+        lambda: one_cert_stream(turnstile_stream(alpha_family(48, 2), 35), RecursionPlan(p=3)),
+        StreamStats(passes=3, peak_words=2692), 92, "39813f34d80f19c9",
+    ),
+    # q = 3: the first two passes of each selection cut non-trivially
+    "turnstile-mp3": (
+        lambda: one_cert_stream(turnstile_stream(alpha_family(48, 4), 36), RecursionPlan(p=7, mp_passes=3)),
+        StreamStats(passes=7, peak_words=2824), 176, "6e1f24d4cf12f7f6",
     ),
 }
 

@@ -73,6 +73,26 @@ def test_exchange_validates_links_and_size():
         wide.exchange({0: {1: (4, 0)}}, "x")
 
 
+def test_exchange_checks_each_flooded_message_once_and_counts_every_pair():
+    """A flood hands every neighbour one message object, checked once per
+    sender; a different object to a later neighbour is checked again."""
+    star = Digraph(5, [(0, w) for w in range(1, 5)])  # 3-bit words
+    sim = _Sim(CongestNetwork(star, max_words=1))
+    big, ok = (8,), (7,)
+    with pytest.raises(ProtocolViolationError) as exc:
+        sim.exchange({0: {w: big for w in range(1, 5)}}, "x")
+    assert (exc.value.node, exc.value.round_no, exc.value.bits) == (0, 1, 6)
+    with pytest.raises(ProtocolViolationError) as exc:
+        sim.exchange({0: {1: ok, 2: ok, 3: big}}, "x")
+    assert (exc.value.node, exc.value.round_no, exc.value.bits) == (0, 2, 6)
+    with pytest.raises(ValueError, match="node 1 has no link to 2"):
+        sim.exchange({1: {0: ok, 2: ok, 3: ok}}, "x")
+    before = sim.messages
+    inbox = sim.exchange({0: {w: ok for w in range(1, 5)}, 1: {0: ok}, 2: {0: (3,)}}, "x")
+    assert sim.messages - before == 6
+    assert inbox == {w: {0: ok} for w in range(1, 5)} | {0: {1: ok, 2: (3,)}}
+
+
 def test_flood_value_path():
     net = CongestNetwork(path(5))
     sim = _Sim(net)

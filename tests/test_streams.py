@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+import re
 
 import pytest
 
@@ -75,8 +77,12 @@ def test_stream_text_round_trip():
     assert again.updates == st.updates and again.model == st.model
     for bad in ("", "4\n", "4 ins\n+ 1\n", "4 ins\nx 0 1\n", "4 wat\n", "2 ins\n- 0 1\n",
                 "2 turn\n+ 0 1\n+- 0 1\n", "-3 ins\n", "3 turn\n- 1 2\n",
-                "2 turn\n+ 0 1\n+ 0 1\n", "65537 ins\n"):
+                "2 turn\n+ 0 1\n+ 0 1\n", "65537 ins\n", "4 ins\n+ x 1\n", "4 ins\n+ 0 1.5\n",
+                "4 turn\n+ 0 -1\n"):
         with pytest.raises(StreamFormatError):
+            ArcStream.from_text(bad)
+    for bad, token in (("4 ins\n+ x 1\n", "'x'"), ("4 ins\n+ 0 1.5\n", "'1.5'"), ("4 turn\n+ 0 -1\n", "-1")):
+        with pytest.raises(StreamFormatError, match=re.escape(token)):
             ArcStream.from_text(bad)
 
 
@@ -253,6 +259,7 @@ def test_block_helpers_tile_every_span():
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
             for i, (start, hi) in enumerate(bounds):
                 assert all(find(x - lo) == i for x in range(start, hi))
+            assert (find is operator.index) == (nblocks >= span)  # blocks of one offset at most
 
 
 def test_int_root_ceil_is_the_smallest_root():
