@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import add
 from typing import Mapping, Sequence
 
 from .certify_k import SampleScheme
@@ -75,6 +76,8 @@ class _Sim:
     def __init__(self, net: CongestNetwork):
         self.net = net
         self.links = [set(nb) for nb in net.neighbors]
+        # L <= max_words values below 2**fits[L] take max_words // L words each
+        self.fits = [0] + [net.word_bits * (net.max_words // L) for L in range(1, net.max_words + 1)]
         self.round = 0
         self.messages = 0
         self.phases: dict[str, int] = {}
@@ -85,8 +88,7 @@ class _Sim:
     ) -> dict[int, dict[int, Message]]:
         self.round += 1
         self.phases[phase] = self.phases.get(phase, 0) + 1
-        net = self.net
-        max_words, word_limit = net.max_words, 1 << net.word_bits
+        net, fits = self.net, self.fits
         inbox: dict[int, dict[int, Message]] = {}
         for u, out in sends.items():  # every reader of the inbox is order-independent
             links = self.links[u]
@@ -94,13 +96,19 @@ class _Sim:
                 raise ValueError(f"node {u} has no link to {next(w for w in out if w not in links)}")
             checked = None  # a flood hands every neighbour one message object
             for w, msg in out.items():
-                # a message of at most max_words one-word values fits as it is
-                if msg is not checked and (len(msg) > max_words or not all(0 <= x < word_limit for x in msg)):
+                # only a message that may not fit pays for the exact word count
+                if msg is not checked and msg and (
+                    len(msg) > net.max_words or max(msg) >> fits[len(msg)] or min(msg) < 0
+                ):
                     bits = sum(_word_count(x, net.word_bits) for x in msg) * net.word_bits
                     if bits > net.max_message_bits:
                         raise ProtocolViolationError(u, self.round, bits, net.max_message_bits)
                 checked = msg
-                inbox.setdefault(w, {})[u] = msg
+                box = inbox.get(w)
+                if box is None:
+                    inbox[w] = {u: msg}
+                else:
+                    box[u] = msg
             self.messages += len(out)
         return inbox
 
@@ -180,7 +188,7 @@ def _convergecast(
         inbox = sim.exchange({v: {parent[v]: acc[v]} for v in by_step[step]}, phase)
         for w in inbox:
             for msg in inbox[w].values():
-                acc[w] = tuple(a + b for a, b in zip(acc[w], msg))
+                acc[w] = tuple(map(add, acc[w], msg))
     return {key: acc[key] for key in comps}
 
 
@@ -222,11 +230,10 @@ class _Decomposition:
             rank = self._draw_ranks(level, active, cube)
 
             # every active node tells its neighbours which subproblem it is in
-            sends = {}
-            for v in active:
-                out = {w: (self.label[v],) for w in self.net.neighbors[v]}
-                if out:
-                    sends[v] = out
+            sends = {
+                v: dict.fromkeys(self.net.neighbors[v], (self.label[v],))
+                for v in active if self.net.neighbors[v]
+            }
             inbox = self.sim.exchange(sends, "announce") if sends else {}
             links = {
                 v: {w for w, (lab,) in inbox.get(v, {}).items() if lab == self.label[v]}
@@ -310,10 +317,7 @@ class _Decomposition:
         state = {v: (v, 0, v) for v in active}
         pending = list(active)
         while pending:
-            sends = {}
-            for v in pending:
-                if links[v]:
-                    sends[v] = {w: (state[v][0], state[v][1]) for w in links[v]}
+            sends = {v: dict.fromkeys(links[v], state[v][:2]) for v in pending if links[v]}
             if not sends:
                 break
             inbox = self.sim.exchange(sends, "leader")
@@ -444,7 +448,10 @@ def congest_k_cert(
     Nodes sample memberships locally, announce them, gossip each sampled
     subgraph's arcs inside that subgraph, then prune the component they
     learned and mark their own incident survivors.  The union of all marks is
-    a k-node certificate of the input.
+    a k-node certificate of the input.  The members of one component learn
+    the same arc set and prune it alike, so the simulator prunes each
+    distinct set once: this shares computation, not information, and a
+    node's marks stay a function of the facts its counted messages brought.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -511,21 +518,19 @@ def congest_k_cert(
             for msg in inbox[v].values():
                 learn(v, msg)
 
-    # local pruning of every learned component, marking incident survivors
+    # local pruning of every learned component, marking incident survivors;
+    # a node knows facts of index i only if it is an endpoint of one of them
     marks: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    kept: dict[frozenset[tuple[int, int]], list[tuple[int, int]]] = {}
     for v in range(n):
-        # every fact v knows carries an index in member[v]: gossip only
-        # queues a fact towards a node that announced its index
-        by_index: dict[int, list[tuple[int, int]]] = {i: [] for i in member[v]}
+        by_index: dict[int, list[tuple[int, int]]] = {}
         for i, a, b in known[v]:
-            by_index[i].append((a, b))
-        for arcs_i in by_index.values():
-            nodes = sorted({v} | {a for a, _ in arcs_i} | {b for _, b in arcs_i})
-            index = {node: pos for pos, node in enumerate(nodes)}
-            local = Digraph(len(nodes), ((index[a], index[b]) for a, b in arcs_i))
-            pruned = tc_preserving_prune(local)
-            for a, b in pruned.arcs:
-                ga, gb = nodes[a], nodes[b]
-                if v in (ga, gb):
-                    marks[v].add((ga, gb))
+            by_index.setdefault(i, []).append((a, b))
+        for arcs_i in map(frozenset, by_index.values()):
+            if arcs_i not in kept:
+                nodes = sorted({a for a, _ in arcs_i} | {b for _, b in arcs_i})
+                index = {node: pos for pos, node in enumerate(nodes)}
+                local = Digraph(len(nodes), ((index[a], index[b]) for a, b in arcs_i))
+                kept[arcs_i] = [(nodes[a], nodes[b]) for a, b in tc_preserving_prune(local).arcs]
+            marks[v].update(arc for arc in kept[arcs_i] if v in arc)
     return marks, sim.trace()

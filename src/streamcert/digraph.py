@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 
@@ -429,30 +430,44 @@ def independence_greedy_bound(g: Digraph) -> int:
 
 
 def degeneracy(g: Digraph) -> int:
-    """Degeneracy of the underlying undirected graph via min-degree peeling."""
+    """Degeneracy of the underlying undirected graph via min-degree peeling.
+
+    Matula and Beck's bucket queue in Batagelj and Zaversnik's array form:
+    nodes sit in one array sorted by current degree, and lowering a live
+    neighbour's degree swaps it to the front of its bucket, which then
+    starts one place later.  The largest degree a node has when it is
+    peeled is the degeneracy.  Rows stay bitmasks, and every other list
+    holds n entries.
+    """
     n = g.n
-    if n == 0:
-        return 0
     adj = g.undirected_masks()
+    deg = [row.bit_count() for row in adj]
+    order = sorted(range(n), key=deg.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    start = [0] * (n + 1)  # start[d]: position of the first node of degree d
+    for d in deg:
+        start[d + 1] += 1
+    start = list(accumulate(start))
     alive = (1 << n) - 1
-    deg = [bin(adj[v]).count("1") for v in range(n)]
     result = 0
-    for _ in range(n):
-        best_v, best_deg = -1, n + 1
-        rest = alive
+    for v in order:  # a swap only moves nodes after v
+        result = max(result, deg[v])
+        alive ^= 1 << v
+        rest = adj[v] & alive
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            if deg[v] < best_deg:
-                best_v, best_deg = v, deg[v]
             rest ^= low
-        result = max(result, best_deg)
-        alive &= ~(1 << best_v)
-        nbrs = adj[best_v] & alive
-        while nbrs:
-            low = nbrs & -nbrs
-            deg[low.bit_length() - 1] -= 1
-            nbrs ^= low
+            u = low.bit_length() - 1
+            du = deg[u]
+            if du > deg[v]:
+                pu, first = pos[u], start[du]
+                w = order[first]
+                order[pu], order[first] = w, u
+                pos[w], pos[u] = pu, first
+                start[du] = first + 1
+                deg[u] = du - 1
     return result
 
 

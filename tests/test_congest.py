@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from conftest import random_digraph, random_strong_digraph
-from streamcert.certify_one import Certificate
+from streamcert import congest
+from streamcert.certify_one import Certificate, tc_preserving_prune
 from streamcert.congest import (
     CongestNetwork,
     ProtocolViolationError,
@@ -22,6 +23,7 @@ from streamcert.congest import (
 )
 from streamcert.digraph import Digraph
 from streamcert.exact import validate_certificate
+from streamcert.prf import sample_members
 
 
 def path(n: int) -> Digraph:
@@ -91,6 +93,29 @@ def test_exchange_checks_each_flooded_message_once_and_counts_every_pair():
     inbox = sim.exchange({0: {w: ok for w in range(1, 5)}, 1: {0: ok}, 2: {0: (3,)}}, "x")
     assert sim.messages - before == 6
     assert inbox == {w: {0: ok} for w in range(1, 5)} | {0: {1: ok, 2: (3,)}}
+
+
+def test_exchange_size_check_is_exact():
+    """Only sends whose exact word count exceeds the budget raise, with the
+    exact bits; the per-message bound never decides a send on its own."""
+    for n in (2, 3, 9, 17, 300):
+        for max_words in range(1, 9):
+            net = CongestNetwork(path(n), max_words=max_words)
+            sim = _Sim(net)
+            for size in range(1, max_words + 2):
+                for b in range(net.word_bits * (max_words + 1) + 2):
+                    for x in (2**b - 1, 2**b):
+                        for msg in ((x,) * size, (x,) + (0,) * (size - 1)):
+                            words = sum(_word_count(y, net.word_bits) for y in msg)
+                            if words > max_words:
+                                with pytest.raises(ProtocolViolationError) as exc:
+                                    sim.exchange({0: {1: msg}}, "x")
+                                assert exc.value.bits == words * net.word_bits
+                            else:
+                                assert sim.exchange({0: {1: msg}}, "x") == {1: {0: msg}}
+            with pytest.raises(ValueError):
+                sim.exchange({0: {1: (0,) * (max_words - 1) + (-1,)}}, "x")
+            assert sim.exchange({0: {1: ()}}, "x") == {1: {0: ()}}
 
 
 def test_flood_value_path():
@@ -307,6 +332,56 @@ def test_k_cert_marks_form_a_certificate():
     # marked arcs are incident to the marking node
     for v, owned in enumerate(marks):
         assert all(v in arc for arc in owned)
+
+
+def _learned_arc_sets(g: Digraph, seed: int, r: int, rho: float) -> list[list[frozenset]]:
+    """Per node, the arcs of its component in each sampled subgraph it is in."""
+    learned: list[list[frozenset]] = [[] for _ in range(g.n)]
+    for members in sample_members(seed, r, g.n, rho):
+        arcs = [(a, b) for a, b in g.arcs if a in members and b in members]
+        comp = {v: {v} for v in members}
+        for a, b in arcs:
+            if comp[a] is not comp[b]:
+                merged = comp[a] | comp[b]
+                for v in merged:
+                    comp[v] = merged
+        for v in members:
+            learned[v].append(frozenset(arc for arc in arcs if arc[0] in comp[v]))
+    return learned
+
+
+def _per_node_marks(g: Digraph, learned: list[list[frozenset]]) -> list[set]:
+    """Every node prunes every arc set it learned on its own."""
+    marks: list[set] = [set() for _ in range(g.n)]
+    for v, arc_sets in enumerate(learned):
+        for arcs in arc_sets:
+            nodes = sorted({v} | {a for a, _ in arcs} | {b for _, b in arcs})
+            index = {node: pos for pos, node in enumerate(nodes)}
+            pruned = tc_preserving_prune(Digraph(len(nodes), [(index[a], index[b]) for a, b in arcs]))
+            marks[v] |= {(nodes[a], nodes[b]) for a, b in pruned.arcs if v in (nodes[a], nodes[b])}
+    return marks
+
+
+def test_k_cert_prunes_each_distinct_learned_arc_set_once(monkeypatch):
+    calls = []
+
+    def counting_prune(local):
+        calls.append(local)
+        return tc_preserving_prune(local)
+
+    monkeypatch.setattr(congest, "tc_preserving_prune", counting_prune)
+    g = doubled_cycle(6)
+    marks, tr = congest_k_cert(CongestNetwork(g), 2, 0.5, seed=1)
+    learned = _learned_arc_sets(g, 1, tr.meta["r"], 0.5)
+    assert len(calls) == len({arcs for arc_sets in learned for arcs in arc_sets if arcs})
+    assert marks == _per_node_marks(g, learned)
+
+    rng = random.Random(22)
+    for trial in range(20):
+        g = random_strong_digraph(rng, 3, 12, extra=0.3)
+        k = 1 + trial % 2
+        marks, tr = congest_k_cert(CongestNetwork(g), k, 0.5, seed=trial)
+        assert marks == _per_node_marks(g, _learned_arc_sets(g, trial, tr.meta["r"], 0.5))
 
 
 def test_k_cert_whole_graph_mode():

@@ -26,6 +26,7 @@ from streamcert.digraph import (
     scc_tarjan,
     transitive_closure,
 )
+from streamcert.hardgen import circulant
 
 
 def test_construction_dedupes_and_sorts_neighbors():
@@ -167,6 +168,12 @@ def test_degeneracy_definition():
                 }
                 best = max(best, min(deg.values()))
         assert degeneracy(g) == best
+
+
+def test_degeneracy_on_long_sparse_inputs():
+    # sizes where a rescan of every live node per removal took seconds
+    assert degeneracy(Digraph(4000, [(i, i + 1) for i in range(3999)])) == 1
+    assert degeneracy(circulant(4000, 2)) == 4  # 4-regular underlying graph
 
 
 def _assert_valid_chain_cover(g: Digraph, cover: ChainCover):
