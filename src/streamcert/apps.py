@@ -103,7 +103,7 @@ def msss_2apx(cert: Certificate) -> Digraph | None:
     comps = scc_tarjan(g)
     if len(comps) > 1:
         return None
-    return Digraph(g.n, _scc_branching_arcs(g, comps, [0] * g.n))
+    return Digraph(g.n, _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, [0] * g.n))
 
 
 def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
@@ -119,8 +119,8 @@ def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
         raise ValueError(f"strong bridges need a certificate with k >= 2, got k={cert2.k}")
     g = cert2.graph()
     comps = scc_tarjan(g)
-    return frozenset((u, v) for u, v in _scc_branching_arcs(g, comps, scc_ids(g, comps))
-                     if not _detour(g, u, v))
+    branchings = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, scc_ids(g, comps))
+    return frozenset((u, v) for u, v in branchings if not _detour(g, u, v))
 
 
 def _detour(g: Digraph, u: int, v: int) -> bool:

@@ -3,13 +3,14 @@
 Two layers:
 
 * :func:`tc_preserving_prune` — offline reachability-preserving sparsifier.
-  In one pass over the cross-component arcs it keeps, for every node x and
-  every chain of a minimum chain cover, the arc from x to the earliest chain
-  node among its out-neighbours.  That acyclic part D has out-degrees at most
-  the chain-cover size <= alpha; adding one in- and one out-branching per
-  nontrivial strongly connected component gives at most (alpha + 2) * n arcs.
+  For every node x and every chain of a minimum chain cover it keeps the arc
+  from x to the earliest chain node among x's cross-component out-neighbours:
+  in the one numbering of the cover core :func:`~streamcert.digraph._chain_cover`,
+  run on the Tarjan core :func:`~streamcert.digraph._tarjan`, that is the lowest
+  bit of x's row under the chain's mask.  Out-degrees stay <= alpha; one in- and
+  one out-branching per nontrivial component give at most (alpha + 2) * n arcs.
   The pruned graph has the same closure, so the recursion hands that cover on
-  as the pruned block's own: one SCC decomposition and one cover per tree node.
+  as the pruned block's own: one decomposition and one cover per tree node.
 * :func:`one_cert_stream` — multi-pass streaming computation of the same kind
   of certificate.  Node ranges are split into contiguous blocks, sub-certificates
   are computed recursively with all instances of a level multiplexed onto
@@ -32,9 +33,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .digraph import (
-    ChainCover,
     Digraph,
+    _chain_cover,
+    _neighbor_lists,
     _scc_branching_arcs,
+    _tarjan,
     chain_cover_minimum,
     reachability_masks,
     reachable,
@@ -111,40 +114,48 @@ class RecursionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _prune_with_cover(g: Digraph) -> tuple[set[tuple[int, int]], ChainCover]:
-    """The arcs :func:`tc_preserving_prune` keeps, and the minimum chain cover of
-    ``g`` it chose them by.  The kept arcs have ``g``'s transitive closure, so
-    the cover is a minimum chain cover of them too."""
-    comps = scc_tarjan(g)
-    comp_id = scc_ids(g, comps)
-    cover = chain_cover_minimum(g, comps)
-    chain_at = {v: (ci, pos) for ci, chain in enumerate(cover.chains) for pos, v in enumerate(chain)}
+def _prune(n: int, arcs, lo: int = 0) -> tuple[set[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The arcs :func:`tc_preserving_prune` keeps of the block of nodes ``lo..lo+n-1``
+    with arcs ``arcs``, and the sorted chains of the cover it chose them by."""
+    out, inn = _neighbor_lists(n, arcs, lo)
+    comps = _tarjan(n, out.__getitem__)
+    order, spans, out_rows, chains = _chain_cover(n, out.__getitem__, comps)
+    chain_mask = [0] * n
+    for chain in chains:
+        mask = sum(1 << i for i in chain)
+        for i in chain:
+            chain_mask[i] = mask
 
     # The earliest chain node reaches the later ones; induction over the
     # condensation in reverse topological order shows nothing else is lost.
-    first: dict[tuple[int, int], tuple[int, int]] = {}  # (x, chain) -> (pos, v)
-    for x, v in g.arcs:
-        if comp_id[x] != comp_id[v]:
-            ci, pos = chain_at[v]
-            first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
-
-    arcs = _scc_branching_arcs(g, comps, comp_id)
-    arcs.update((x, v) for (x, _), (_, v) in first.items())
-    return arcs, cover
+    # Numbers rise along a chain, so x's earliest target on it has the lowest number.
+    kept: set[tuple[int, int]] = set()
+    comp_id = [0] * n
+    for c, span in enumerate(spans):
+        for i in span:
+            x, cross = order[i], out_rows[i] >> span.stop << span.stop
+            comp_id[x] = c
+            while cross:
+                j = (cross & -cross).bit_length() - 1
+                kept.add((x + lo, order[j] + lo))
+                cross &= ~chain_mask[j]
+    branchings = _scc_branching_arcs(out.__getitem__, inn.__getitem__, comps, comp_id)
+    kept.update((u + lo, v + lo) for u, v in branchings)
+    return kept, tuple(sorted(tuple(order[i] + lo for i in chain) for chain in chains))
 
 
 def tc_preserving_prune(g: Digraph) -> Digraph:
     """Subgraph with the same transitive closure and at most (alpha+2)*n arcs.
 
-    One pass over the cross-component arcs keeps, for every node x and every
-    chain of a minimum chain cover, only the arc from x to its earliest
-    out-neighbour on that chain, so each node keeps at most chain-cover-size
-    <= alpha cross arcs.  One in- and one out-branching per nontrivial
-    strongly connected component add fewer than 2n arcs.  All three steps
-    share one SCC decomposition.  The streaming recursion calls
-    :func:`_prune_with_cover` and hands its cover on to the parent's level pass.
+    It keeps, for every node x and every chain of a minimum chain cover, the arc
+    from x to its earliest cross-component out-neighbour on that chain, and one in-
+    and one out-branching per nontrivial component.  The kernel :func:`_prune` does
+    it over neighbour lists: one :func:`~streamcert.digraph._tarjan`, one numbering
+    and matching by :func:`~streamcert.digraph._chain_cover`, then per node the
+    lowest number bit of its cross row, clearing that chain's mask, one step per
+    kept arc.  The streaming recursion calls :func:`_prune` on each block's arcs.
     """
-    return Digraph(g.n, _prune_with_cover(g)[0]) if g.arcs else g
+    return Digraph(g.n, _prune(g.n, g.arcs)[0]) if g.arcs else g
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +349,11 @@ class OneCertRun:
 
     def _prune_into(self, node: _TreeNode, arcs: set[tuple[int, int]], spent: int) -> None:
         """Keep the pruned block and, below the root, the prune's chain cover."""
-        lo = node.lo
-        kept, cover = _prune_with_cover(Digraph(node.hi - lo, ((u - lo, v - lo) for u, v in arcs)))
-        node.h_arcs = {(u + lo, v + lo) for u, v in kept}
+        node.h_arcs, chains = _prune(node.hi - node.lo, arcs, node.lo)
         keep = len(node.h_arcs)
         if node.depth > 0:  # the root's chain cover is never consumed
-            node.chains = tuple(tuple(v + lo for v in chain) for chain in cover.chains)
-            for chain in node.chains:  # this node's range of the chain table
+            node.chains = chains
+            for chain in chains:  # this node's range of the chain table
                 self.chain_at[chain[0]] = chain
                 for i, v in enumerate(chain):
                     self.head[v], self.pos[v] = chain[0], i

@@ -46,6 +46,20 @@ def require_ascii_decimal(text: str, error: type[ValueError]) -> None:
         raise error("node ids must be ASCII decimal: text holds '_' or a non-ASCII character")
 
 
+def _neighbor_lists(n: int, arcs: Iterable[tuple[int, int]], lo: int = 0) -> tuple[list, list]:
+    """Ascending out- and in-neighbour lists of nodes ``lo..lo+n-1`` with arcs ``arcs``, in
+    ids less ``lo``.  Rows are sorted one by one: far cheaper than sorting the arcs."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    inn: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u - lo].append(v - lo)
+    for u, row in enumerate(out):
+        row.sort()
+        for v in row:
+            inn[v].append(u)
+    return out, inn
+
+
 class Digraph:
     """Immutable simple digraph on nodes ``0..n-1`` with an explicit arc set."""
 
@@ -71,13 +85,8 @@ class Digraph:
         return len(self.arcs)
 
     def _build_neighbors(self) -> None:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        inn: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            out[u].append(v)
-            inn[v].append(u)
-        self._out = tuple(tuple(x) for x in out)
-        self._in = tuple(tuple(x) for x in inn)
+        out, inn = _neighbor_lists(self.n, self.arcs)
+        self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, inn))
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         if self._out is None:
@@ -281,8 +290,12 @@ def transitive_closure(g: Digraph) -> Digraph:
 def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
     """Strongly connected components, emitted in reverse topological order
     of the condensation (a component is emitted only after everything it can
-    reach)."""
-    n = g.n
+    reach).  A wrapper over :func:`_tarjan`, the one implementation."""
+    return _tarjan(g.n, g.out_neighbors)
+
+
+def _tarjan(n: int, out: Callable[[int], Sequence[int]]) -> list[frozenset[int]]:
+    """:func:`scc_tarjan` of the graph on ``0..n-1`` with ascending out-neighbours ``out(v)``."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -293,7 +306,6 @@ def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
     # Iterative Tarjan so large certify/bench instances cannot hit the
     # interpreter recursion limit: each frame holds its node and an iterator
     # over the out-neighbours it has not yet tried.
-    out = g.out_neighbors
     for root in range(n):
         if index_of[root] != -1:
             continue
@@ -477,31 +489,45 @@ def degeneracy(g: Digraph) -> int:
 
 
 def chain_cover_minimum(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> ChainCover:
-    """A minimum chain cover (Dilworth route: path cover by bipartite matching).
+    """A minimum chain cover, chains sorted: a wrapper over :func:`_chain_cover`, the
+    one implementation, whose numbering the prune kernel ``certify_one._prune`` also
+    selects its arcs in.  ``comps`` passes in ``scc_tarjan(g)`` when the caller
+    already holds it."""
+    order, _, _, chains = _chain_cover(g.n, g.out_neighbors, scc_tarjan(g) if comps is None else comps)
+    return ChainCover(tuple(sorted(tuple(order[i] for i in chain) for chain in chains)))
 
-    Components are numbered in topological order and a component's nodes by
-    ascending id, so every chain-order successor of a node gets a later number
-    and the cover is a minimum path cover of the closure restricted to later
-    numbers (Fulkerson's reduction); the closure is swept in these numbers too.
-    Positions are matched in order by an iterative depth-first augmenting
-    search, lowest position first; ids only break ties.  ``comps`` passes in
-    ``scc_tarjan(g)`` when the caller already holds it.
-    """
-    comps = scc_tarjan(g) if comps is None else comps
-    n = g.n
+
+def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Sequence[int]]) -> tuple:
+    """Minimum chain cover (Dilworth route: path cover by bipartite matching) of the
+    graph with out-neighbours ``out(v)`` and Tarjan components ``comps``, as
+    ``(order, spans, out_rows, chains)`` in one numbering: components in topological
+    order, a component's nodes by ascending id.  Node ``order[i]`` has number i, the
+    numbers ``spans[c]`` hold ``comps[c]``, and ``out_rows[i]`` holds the numbers of
+    its out-neighbours.  A chain-order successor gets a later number, so the cover is
+    a minimum path cover of the closure restricted to later numbers (Fulkerson's
+    reduction) and each chain is a rising list of numbers.  One :func:`_closure`
+    sweep; numbers are matched in order by depth-first augmenting search."""
     order = [v for comp in reversed(comps) for v in sorted(comp)]
-    pos = {v: i for i, v in enumerate(order)}
-    out_rows = [0] * n
-    for u, v in g.arcs:
-        out_rows[pos[u]] |= 1 << pos[v]
-    reach = _closure(out_rows, [[pos[v] for v in comp] for comp in comps])
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    out_rows = []
+    for v in order:
+        row = 0
+        for w in out(v):
+            row |= 1 << pos[w]
+        out_rows.append(row)
+    # comps come sinks first: the a nodes before comps[c] hold the last a numbers
+    before = accumulate(map(len, comps), initial=0)
+    spans = [range(n - a - len(comp), n - a) for comp, a in zip(comps, before)]
+    reach = _closure(out_rows, spans)
     rows = [reach[i] >> (i + 1) << (i + 1) for i in range(n)]
 
-    succ = [-1] * n  # position -> the later position it is matched to
+    succ = [-1] * n  # number -> the later number it is matched to
     pred = [-1] * n
     for s in range(n):
         seen = 0
-        stack = [(s, rows[s])]  # (left position, later positions not yet tried)
+        stack = [(s, rows[s])]  # (left number, later numbers not yet tried)
         while stack:
             u, cand = stack.pop()
             cand &= ~seen
@@ -525,8 +551,8 @@ def chain_cover_minimum(g: Digraph, comps: Sequence[frozenset[int]] | None = Non
             chain = [head]
             while succ[chain[-1]] != -1:
                 chain.append(succ[chain[-1]])
-            chains.append(tuple(order[i] for i in chain))
-    return ChainCover(tuple(sorted(chains)))
+            chains.append(chain)
+    return order, spans, out_rows, chains
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +591,15 @@ def grow_branching(g: Digraph, root: int, kind: str) -> Branching:
     return Branching(root, frozenset(arcs), kind)
 
 
-def _scc_branching_arcs(g: Digraph, comps: list[frozenset], comp_id: list[int]) -> set[tuple[int, int]]:
-    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS
-    per direction starts at every root at once and follows only arcs inside a component, so
-    each tree is the lowest-id-first BFS tree of the induced component."""
+def _scc_branching_arcs(
+    out: Callable, inn: Callable, comps: Sequence[Sequence[int]], comp_id: Sequence[int]
+) -> set[tuple[int, int]]:
+    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS per
+    direction over the ascending ``out(u)`` or ``inn(u)`` starts at every root at once and follows
+    only arcs inside a component: each tree is the lowest-id-first BFS tree of its component."""
     roots = [min(comp) for comp in comps if len(comp) > 1]
     arcs: set[tuple[int, int]] = set()
-    for step, out in ((g.out_neighbors, True), (g.in_neighbors, False)):
+    for step, forward in ((out, True), (inn, False)):
         seen = set(roots)
         queue = list(roots)
         for u in queue:  # the list grows while it is walked: FIFO order
@@ -579,5 +607,5 @@ def _scc_branching_arcs(g: Digraph, comps: list[frozenset], comp_id: list[int]) 
                 if v not in seen and comp_id[v] == comp_id[u]:
                     seen.add(v)
                     queue.append(v)
-                    arcs.add((u, v) if out else (v, u))
+                    arcs.add((u, v) if forward else (v, u))
     return arcs

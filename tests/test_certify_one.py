@@ -21,13 +21,14 @@ from streamcert.certify_one import (
     Certificate,
     OneCertRun,
     RecursionPlan,
-    _scc_branching_arcs,
+    _prune,
     one_cert_stream,
     tc_preserving_prune,
     validate_one_cert,
 )
 from streamcert.digraph import (
     Digraph,
+    _scc_branching_arcs,
     chain_cover_minimum,
     grow_branching,
     reachable,
@@ -118,15 +119,15 @@ def test_prune_runs_one_scc_decomposition(monkeypatch):
     from streamcert import certify_one, digraph
 
     calls = []
-    tarjan = digraph.scc_tarjan
+    tarjan = digraph._tarjan
 
-    def counting(g):
-        calls.append(g)
-        return tarjan(g)
+    def counting(n, out):
+        calls.append(n)
+        return tarjan(n, out)
 
-    # both bindings, so a call through scc_ids or chain_cover_minimum counts too
-    monkeypatch.setattr(digraph, "scc_tarjan", counting)
-    monkeypatch.setattr(certify_one, "scc_tarjan", counting)
+    # both bindings of the one Tarjan core, so a call through scc_tarjan counts too
+    monkeypatch.setattr(digraph, "_tarjan", counting)
+    monkeypatch.setattr(certify_one, "_tarjan", counting)
     rng = random.Random(15)
     graphs = [Digraph(0), Digraph(3)] + [random_digraph(rng, 2, 16) for _ in range(60)]
     for g in graphs:
@@ -174,9 +175,62 @@ def test_scc_branchings_equal_per_component_bfs():
                                            if u in index and v in index))
                 for kind in ("out", "in"):
                     ref.update((nodes[u], nodes[v]) for u, v in grow_branching(sub, 0, kind).arcs)
-            assert _scc_branching_arcs(g, comps, scc_ids(g, comps)) == ref, sorted(g.arcs)
+            got = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, scc_ids(g, comps))
+            assert got == ref, sorted(g.arcs)
             several += sum(len(c) > 1 for c in comps) >= 2
     assert several >= 20
+
+
+def _reference_prune(g: Digraph) -> tuple[set[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The prune as a Digraph formulation: one decomposition, the public chain
+    cover, a (node, chain) -> earliest (position, target) dict over the cross
+    arcs, and the branchings."""
+    comps = scc_tarjan(g)
+    comp_id = scc_ids(g, comps)
+    cover = chain_cover_minimum(g, comps)
+    chain_at = {v: (ci, pos) for ci, chain in enumerate(cover.chains) for pos, v in enumerate(chain)}
+    first = {}
+    for x, v in g.arcs:
+        if comp_id[x] != comp_id[v]:
+            ci, pos = chain_at[v]
+            first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
+    arcs = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, comp_id)
+    arcs.update((x, v) for (x, _), (_, v) in first.items())
+    return arcs, cover.chains
+
+
+def _assert_prune_equals_reference(g: Digraph, lo: int) -> None:
+    ref_arcs, ref_chains = _reference_prune(g)
+    assert _prune(g.n, g.arcs) == (ref_arcs, ref_chains), sorted(g.arcs)
+    shifted = {(u + lo, v + lo) for u, v in g.arcs}
+    assert _prune(g.n, shifted, lo) == (
+        {(u + lo, v + lo) for u, v in ref_arcs},
+        tuple(tuple(v + lo for v in chain) for chain in ref_chains),
+    ), (lo, sorted(g.arcs))
+
+
+@given(st.data())
+def test_prune_kernel_equals_the_digraph_formulation(data):
+    n = data.draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = {arc for arc, k in zip(pairs, keep) if k}
+    if n >= 3 and data.draw(st.booleans()):  # plant a cycle, so nontrivial components are common
+        cyc = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        arcs |= set(zip(cyc, cyc[1:] + cyc[:1]))
+    perm = data.draw(st.permutations(range(n)))
+    lo = data.draw(st.integers(0, 40))
+    for g in (Digraph(n, arcs), Digraph(n, ((perm[u], perm[v]) for u, v in arcs))):
+        _assert_prune_equals_reference(g, lo)
+
+
+def test_prune_kernel_on_edge_cases():
+    graphs = [Digraph(0), Digraph(1), Digraph(5), Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
+    for g in graphs:
+        _assert_prune_equals_reference(g, 7)
+    assert _prune(0, ()) == (set(), ())
+    assert _prune(3, (), 5) == (set(), ((5,), (6,), (7,)))
+    assert _prune(3, {(11, 12), (12, 13), (13, 11)}, 11) == ({(11, 12), (12, 13), (13, 11)}, ((11, 12, 13),))
 
 
 def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch):
@@ -197,10 +251,11 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
         model = (INSERTION_ONLY, TURNSTILE)[seed % 2]
         run = OneCertRun(g.n, model, RecursionPlan(p=2 + seed % 4), SpaceLedger())
         with monkeypatch.context() as mp:
-            # every binding, so a second decomposition or closure anywhere counts
-            tarjan = counting("scc", digraph.scc_tarjan)
+            # every binding of the one Tarjan core and the one closure sweep, so a
+            # second decomposition or closure anywhere counts
+            tarjan = counting("scc", digraph._tarjan)
             for mod in (digraph, certify_one):
-                mp.setattr(mod, "scc_tarjan", tarjan)
+                mp.setattr(mod, "_tarjan", tarjan)
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
             run_passes(stream_of(g, model, seed), [run], run.total_passes)
