@@ -113,7 +113,11 @@ def _bits_from_arg(arg: str | None, need: int, seed: int) -> list[int]:
         return prf_bits(seed, need)
     text = arg
     candidate = Path(arg)
-    if candidate.is_file():
+    try:
+        is_file = candidate.is_file()
+    except OSError:  # digits too long for a file name (ENAMETOOLONG) are not a file
+        is_file = False
+    if is_file:
         text = candidate.read_text()
     bits = []
     for ch in text:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -417,70 +417,67 @@ def independence_number_exact(g: Digraph) -> int:
 
 
 def independence_greedy_bound(g: Digraph) -> int:
-    """Cheap lower bound on the independence number (greedy min-degree)."""
-    adj = g.undirected_masks()
-    alive = (1 << g.n) - 1
-    count = 0
-    while alive:
-        best_v, best_deg = -1, g.n + 1
-        rest = alive
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            deg = bin(adj[v] & alive).count("1")
-            if deg < best_deg:
-                best_v, best_deg = v, deg
-            rest ^= low
-        count += 1
-        alive &= ~(adj[best_v] | (1 << best_v))
-    return count
+    """Cheap lower bound on the independence number (greedy min-degree): the
+    number of closed steps of :func:`_min_degree_elimination`, each of which
+    takes a node of least live degree, lowest id on ties, into the set."""
+    return sum(1 for _ in _min_degree_elimination(g, closed=True))
 
 
 # ---------------------------------------------------------------------------
-# degeneracy
+# min-degree elimination
 # ---------------------------------------------------------------------------
 
 
 def degeneracy(g: Digraph) -> int:
-    """Degeneracy of the underlying undirected graph via min-degree peeling.
+    """Degeneracy of the underlying undirected graph: the largest degree a node
+    has when the open steps of :func:`_min_degree_elimination` remove it (least
+    live degree first, lowest id on ties; ties do not change the value)."""
+    return max((d for _, d in _min_degree_elimination(g, closed=False)), default=0)
 
-    Matula and Beck's bucket queue in Batagelj and Zaversnik's array form:
-    nodes sit in one array sorted by current degree, and lowering a live
-    neighbour's degree swaps it to the front of its bucket, which then
-    starts one place later.  The largest degree a node has when it is
-    peeled is the degeneracy.  Rows stay bitmasks, and every other list
-    holds n entries.
+
+def _min_degree_elimination(g: Digraph, closed: bool) -> Iterator[tuple[int, int]]:
+    """Yield, step by step, the live node of least live degree in the underlying
+    undirected graph, lowest id on ties, with that degree.  An open step then
+    removes the node; a closed step removes it and its live neighbours.
+
+    Matula and Beck's bucket queue over the bitmask rows: ``buckets[d]`` holds
+    the live nodes of live degree d, each in exactly one bucket, and a node
+    moves down one bucket per neighbour removed.  A pick is the lowest bit of
+    the lowest nonempty bucket.  ``least`` never exceeds a live degree and
+    drops at most one per move, so its climbs total at most n plus the moves.
     """
-    n = g.n
     adj = g.undirected_masks()
     deg = [row.bit_count() for row in adj]
-    order = sorted(range(n), key=deg.__getitem__)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    start = [0] * (n + 1)  # start[d]: position of the first node of degree d
-    for d in deg:
-        start[d + 1] += 1
-    start = list(accumulate(start))
-    alive = (1 << n) - 1
-    result = 0
-    for v in order:  # a swap only moves nodes after v
-        result = max(result, deg[v])
-        alive ^= 1 << v
-        rest = adj[v] & alive
-        while rest:
-            low = rest & -rest
-            rest ^= low
+    buckets = [0] * g.n  # a live degree is at most n - 1
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
+    alive = (1 << g.n) - 1
+    least = 0
+    while alive:
+        while not buckets[least]:
+            least += 1
+        bucket = buckets[least]
+        low = bucket & -bucket
+        v = low.bit_length() - 1
+        yield v, least
+        gone = adj[v] & alive | low if closed else low
+        alive ^= gone
+        while gone:
+            low = gone & -gone
+            gone ^= low
             u = low.bit_length() - 1
-            du = deg[u]
-            if du > deg[v]:
-                pu, first = pos[u], start[du]
-                w = order[first]
-                order[pu], order[first] = w, u
-                pos[w], pos[u] = pu, first
-                start[du] = first + 1
-                deg[u] = du - 1
-    return result
+            buckets[deg[u]] ^= low
+            rest = adj[u] & alive
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                d = deg[w]
+                buckets[d] ^= low
+                buckets[d - 1] |= low
+                deg[w] = d - 1
+                if d <= least:
+                    least = d - 1
 
 
 # ---------------------------------------------------------------------------

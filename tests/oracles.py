@@ -111,6 +111,23 @@ def independence_number(n: int, arcs) -> int:
     return best
 
 
+def min_degree_greedy(n: int, arcs) -> int:
+    """Size of the greedy independent set that takes a live node of least live
+    degree (lowest id on ties) and drops it with its neighbours, rescanning
+    every live node per pick."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in arcs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    live = set(range(n))
+    count = 0
+    while live:
+        v = min(live, key=lambda x: (len(nbrs[x] & live), x))
+        live -= nbrs[v] | {v}
+        count += 1
+    return count
+
+
 def two_sat_satisfiable(clauses, nvars: int) -> bool:
     for bits in range(1 << nvars):
         val = [(bits >> i) & 1 == 1 for i in range(nvars)]

@@ -41,6 +41,11 @@ def test_peel_and_kcert_rows_verify():
     assert sampled[0]["verified"] == "pass" and sampled[0]["k"] == 2
 
 
+def test_alpha_above_the_exact_budget_is_the_greedy_bound():
+    rows = bench_space_passes([("circulant-k2", circulant(2000, 2))], p_values=[1])
+    assert [(r["n"], r["alpha"], r["verified"]) for r in rows] == [(2000, 666, "pass")]
+
+
 def test_bad_alg_name():
     with pytest.raises(ValueError):
         bench_space_passes([("x", transitive_tournament(4))], alg="magic")

@@ -71,6 +71,13 @@ def test_gen_bits_from_file(capsys, tmp_path):
     assert code == 0 and has_triangle(Digraph.from_text(out))
 
 
+def test_gen_bits_longer_than_a_file_name(capsys):
+    argv = ("gen", "--family", "triangle", "--n", "60", "--d", "6", "--bits")
+    code, long_out, _ = run(capsys, *argv, "f" * 600)
+    assert code == 0
+    assert (0, long_out) == run(capsys, *argv, "f" * 20)[:2]
+
+
 def test_gen_reach_reports_terminals(capsys):
     code, out, err = run(capsys, "gen", "--family", "reach", "--n", "6", "--d", "3")
     assert code == 0

@@ -26,7 +26,7 @@ from streamcert.digraph import (
     scc_tarjan,
     transitive_closure,
 )
-from streamcert.hardgen import circulant
+from streamcert.hardgen import alpha_family, circulant
 
 
 def test_construction_dedupes_and_sorts_neighbors():
@@ -170,10 +170,27 @@ def test_degeneracy_definition():
         assert degeneracy(g) == best
 
 
+def test_independence_greedy_matches_the_oracle():
+    # picks depend on labels, so library and oracle see the same relabelled copy
+    rng = random.Random(24)
+    graphs = [random_digraph(rng, 1, 30, density) for density in (0.03, 0.1, 0.3, 0.6, 0.9) for _ in range(12)]
+    graphs += [alpha_family(n, a) for n, a in ((12, 3), (24, 4), (40, 5))]
+    graphs += [circulant(n, k) for n, k in ((7, 1), (13, 2), (30, 3))]
+    for g in graphs:
+        for h in relabelled(g, rng):
+            assert independence_greedy_bound(h) == oracles.min_degree_greedy(h.n, h.arcs), h.arcs
+
+
 def test_degeneracy_on_long_sparse_inputs():
-    # sizes where a rescan of every live node per removal took seconds
-    assert degeneracy(Digraph(4000, [(i, i + 1) for i in range(3999)])) == 1
-    assert degeneracy(circulant(4000, 2)) == 4  # 4-regular underlying graph
+    # sizes where a rescan of every live node per removal took seconds; no timing assert
+    n = 1000  # threshold graph: about 500 distinct degrees
+    cases = [
+        (Digraph(4000, [(i, i + 1) for i in range(3999)]), 1, 2000),
+        (circulant(4000, 2), 4, 1333),  # 4-regular underlying graph
+        (Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u + v >= n]), 499, 501),
+    ]
+    for g, degen, greedy in cases:
+        assert (degeneracy(g), independence_greedy_bound(g)) == (degen, greedy)
 
 
 def _assert_valid_chain_cover(g: Digraph, cover: ChainCover):
