@@ -199,7 +199,7 @@ class OneCertRun:
     its merge has read the children.  It indexes the cover ``_prune_into``
     charges as ``hi - lo`` words, so it is charged nothing more.  ``begin_pass``
     picks the leaf, insertion-only or turnstile level feed once per pass, and
-    each MinSelect instance opens its own passes.
+    the turnstile level charges and releases its MinSelect instances' counters.
     """
 
     def __init__(
@@ -317,8 +317,8 @@ class OneCertRun:
                 key = u * size + h
                 inst = node.table.get(key)
                 if inst is None:
-                    node.account.charge(3)  # active range + bookkeeping of the instance
-                    inst = node.table[key] = MinSelect(len(chain_at[h]), passes_left, account=node.account)
+                    inst = node.table[key] = MinSelect(len(chain_at[h]), passes_left)
+                    node.account.charge(3 + inst.nblocks)  # active range, bookkeeping and counters
                 at = pos[v]
                 if inst.lo <= at < inst.hi:  # MinSelect.observe, inlined
                     inst.counters[inst.find(at - inst.lo)] += sign
@@ -334,10 +334,13 @@ class OneCertRun:
                 self._prune_into(leaf, leaf.arcs, leaf.hi - leaf.lo)
                 leaf.arcs = None
         else:
-            if self.model == TURNSTILE:
+            if self.model == TURNSTILE:  # a pass never holds more counters than the one before
                 for node in nodes:
+                    spent = sum(inst.nblocks for inst in node.table.values())
                     for inst in node.table.values():
                         inst.end_pass()
+                        spent -= inst.nblocks
+                    node.account.release(spent)
             if j < self.q - 1:
                 return
             for node in nodes:

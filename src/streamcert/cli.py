@@ -77,7 +77,7 @@ def _eval_budget(expr: str, names: dict[str, int]) -> int:
 
     try:
         return int(walk(ast.parse(expr, mode="eval")))
-    except (SyntaxError, ArithmeticError) as exc:  # 'n*', 1/0, int(1e308*10)
+    except (SyntaxError, ArithmeticError, TypeError) as exc:  # 'n*', 1/0, int(1e308*10), a complex power
         raise ValueError(f"bad space budget expression {expr!r}: {exc}") from exc
 
 
@@ -328,7 +328,13 @@ def cmd_2sat(args) -> int:
     lines = [ln for ln in map(str.strip, _read(args.input).splitlines())
              if ln and not ln.startswith("#")]
     require_ascii_decimal("\n".join(lines), ValueError)  # comments may hold anything
-    clauses = [(a, b) for a, b in (map(int, ln.split()) for ln in lines)]
+    clauses = []
+    for ln in lines:
+        try:
+            a, b = map(int, ln.split())
+        except ValueError as exc:
+            raise ValueError(f"bad clause line {ln!r}") from exc
+        clauses.append((a, b))
     nvars = max((abs(x) for clause in clauses for x in clause), default=0)
     result = apps.two_sat(clauses, nvars)
     if result is None:

@@ -145,13 +145,10 @@ class Digraph:
         lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
         if not lines:
             raise GraphFormatError("empty graph text")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise GraphFormatError(f"bad header {lines[0]!r}, expected 'n m'")
-        try:
-            n, m = int(head[0]), int(head[1])
+        try:  # a token count other than two, or a token int() refuses
+            n, m = map(int, lines[0].split())
         except ValueError as exc:
-            raise GraphFormatError(f"bad header {lines[0]!r}") from exc
+            raise GraphFormatError(f"bad header {lines[0]!r}, expected 'n m'") from exc
         if n > MAX_NODES:
             raise GraphFormatError(f"node count {n} above the ceiling of {MAX_NODES}")
         if len(lines) - 1 != m:
@@ -160,16 +157,13 @@ class Digraph:
             )
         seen: set[tuple[int, int]] = set()
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"bad arc line {ln!r}")
             try:
-                arc = int(parts[0]), int(parts[1])
+                u, v = map(int, ln.split())
             except ValueError as exc:
                 raise GraphFormatError(f"bad arc line {ln!r}") from exc
-            if arc in seen:
+            if (u, v) in seen:
                 raise GraphFormatError(f"duplicate arc line {ln!r}")
-            seen.add(arc)
+            seen.add((u, v))
         try:
             return cls(n, seen)
         except ValueError as exc:

@@ -333,16 +333,15 @@ class MinSelect:
     positive end-of-pass counter survives to the next pass.  Counters are
     net over the full update sequence, so a single number per block is enough
     even under deletions.  Construction opens the first pass and
-    :meth:`end_pass` the next until the search is done, releasing the old
-    counters first; a span of at most b**P leaves a block of at most
-    b**(P-1), so a pass never holds more counters than the one before.  A
-    finished search has the empty range ``lo == hi``, so it observes nothing.
+    :meth:`end_pass` the next until the search is done.  ``nblocks`` counts
+    the counters held, for the owner to charge; a span of at most b**P leaves
+    a block of at most b**(P-1), so it never grows.  A finished search has the
+    empty range ``lo == hi`` and ``nblocks == 0``, so it observes nothing.
     """
 
-    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "starts", "result",
-                 "account")
+    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "starts", "result")
 
-    def __init__(self, length: int, q: int, account: SpaceAccount | None = None):
+    def __init__(self, length: int, q: int):
         if q < 1:
             raise ValueError("q must be >= 1")
         self.lo = 0
@@ -351,7 +350,6 @@ class MinSelect:
         self.counters: list[int] | None = None
         self.nblocks = 0
         self.result: int | None = None
-        self.account = account
         if length:
             self._open_pass()
 
@@ -362,8 +360,6 @@ class MinSelect:
     def _open_pass(self) -> None:
         self.nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)
         self.counters = [0] * self.nblocks
-        if self.account is not None:
-            self.account.charge(self.nblocks)
 
     def observe(self, rank: int, sign: int) -> None:
         if self.lo <= rank < self.hi:
@@ -377,9 +373,7 @@ class MinSelect:
             if c > 0:
                 chosen = i
                 break
-        if self.account is not None:
-            self.account.release(self.nblocks)
-        self.counters = None
+        self.counters, self.nblocks = None, 0
         self.passes_left -= 1
         if chosen < 0:
             self.hi = self.lo
@@ -420,8 +414,9 @@ def mp_min_select(
 ) -> tuple[int, int] | None:
     """Minimum-rank candidate arc with final multiplicity 1, or None.
 
-    Uses exactly ``q`` passes over the stream with O(len(candidates)^(1/q))
-    counters resident at a time.
+    Uses exactly ``q`` passes over the stream with at most
+    ``int_root_ceil(len(candidates), q)`` counters resident at a time, held
+    by one :class:`MinSelect`; no space ledger is charged.
     """
     order = sorted(candidates, key=rank) if rank is not None else sorted(candidates)
     if rank is not None:

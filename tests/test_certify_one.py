@@ -41,6 +41,7 @@ from streamcert.streams import (
     INSERTION_ONLY,
     TURNSTILE,
     ArcStream,
+    SpaceBudgetError,
     SpaceLedger,
     StreamStats,
     blocks,
@@ -403,6 +404,30 @@ def test_routing_paths_are_pinned(name):
     assert got == stats
     assert len(cert.arcs) == arcs
     assert hashlib.sha256(repr(sorted(cert.arcs)).encode()).hexdigest()[:16] == digest
+
+
+def test_a_turnstile_level_holds_its_open_selection_counters():
+    """After every level pass but the last, a tree node of that depth holds 3
+    words per selection and the counters of its open passes, and a strict
+    budget of the peak less one word stops the run."""
+    st = turnstile_stream(alpha_family(48, 4), 36)
+    for plan, nodes in ((RecursionPlan(p=5, mp_passes=2), 5), (RecursionPlan(p=7, mp_passes=3), 10)):
+        ledger = SpaceLedger()
+        run = OneCertRun(st.n, TURNSTILE, plan, ledger)
+        checked = 0
+        for i, (kind, depth, j) in enumerate(run.schedule):
+            run.begin_pass(i)(st.updates)
+            run.end_pass(i)
+            if kind == "level" and j < run.q - 1:
+                for node in run.by_depth[depth]:
+                    counters = sum(len(inst.counters or ()) for inst in node.table.values())
+                    assert node.account.extra == 3 * len(node.table) + counters, (plan, i, node.lo)
+                    checked += 1
+        assert checked == nodes and ledger.peak == 2824
+        with pytest.raises(SpaceBudgetError):
+            one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak - 1))
+        cert, stats = one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak))
+        assert cert.arcs == run.cert_arcs and stats.peak_words == ledger.peak
 
 
 def test_turnstile_pass_budget_matches_split():

@@ -185,14 +185,22 @@ def test_one_strict_space(circ_files, capsys):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10"],
-    ids=["zero-division", "syntax", "nesting", "overflow"],
+    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10", "(-8)**(1/3)"],
+    ids=["zero-division", "syntax", "nesting", "overflow", "complex"],
 )
 def test_malformed_budget_expression_exits_2(circ_files, capsys, expr):
     _, spath = circ_files
     code, out, err = run(capsys, "one", "--input", spath, "--passes", "1", "--strict-space", expr)
     assert code == 2 and out == ""
     assert err.startswith("error: bad space budget expression") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["1 2 3", "1", "1 x"])
+def test_a_clause_line_without_two_literals_is_named(tmp_path, capsys, line):
+    path = tmp_path / "clauses.txt"
+    path.write_text(f"1 -2\n{line}\n")
+    code, out, err = run(capsys, "2sat", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: bad clause line {line!r}\n")
 
 
 def test_k_below_one_exits_2_before_the_rho_default(circ_files, capsys):

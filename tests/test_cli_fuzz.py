@@ -34,7 +34,7 @@ TOKENS = ("-1", "0", "1", "2", "5", "12", "65537", "1000000000", "9" * 30, "1.5"
 EXTREME = ("-9223372036854775808", "-1", "0", "1", "2", "3", "64", "65", "9223372036854775808")
 RHOS = ("0", "-1", "nan", "inf", "1e-300", "0.25", "0.5", "1", "2")
 BUDGETS = ("0", "n", "8*n**1.5", "1/0", "n*", "(" * 300 + "1" + ")" * 300, "2**10**10",
-           "p**p", "-n", "1e308*10")
+           "p**p", "-n", "1e308*10", "(-n)**0.5")
 
 
 def cli(*argv) -> tuple[int, str, str]:

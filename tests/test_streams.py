@@ -307,43 +307,28 @@ def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
     assert empty.done and empty.lo == empty.hi and empty.result is None
 
 
-def test_min_select_counter_space_is_charged():
-    ledger = SpaceLedger()
-    acct = ledger.open("select")
-    inst = MinSelect(16, 2, account=acct)
-    for _ in range(2):
-        for rank in range(16):
-            inst.observe(rank, 1)
-        for rank in range(8):
-            inst.observe(rank, -1)
-        inst.end_pass()
-    assert inst.result == 8
-    assert ledger.peak == 4  # one counter per block, four blocks a pass
-
-
 def test_min_select_passes_never_grow():
     """A span of at most b**P leaves a block of at most b**(P-1), so no pass
-    has more blocks than the one before; the account holds exactly the open
-    pass's counters, so moving on to the next pass never raises the peak."""
+    has more blocks than the one before; ``nblocks`` counts exactly the open
+    pass's counters and drops to 0 once the search is done, so an owner that
+    charges it never raises its peak by moving on to the next pass."""
     for span in range(1, 301):
         for q in range(1, 6):
             for target in sorted({0, span // 2, span - 1}) + [None]:
-                ledger = SpaceLedger()
-                acct = ledger.open("select")
-                inst = MinSelect(span, q, account=acct)
+                inst = MinSelect(span, q)
                 blocks = [inst.nblocks]
-                assert acct.extra == len(inst.counters) == inst.nblocks
+                assert len(inst.counters) == inst.nblocks
                 while not inst.done:
                     if target is not None:
                         inst.observe(target, 1)
                     inst.end_pass()
                     if inst.done:
-                        assert acct.extra == 0 and inst.counters is None
+                        assert inst.nblocks == 0 and inst.counters is None
                     else:
-                        assert acct.extra == len(inst.counters) == inst.nblocks
+                        assert len(inst.counters) == inst.nblocks
                         blocks.append(inst.nblocks)
                 assert blocks == sorted(blocks, reverse=True), (span, q, target, blocks)
-                assert len(blocks) <= q and ledger.peak == blocks[0]
+                assert len(blocks) <= q
                 assert inst.result == target
 
 
