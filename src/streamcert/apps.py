@@ -14,7 +14,6 @@ from .certify_k import extract_disjoint_branchings
 from .certify_one import Certificate
 from .digraph import (
     Branching,
-    BudgetError,
     MAX_NODES,
     ChainCover,
     Digraph,
@@ -24,16 +23,12 @@ from .digraph import (
     scc_tarjan,
     transitive_closure,
 )
-from .exact import kappa_st
-
-_INDEP_BUDGET = 12
+from .exact import kappa_st  # unused here; perfbench's traced mode rebinds apps.kappa_st
 
 
-def _require_node_cert(cert: Certificate, min_k: int = 1) -> Digraph:
+def _require_node_cert(cert: Certificate) -> Digraph:
     if cert.kind != "node":
         raise ValueError(f"need a node certificate, got kind={cert.kind!r}")
-    if cert.k < min_k:
-        raise ValueError(f"need k >= {min_k}, certificate has k={cert.k}")
     return cert.graph()
 
 
@@ -144,101 +139,6 @@ def arc_disjoint_out_branchings(cert: Certificate, root: int, k: int) -> list[Br
     if cert.k < k:
         raise ValueError(f"certificate has k={cert.k}, cannot support k={k} branchings")
     return extract_disjoint_branchings(cert.graph(), root, k, "out")
-
-
-def independent_branchings_2(
-    cert: Certificate, root: int
-) -> tuple[Branching, Branching] | None:
-    """Two spanning out-branchings whose root→v paths are internally disjoint.
-
-    Exhaustive backtracking; None when some node lacks two internally
-    node-disjoint routes from the root (then no such pair exists).
-    """
-    g = _require_node_cert(cert, min_k=2)
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    if g.n > _INDEP_BUDGET:
-        raise BudgetError(f"independent branching search capped at n={_INDEP_BUDGET}")
-    if g.n == 1:
-        b = Branching(root, frozenset(), "out")
-        return b, b
-    for v in range(g.n):
-        if v != root and kappa_st(g, root, v, limit=2) < 2:
-            return None
-
-    others = [v for v in range(g.n) if v != root]
-    parents = {v: list(g.in_neighbors(v)) for v in others}
-
-    def closes_cycle(v: int, p: int, parent: dict[int, int]) -> bool:
-        while p != root:
-            if p == v:
-                return True
-            if p not in parent:
-                return False  # chain leaves the assigned prefix
-            p = parent[p]
-        return False
-
-    def paths_of(parent: dict[int, int]) -> dict[int, frozenset[int]]:
-        # internal nodes of the root→v tree path, endpoints excluded
-        memo: dict[int, frozenset[int]] = {root: frozenset()}
-
-        def up(v: int) -> frozenset[int]:
-            if v not in memo:
-                p = parent[v]
-                memo[v] = up(p) | ({p} if p != root else frozenset())
-            return memo[v]
-
-        return {v: up(v) for v in others}
-
-    def first_tree(idx: int, parent: dict[int, int]) -> tuple[Branching, Branching] | None:
-        if idx == len(others):
-            tree1 = Branching(root, frozenset((p, v) for v, p in parent.items()), "out")
-            second = _grow_disjoint(g, root, paths_of(parent))
-            if second is None:
-                return None
-            return tree1, second
-        v = others[idx]
-        for p in parents[v]:
-            if closes_cycle(v, p, parent):
-                continue
-            parent[v] = p
-            hit = first_tree(idx + 1, parent)
-            if hit is not None:
-                return hit
-            del parent[v]
-        return None
-
-    return first_tree(0, {})
-
-
-def _grow_disjoint(
-    g: Digraph, root: int, other_paths: dict[int, frozenset[int]]
-) -> Branching | None:
-    """Grow a branching whose path internals avoid ``other_paths`` per node."""
-
-    def extend(
-        tree: set[int], arcs: set[tuple[int, int]], internals: dict[int, frozenset[int]]
-    ) -> Branching | None:
-        if len(tree) == g.n:
-            return Branching(root, frozenset(arcs), "out")
-        for u, v in sorted(g.arcs):
-            if u not in tree or v in tree:
-                continue
-            path = internals[u] | ({u} if u != root else frozenset())
-            if path & other_paths[v]:
-                continue
-            tree.add(v)
-            arcs.add((u, v))
-            internals[v] = path
-            hit = extend(tree, arcs, internals)
-            if hit is not None:
-                return hit
-            tree.discard(v)
-            arcs.discard((u, v))
-            del internals[v]
-        return None
-
-    return extend({root}, set(), {root: frozenset()})
 
 
 def distance_d_dominating(cert: Certificate, d: int) -> set[int]:

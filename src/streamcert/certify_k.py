@@ -236,6 +236,8 @@ def k_arc_cert_peeling(
         state.charge(len(acc_out) + len(acc_in) - before)
         run_out.close()
         run_in.close()
+        if not n:
+            continue  # no root to grow from: the empty certificate holds
         try:
             fams_out = extract_disjoint_branchings(Digraph(n, acc_out), 0, t, "out")
             fams_in = extract_disjoint_branchings(Digraph(n, acc_in), 0, t, "in")

@@ -178,14 +178,6 @@ class ArcStream:
             random.Random(seed).shuffle(arcs)
         return cls(g.n, [(1, u, v) for u, v in arcs], model)
 
-    def permuted(self, seed: int) -> "ArcStream":
-        """Reordered copy (insertion-only streams only; order must stay legal)."""
-        if self.model != INSERTION_ONLY:
-            raise ValueError("only insertion-only streams can be freely permuted")
-        ups = list(self.updates)
-        random.Random(seed).shuffle(ups)
-        return ArcStream(self.n, ups, self.model)
-
     @classmethod
     def from_text(cls, text: str) -> "ArcStream":
         require_ascii_decimal(text, StreamFormatError)
@@ -384,48 +376,3 @@ class MinSelect:
             self.result = self.hi = self.lo
         else:
             self._open_pass()
-
-
-class _MinSelectAdapter:
-    """Feeds one standalone MinSelect from a raw arc stream."""
-
-    def __init__(self, instance: MinSelect, rank_of_arc):
-        self.instance = instance
-        self.rank_of_arc = rank_of_arc
-
-    def begin_pass(self, pass_index: int):
-        return self._feed
-
-    def _feed(self, updates) -> None:
-        for sign, u, v in updates:
-            rank = self.rank_of_arc.get((u, v))
-            if rank is not None:
-                self.instance.observe(rank, sign)
-
-    def end_pass(self, pass_index: int) -> None:
-        self.instance.end_pass()
-
-
-def mp_min_select(
-    stream: ArcStream,
-    candidates: Sequence[tuple[int, int]],
-    q: int,
-    rank: Callable[[tuple[int, int]], int] | None = None,
-) -> tuple[int, int] | None:
-    """Minimum-rank candidate arc with final multiplicity 1, or None.
-
-    Uses exactly ``q`` passes over the stream with at most
-    ``int_root_ceil(len(candidates), q)`` counters resident at a time, held
-    by one :class:`MinSelect`; no space ledger is charged.
-    """
-    order = sorted(candidates, key=rank) if rank is not None else sorted(candidates)
-    if rank is not None:
-        ranks = [rank(c) for c in order]
-        if len(set(ranks)) != len(ranks):
-            raise ValueError("rank must assign distinct values to candidates")
-    elif len(set(order)) != len(order):
-        raise ValueError("duplicate candidates")
-    instance = MinSelect(len(order), q)
-    adapter = _MinSelectAdapter(instance, {arc: i for i, arc in enumerate(order)})
-    run_passes(stream, [adapter], q)
-    return order[instance.result] if instance.result is not None else None

@@ -9,7 +9,6 @@ from conftest import random_digraph, random_multi_scc_digraph, random_strong_dig
 from streamcert.apps import (
     arc_disjoint_out_branchings,
     distance_d_dominating,
-    independent_branchings_2,
     min_chain_cover_dag,
     msss_2apx,
     scc_and_toposort,
@@ -18,7 +17,7 @@ from streamcert.apps import (
     two_sat,
 )
 from streamcert.certify_one import Certificate
-from streamcert.digraph import BudgetError, Digraph, grow_branching, scc_tarjan
+from streamcert.digraph import Digraph, grow_branching, scc_tarjan
 
 
 def as_cert(g: Digraph, k: int = 1) -> Certificate:
@@ -258,53 +257,6 @@ def test_arc_disjoint_branchings_from_cert():
         assert fam.root == 1 and fam.is_valid_for(k4)
     with pytest.raises(ValueError):
         arc_disjoint_out_branchings(as_cert(k4, k=1), 0, 2)
-
-
-def _tree_paths(branching, root: int, n: int):
-    parent = {v: u for u, v in branching.arcs}
-    paths = {}
-    for v in range(n):
-        inner = []
-        cur = v
-        while cur != root:
-            cur = parent[cur]
-            if cur != root:
-                inner.append(cur)
-        paths[v] = frozenset(inner)
-    return paths
-
-
-def test_independent_branchings_pair_on_complete():
-    k4 = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
-    pair = independent_branchings_2(as_cert(k4, k=2), 0)
-    assert pair is not None
-    t1, t2 = pair
-    assert t1.is_valid_for(k4) and t2.is_valid_for(k4)
-    p1 = _tree_paths(t1, 0, 4)
-    p2 = _tree_paths(t2, 0, 4)
-    for v in range(1, 4):
-        assert not (p1[v] & p2[v])
-
-
-def test_independent_branchings_none_on_cycle():
-    assert independent_branchings_2(as_cert(cycle(5), k=2), 0) is None
-
-
-def test_independent_branchings_bidirected_square():
-    arcs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
-    g = Digraph(4, arcs)
-    pair = independent_branchings_2(as_cert(g, k=2), 0)
-    assert pair is not None
-    p1 = _tree_paths(pair[0], 0, 4)
-    p2 = _tree_paths(pair[1], 0, 4)
-    for v in range(1, 4):
-        assert not (p1[v] & p2[v])
-
-
-def test_independent_branchings_budget():
-    big = cycle(13)
-    with pytest.raises(BudgetError):
-        independent_branchings_2(as_cert(big, k=2), 0)
 
 
 # ---------------------------------------------------------------------------

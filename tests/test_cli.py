@@ -315,17 +315,20 @@ def test_seed_belongs_to_seeded_commands_only(circ_files):
         assert exc.value.code == 2, argv
 
 
-def test_kcert_all_modes(circ_files, capsys):
+def test_kcert_all_modes(circ_files, tmp_path, capsys):
     _, spath = circ_files
-    for mode, extra in (("node", ()), ("arc", ()), ("peel", ())):
-        code, out, err = run(
-            capsys, "kcert", "--input", spath, "--k", "2", "--passes", "1",
-            "--mode", mode, *extra,
-        )
-        assert code == 0, (mode, err)
-        stats = json.loads(err)
-        assert stats["mode"] == mode
-        assert Digraph.from_text(out).n == 9
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 ins\n")  # no node: every mode gives the empty certificate
+    for path, k, n in ((spath, "2", 9), (str(empty), "1", 0)):
+        for mode in ("node", "arc", "peel"):
+            code, out, err = run(
+                capsys, "kcert", "--input", path, "--k", k, "--passes", "1", "--mode", mode,
+            )
+            assert code == 0, (mode, err)
+            stats = json.loads(err)
+            assert stats["mode"] == mode
+            assert stats["passes"] == (int(k) if mode == "peel" else 1)  # k*p when peeling
+            assert Digraph.from_text(out).n == n
     # peeling needs the promise to hold: a 1-arc-strong input must fail at k=2
     code, _, err = run(capsys, "kcert", "--input", spath, "--k", "4", "--passes", "1", "--mode", "peel")
     assert code == 2 and "peeling failed" in err

@@ -22,7 +22,6 @@ from streamcert.streams import (
     blocks,
     final_multiplicity,
     int_root_ceil,
-    mp_min_select,
     run_passes,
 )
 
@@ -90,14 +89,6 @@ def test_stream_text_round_trip():
 def test_stream_text_node_ids_are_ascii_decimal(text):
     with pytest.raises(StreamFormatError, match="ASCII decimal"):
         ArcStream.from_text(text)
-
-
-def test_permuted_preserves_multiset():
-    g = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    st = ArcStream.from_graph(g, INSERTION_ONLY, seed=1)
-    assert sorted(st.permuted(7).updates) == sorted(st.updates)
-    with pytest.raises(ValueError):
-        turnstile_stream(g, 0).permuted(1)
 
 
 class _StoreAll:
@@ -270,6 +261,22 @@ def test_int_root_ceil_is_the_smallest_root():
             assert b >= 1 and b**k >= n and (b == 1 or (b - 1) ** k < n), (n, k, b)
 
 
+def _select(stream, candidates, q):
+    """Candidate arcs ranked in sorted order, one MinSelect over them driven
+    q times by observe per update then end_pass: the minimum arc of final
+    multiplicity 1, or None."""
+    order = sorted(candidates)
+    rank_of = {arc: i for i, arc in enumerate(order)}
+    inst = MinSelect(len(order), q)
+    for _ in range(q):
+        for sign, u, v in stream.updates:
+            if (u, v) in rank_of:
+                inst.observe(rank_of[u, v], sign)
+        inst.end_pass()
+    assert inst.done
+    return None if inst.result is None else order[inst.result]
+
+
 def test_min_select_block_counter_walkthrough():
     """Sixteen candidates, the first eight deleted: two 4-block passes land on 9."""
     inst = MinSelect(16, 2)
@@ -287,6 +294,16 @@ def test_min_select_block_counter_walkthrough():
         inst.observe(rank, -1)
     inst.end_pass()
     assert inst.done and inst.result == 8  # rank 8 = ninth candidate
+    # the same on a stream: arc (0, 9) is the ninth candidate
+    updates = [(1, 0, w) for w in range(1, 17)] + [(-1, 0, w) for w in range(1, 9)]
+    candidates = [(0, w) for w in range(1, 17)]
+    assert _select(ArcStream(17, updates, TURNSTILE), candidates, 2) == (0, 9)
+    # everything deleted -> no survivor
+    everything = updates + [(-1, 0, w) for w in range(9, 17)]
+    assert _select(ArcStream(17, everything, TURNSTILE), candidates, 2) is None
+    # a single pass degenerates to one counter per candidate
+    st = ArcStream(6, [(1, 0, w) for w in (5, 2, 4)], TURNSTILE)
+    assert _select(st, [(0, w) for w in (2, 4, 5)], 1) == (0, 2)
 
 
 def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
@@ -311,7 +328,9 @@ def test_min_select_passes_never_grow():
     """A span of at most b**P leaves a block of at most b**(P-1), so no pass
     has more blocks than the one before; ``nblocks`` counts exactly the open
     pass's counters and drops to 0 once the search is done, so an owner that
-    charges it never raises its peak by moving on to the next pass."""
+    charges it never raises its peak by moving on to the next pass.  Each
+    search lands on its target, and on random turnstile streams on the final
+    graph's minimum arc."""
     for span in range(1, 301):
         for q in range(1, 6):
             for target in sorted({0, span // 2, span - 1}) + [None]:
@@ -330,42 +349,16 @@ def test_min_select_passes_never_grow():
                 assert blocks == sorted(blocks, reverse=True), (span, q, target, blocks)
                 assert len(blocks) <= q
                 assert inst.result == target
-
-
-def test_mp_min_select_spec_values():
-    n = 17
-    updates = [(1, 0, w) for w in range(1, 17)] + [(-1, 0, w) for w in range(1, 9)]
-    st = ArcStream(n, updates, TURNSTILE)
-    candidates = [(0, w) for w in range(1, 17)]
-    assert mp_min_select(st, candidates, 2) == (0, 9)
-    # everything deleted -> no survivor
-    st2 = ArcStream(n, updates + [(-1, 0, w) for w in range(9, 17)], TURNSTILE)
-    assert mp_min_select(st2, candidates, 2) is None
-    # single pass degenerates to one counter per candidate
-    st3 = ArcStream(6, [(1, 0, w) for w in (5, 2, 4)], TURNSTILE)
-    assert mp_min_select(st3, [(0, w) for w in (2, 4, 5)], 1) == (0, 2)
-
-
-def test_mp_min_select_matches_offline_minimum():
+    # random turnstile streams: the selection is the final graph's minimum arc
     rng = random.Random(9)
     for seed in range(40):
         g = random_digraph(rng, 2, 12)
         st = turnstile_stream(g, seed)
-        candidates = [
-            (u, v) for u in range(g.n) for v in range(g.n) if u != v
-        ]
+        candidates = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
         survivors = final_multiplicity(st).arcs
         expect = min(survivors) if survivors else None
         for q in (1, 2, 3):
-            assert mp_min_select(st, candidates, q) == expect, (seed, q)
-
-
-def test_mp_min_select_rejects_ambiguous_ranks():
-    st = ArcStream(3, [(1, 0, 1)], TURNSTILE)
-    with pytest.raises(ValueError):
-        mp_min_select(st, [(0, 1), (0, 2)], 1, rank=lambda arc: 0)
-    with pytest.raises(ValueError):
-        mp_min_select(st, [(0, 1), (0, 1)], 1)
+            assert _select(st, candidates, q) == expect, (seed, q)
 
 
 def test_grid_family_two_pass_space_regression():
