@@ -267,8 +267,9 @@ def extract_disjoint_branchings(
     Greedy arc-at-a-time construction: an arc joining the current tree is
     committed once the residual graph still offers ``remaining`` arc-disjoint
     routes from the root to every node outside the grown tree.  Candidates are
-    tried in sorted order on one network of the residual arcs per commit,
-    each query leaving the candidate out.
+    tried in sorted order on one network of the residual arcs per branching,
+    which drops each committed arc; every query leaves the candidate out, so
+    one search tree per candidate serves all its targets.
     """
     if kind not in ("out", "in"):
         raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
@@ -296,8 +297,8 @@ def extract_disjoint_branchings(
         tree = {root}
         tree_arcs: set[tuple[int, int]] = set()
         arcs = sorted(current)  # a committed arc's head is in the tree, so it is skipped
+        net = FlowNet(g.n, current, split=False) if remaining else None
         while len(tree) < g.n:
-            net = FlowNet(g.n, current - tree_arcs, split=False) if remaining else None
             for u, v in arcs:
                 if u not in tree or v in tree:
                     continue
@@ -307,6 +308,8 @@ def extract_disjoint_branchings(
                 ):
                     tree.add(v)
                     tree_arcs.add((u, v))
+                    if net is not None:
+                        net.drop(u, v)
                     break
             else:  # pragma: no cover - exchange argument forbids this
                 raise AssertionError("no admissible arc while growing a branching")

@@ -2,11 +2,12 @@
 
 Everything here favours exactness over scale.  Connectivities come from
 unit-capacity max-flow with depth-first augmentation.  Each digraph's network
-is built once and kept in a small cache.  Every query augments its own copy of
-the same capacities, so one search tree over them from the latest source gives
-each target t its first augmenting path, and t outside the tree has none.  The
-node version splits node v into an in/out pair joined by a unit arc and runs
-from s's out-node to t's in-node, so a direct (s,t) arc is one more path.  Each
+is built once and kept in a small cache.  One search tree per source and
+left-out arc gives each target t its first augmenting path (none if t is
+outside it), so a query answers 0, or 1 at limit 1, without copying the
+capacities; it copies them only to augment past that path.  The node version
+splits node v into an in/out pair joined by a unit arc and runs from s's
+out-node to t's in-node, so a direct (s,t) arc is one more path.  Each
 augmentation carries one unit, because every augmenting path leaves the source
 through an arc of the graph, which holds at most one.  A certificate is checked
 by one capped query per arc it leaves out, on the certificate, at any n.
@@ -25,10 +26,12 @@ from .digraph import BudgetError, Digraph, reachability_masks
 class FlowNet:
     """Unit-capacity network of ``arcs`` on nodes ``0..n-1``: arc i is entry 2i
     of ``to`` and ``cap``, its residual twin entry 2i+1.  Split mode stores node
-    v's arc 2v -> 2v+1 first, as arc v, and maps arc (u, v) to 2u+1 -> 2v."""
+    v's arc 2v -> 2v+1 first, as arc v, and maps arc (u, v) to 2u+1 -> 2v.
+    :meth:`drop` changes the network in place: it is for a network the caller
+    owns, never for a ``_network`` cache entry."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], split: bool):
-        self.split = split
+        self.n, self.split = n, split
         ends = [(2 * v, 2 * v + 1) for v in range(n)] if split else []
         ends += [(2 * u + 1, 2 * v) if split else (u, v) for u, v in arcs]
         self.incident: list[list[int]] = [[] for _ in range(2 * n if split else n)]
@@ -39,8 +42,23 @@ class FlowNet:
             self.incident[v].append(len(self.to))
             self.to.append(u)
         self.cap = [1, 0] * len(ends)
-        self.root = -1  # the latest source, and its search tree over cap
-        self.tree: list[int] = []
+        # the memo: one search tree, keyed on (source, left-out arc), over base
+        self.key, self.base, self.tree = None, self.cap, []
+
+    def _entries(self, u: int, v: int) -> list[int]:
+        """Entries of arc (u, v) of the digraph that still hold capacity."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return []
+        tail, head = (2 * u + 1, 2 * v) if self.split else (u, v)
+        cap, to = self.cap, self.to
+        return [ei for ei in self.incident[tail] if not ei & 1 and to[ei] == head and cap[ei]]
+
+    def drop(self, u: int, v: int) -> None:
+        """Remove arc (u, v) of the digraph from this network for good."""
+        entries = self._entries(u, v)
+        if not entries:
+            raise ValueError(f"the network holds no arc ({u}, {v})")
+        self.cap[entries[0]], self.key = 0, None
 
     def _search(self, cap: list[int], src: int, dst: int) -> list[int]:
         """Entry into each node reached from ``src`` over positive ``cap``, depth first
@@ -64,32 +82,30 @@ class FlowNet:
                  without: tuple[int, int] | None = None) -> int:
         """Number of unit augmentations from s to t, stopping at ``limit``;
         ``without`` leaves one arc (u, v) of the digraph out of this query."""
+        if s == t or not (0 <= s < self.n and 0 <= t < self.n):
+            raise ValueError(f"max_flow needs two distinct nodes of 0..{self.n - 1}, got ({s}, {t})")
         src, dst = (2 * s + 1, 2 * t) if self.split else (s, t)
-        cap, to = self.cap.copy(), self.to
-        path = None
-        if without is None:
-            if self.root != src:
-                self.root, self.tree = src, self._search(self.cap, src, -1)
-            path = self.tree
-        else:
-            tail, head = (2 * without[0] + 1, 2 * without[1]) if self.split else without
-            for ei in self.incident[tail]:
-                if not ei & 1 and to[ei] == head:
-                    cap[ei] = 0
-        flow = 0
-        while limit is None or flow < limit:
-            if path is None:
-                path = self._search(cap, src, dst)
-            if path[dst] == -1:
+        if self.key != (src, without):
+            base = self.cap
+            if without is not None:
+                base = base.copy()
+                for ei in self._entries(*without):
+                    base[ei] = 0
+            self.key, self.base, self.tree = (src, without), base, self._search(base, src, -1)
+        cap, path, to, flow = self.base, self.tree, self.to, 0
+        while (limit is None or flow < limit) and path[dst] != -1:
+            flow += 1
+            if flow == limit:
                 break
+            if cap is self.base:
+                cap = cap.copy()
             v = dst
             while v != src:
                 ei = path[v]
                 cap[ei] -= 1
                 cap[ei ^ 1] += 1
                 v = to[ei ^ 1]
-            flow += 1
-            path = None
+            path = self._search(cap, src, dst)
         return flow
 
 

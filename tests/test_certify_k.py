@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
 import oracles
-from conftest import random_strong_digraph, stream_of
+from conftest import random_digraph, random_strong_digraph, stream_of
 from streamcert.certify_k import (
     MAX_SAMPLES,
     InfeasibleBranchingError,
@@ -301,6 +302,31 @@ def test_branchings_random_feasible():
             assert not (fam.arcs & used)
             used |= fam.arcs
         done += 1
+
+
+# sha256 (first 16 hex digits) of each family's sorted arc lists, recorded
+# when every commit rebuilt the residual network; on each graph candidates
+# are rejected at remaining 1 and, at t = 3, at remaining 2
+BRANCHING_PINS = {
+    (5, "out", 2): "920e2c11d1df0a54", (5, "out", 3): "5caa6ec4717c91be",
+    (5, "in", 2): "86a49bd1f6b6c7c0", (5, "in", 3): "586839d0f8e0ed22",
+    (7, "out", 2): "3f4e3acf5b60c94b", (7, "out", 3): "e21e87658f77f77b",
+    (7, "in", 2): "126357dc4e8fc9e7", (7, "in", 3): "3acef9eae881e515",
+    (9, "out", 2): "96ecdd0e65dd55d1", (9, "out", 3): "f9f63e2671dc2358",
+    (9, "in", 2): "51b238dab7bdd159", (9, "in", 3): "e875ea83cdc25fd9",
+}
+
+
+def test_branchings_pinned_on_seeded_digraphs():
+    got = {}
+    for seed in (5, 7, 9):
+        g = random_digraph(random.Random(seed), 20, 40, density=0.25)
+        for kind in ("out", "in"):
+            for t in (2, 3):
+                fams = extract_disjoint_branchings(g, 0, t, kind)
+                arcs = repr([sorted(b.arcs) for b in fams]).encode()
+                got[seed, kind, t] = hashlib.sha256(arcs).hexdigest()[:16]
+    assert got == BRANCHING_PINS
 
 
 def test_branchings_infeasible_reports_cut():

@@ -52,19 +52,43 @@ def test_kappa_equals_smallest_separator():
 
 
 def test_leaving_an_arc_out_matches_a_network_built_without_it():
+    # plain and ``without`` queries interleave with in-place drops on one
+    # network; every answer equals a fresh network of the arcs left
     rng = random.Random(25)
     for _ in range(30):
         g = random_digraph(rng, 2, 9)
         for split in (False, True):
-            net = FlowNet(g.n, g.arcs, split)
-            fresh = {a: FlowNet(g.n, g.arcs - {a}, split)
-                     for a in rng.sample(sorted(g.arcs), min(3, g.m))}
-            fresh[None] = FlowNet(g.n, g.arcs, split)
-            queries = [(a, s, t, limit) for a in fresh for s, t, limit in _shuffled_queries(rng, g.n)]
-            rng.shuffle(queries)
-            for a, s, t, limit in queries:
+            net, left = FlowNet(g.n, g.arcs, split), set(g.arcs)
+            outs = [None, *rng.sample(sorted(g.arcs), min(3, g.m))]
+            drops = rng.sample(sorted(g.arcs), min(3, g.m))
+            ops = [(a, s, t, limit) for a in outs for s, t, limit in _shuffled_queries(rng, g.n)]
+            ops += [(a, None, None, None) for a in drops]
+            rng.shuffle(ops)
+            fresh: dict = {}
+            last = (None, 0, 1, None)
+            for a, s, t, limit in ops:
+                if s is None:  # a drop, then the last query again on the same memo key
+                    net.drop(*a)
+                    left.remove(a)
+                    fresh.clear()
+                    a, s, t, limit = last
+                last = (a, s, t, limit)
+                if a not in fresh:
+                    fresh[a] = FlowNet(g.n, left - {a}, split)
                 want = fresh[a].max_flow(s, t, limit)
-                assert net.max_flow(s, t, limit, without=a) == want, (g.arcs, split, a, s, t, limit)
+                assert net.max_flow(s, t, limit, without=a) == want, (g.arcs, split, a, s, t, limit, left)
+            for a in [*drops, (0, 0), (g.n, 0), (0, g.n), (-1, g.n - 1)]:
+                with pytest.raises(ValueError, match="holds no arc"):
+                    net.drop(*a)
+
+
+def test_max_flow_rejects_a_bad_pair():
+    for split in (False, True):
+        net = FlowNet(3, [(0, 1), (1, 2), (2, 0)], split)
+        for s, t, limit in [(0, 0, None), (2, 2, 1), (-1, 2, None), (0, 5, None), (3, 0, 2)]:
+            with pytest.raises(ValueError, match="two distinct nodes"):
+                net.max_flow(s, t, limit)
+        assert net.max_flow(0, 2) == 1
 
 
 def test_interleaved_queries_match_fresh_networks():
