@@ -10,7 +10,8 @@ Two layers:
   bit of x's row under the chain's mask.  Out-degrees stay <= alpha; one in- and
   one out-branching per nontrivial component give at most (alpha + 2) * n arcs.
   The pruned graph has the same closure, so the recursion hands that cover on
-  as the pruned block's own: one decomposition and one cover per tree node.
+  as the pruned block's own: at most one decomposition and one cover per tree
+  node, and none for a block without arcs.
 * :func:`one_cert_stream` — multi-pass streaming computation of the same kind
   of certificate.  Node ranges are split into contiguous blocks, sub-certificates
   are computed recursively with all instances of a level multiplexed onto
@@ -35,7 +36,6 @@ from typing import Mapping
 from .digraph import (
     Digraph,
     _chain_cover,
-    _neighbor_lists,
     _scc_branching_arcs,
     _tarjan,
     chain_cover_minimum,
@@ -116,13 +116,26 @@ class RecursionPlan:
 
 def _prune(n: int, arcs, lo: int = 0) -> tuple[set[tuple[int, int]], tuple[tuple[int, ...], ...]]:
     """The arcs :func:`tc_preserving_prune` keeps of the block of nodes ``lo..lo+n-1``
-    with arcs ``arcs``, and the sorted chains of the cover it chose them by."""
-    out, inn = _neighbor_lists(n, arcs, lo)
+    with arcs ``arcs``, and the sorted chains of the cover it chose them by.
+
+    A block pays only for what it uses.  An arc-less block keeps nothing and is
+    covered by single-node chains, with no decomposition.  Otherwise the out-lists
+    are built here, and in-lists and component ids only when some component has two
+    or more nodes: an acyclic block has no branchings to keep."""
+    if not arcs:
+        return set(), tuple((v,) for v in range(lo, lo + n))
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        out[u - lo].append(v - lo)
+    for row in out:
+        row.sort()  # ascending rows: the Tarjan and BFS orders the outputs are pinned to
     comps = _tarjan(n, out.__getitem__)
     order, spans, out_rows, chains = _chain_cover(n, out.__getitem__, comps)
     chain_mask = [0] * n
     for chain in chains:
-        mask = sum(1 << i for i in chain)
+        mask = 0
+        for i in chain:
+            mask |= 1 << i
         for i in chain:
             chain_mask[i] = mask
 
@@ -130,17 +143,25 @@ def _prune(n: int, arcs, lo: int = 0) -> tuple[set[tuple[int, int]], tuple[tuple
     # condensation in reverse topological order shows nothing else is lost.
     # Numbers rise along a chain, so x's earliest target on it has the lowest number.
     kept: set[tuple[int, int]] = set()
-    comp_id = [0] * n
-    for c, span in enumerate(spans):
+    for span in spans:
+        stop = span.stop
         for i in span:
-            x, cross = order[i], out_rows[i] >> span.stop << span.stop
-            comp_id[x] = c
+            cross = out_rows[i] >> stop << stop
             while cross:
                 j = (cross & -cross).bit_length() - 1
-                kept.add((x + lo, order[j] + lo))
+                kept.add((order[i] + lo, order[j] + lo))
                 cross &= ~chain_mask[j]
-    branchings = _scc_branching_arcs(out.__getitem__, inn.__getitem__, comps, comp_id)
-    kept.update((u + lo, v + lo) for u, v in branchings)
+    if len(spans) < n:  # some component has two or more nodes: keep its branchings
+        inn: list[list[int]] = [[] for _ in range(n)]
+        for u, row in enumerate(out):
+            for v in row:
+                inn[v].append(u)
+        comp_id = [0] * n
+        for c, comp in enumerate(comps):
+            for v in comp:
+                comp_id[v] = c
+        branchings = _scc_branching_arcs(out.__getitem__, inn.__getitem__, comps, comp_id)
+        kept.update((u + lo, v + lo) for u, v in branchings)
     return kept, tuple(sorted(tuple(order[i] + lo for i in chain) for chain in chains))
 
 
@@ -153,7 +174,8 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
     it over neighbour lists: one :func:`~streamcert.digraph._tarjan`, one numbering
     and matching by :func:`~streamcert.digraph._chain_cover`, then per node the
     lowest number bit of its cross row, clearing that chain's mask, one step per
-    kept arc.  The streaming recursion calls :func:`_prune` on each block's arcs.
+    kept arc.  The streaming recursion calls :func:`_prune` on each block's arcs,
+    arc-less blocks included.
     """
     return Digraph(g.n, _prune(g.n, g.arcs)[0]) if g.arcs else g
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -46,13 +45,13 @@ def require_ascii_decimal(text: str, error: type[ValueError]) -> None:
         raise error("node ids must be ASCII decimal: text holds '_' or a non-ASCII character")
 
 
-def _neighbor_lists(n: int, arcs: Iterable[tuple[int, int]], lo: int = 0) -> tuple[list, list]:
-    """Ascending out- and in-neighbour lists of nodes ``lo..lo+n-1`` with arcs ``arcs``, in
-    ids less ``lo``.  Rows are sorted one by one: far cheaper than sorting the arcs."""
+def _neighbor_lists(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list, list]:
+    """Ascending out- and in-neighbour lists of nodes ``0..n-1`` with arcs ``arcs``.
+    Rows are sorted one by one: far cheaper than sorting the arcs."""
     out: list[list[int]] = [[] for _ in range(n)]
     inn: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
-        out[u - lo].append(v - lo)
+        out[u].append(v)
     for u, row in enumerate(out):
         row.sort()
         for v in row:
@@ -103,12 +102,6 @@ class Digraph:
         rows = [0] * self.n
         for u, v in self.arcs:
             rows[u] |= 1 << v
-        return rows
-
-    def in_masks(self) -> list[int]:
-        rows = [0] * self.n
-        for u, v in self.arcs:
-            rows[v] |= 1 << u
         return rows
 
     def undirected_masks(self) -> list[int]:
@@ -285,16 +278,19 @@ def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
     """Strongly connected components, emitted in reverse topological order
     of the condensation (a component is emitted only after everything it can
     reach).  A wrapper over :func:`_tarjan`, the one implementation."""
-    return _tarjan(g.n, g.out_neighbors)
+    return _tarjan(g.n, g.out_neighbors, frozenset)
 
 
-def _tarjan(n: int, out: Callable[[int], Sequence[int]]) -> list[frozenset[int]]:
-    """:func:`scc_tarjan` of the graph on ``0..n-1`` with ascending out-neighbours ``out(v)``."""
+def _tarjan(n: int, out: Callable[[int], Sequence[int]], wrap: Callable | None = None) -> list:
+    """:func:`scc_tarjan` of the graph on ``0..n-1`` with ascending out-neighbours ``out(v)``,
+    each component as the list of nodes popped off the stack for it, or passed through
+    ``wrap`` as it is popped: the prune kernel keeps the lists, :func:`scc_tarjan` wraps
+    each in a frozenset, and neither holds a second list of components."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list[frozenset[int]] = []
+    comps: list = []
     counter = 0
 
     # Iterative Tarjan so large certify/bench instances cannot hit the
@@ -330,7 +326,7 @@ def _tarjan(n: int, out: Callable[[int], Sequence[int]]) -> list[frozenset[int]]
                         comp.append(w)
                         if w == v:
                             break
-                    comps.append(frozenset(comp))
+                    comps.append(comp if wrap is None else wrap(comp))
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
     return comps
@@ -496,9 +492,18 @@ def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Se
     numbers ``spans[c]`` hold ``comps[c]``, and ``out_rows[i]`` holds the numbers of
     its out-neighbours.  A chain-order successor gets a later number, so the cover is
     a minimum path cover of the closure restricted to later numbers (Fulkerson's
-    reduction) and each chain is a rising list of numbers.  One :func:`_closure`
-    sweep; numbers are matched in order by depth-first augmenting search."""
-    order = [v for comp in reversed(comps) for v in sorted(comp)]
+    reduction) and each chain is a rising list of numbers.  One loop over ``comps``
+    builds the numbering and the spans, then one :func:`_closure` sweep.  Numbers are
+    matched in order by depth-first augmenting search: s's closure row is cut to its
+    later numbers when s's turn comes, and a turn whose first candidate is free ends
+    without a search."""
+    order: list[int] = []
+    spans = []
+    for comp in reversed(comps):  # comps come sinks first: number from the sources
+        start = len(order)
+        order += sorted(comp)
+        spans.append(range(start, len(order)))
+    spans.reverse()
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -508,17 +513,21 @@ def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Se
         for w in out(v):
             row |= 1 << pos[w]
         out_rows.append(row)
-    # comps come sinks first: the a nodes before comps[c] hold the last a numbers
-    before = accumulate(map(len, comps), initial=0)
-    spans = [range(n - a - len(comp), n - a) for comp, a in zip(comps, before)]
-    reach = _closure(out_rows, spans)
-    rows = [reach[i] >> (i + 1) << (i + 1) for i in range(n)]
+    rows = _closure(out_rows, spans)
 
     succ = [-1] * n  # number -> the later number it is matched to
     pred = [-1] * n
     for s in range(n):
-        seen = 0
-        stack = [(s, rows[s])]  # (left number, later numbers not yet tried)
+        row = rows[s] = rows[s] >> (s + 1) << (s + 1)  # every matched left is below s: cut already
+        if not row:
+            continue
+        low = row & -row
+        v = low.bit_length() - 1
+        if pred[v] == -1:  # the first number tried is free: the search ends at once
+            pred[v], succ[s] = s, v
+            continue
+        seen = low
+        stack = [(s, row ^ low), (pred[v], rows[pred[v]])]  # (left number, later numbers not yet tried)
         while stack:
             u, cand = stack.pop()
             cand &= ~seen

@@ -4,16 +4,15 @@ The constructions encode bit inputs into gadget components and glue the
 components into a tournament-like graph whose independence number stays
 bounded by the component size.  They double as a stress corpus: the encoded
 combinatorial property (triangle, reachability, Hamiltonian path) is exactly
-recoverable from the generated graph, which the validators here check.
+recoverable from the generated graph.  The exact checks of those properties are
+test oracles (``tests/oracles.py``), since no library routine needs them.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .digraph import BudgetError, Digraph
-
-_HAM_BUDGET = 18
+from .digraph import Digraph
 
 BitMatrix = Sequence[Sequence[int]]
 
@@ -207,48 +206,3 @@ def circulant(n: int, k: int) -> Digraph:
 def transitive_tournament(n: int) -> Digraph:
     """All arcs low -> high; the densest graph with independence number 1."""
     return alpha_family(n, 1)
-
-
-# ---------------------------------------------------------------------------
-# property validators
-# ---------------------------------------------------------------------------
-
-
-def has_triangle(g: Digraph) -> bool:
-    """True iff some directed 3-cycle u -> v -> w -> u exists."""
-    out = g.out_masks()
-    in_ = g.in_masks()
-    for u, v in g.arcs:
-        if out[v] & in_[u]:
-            return True
-    return False
-
-
-def has_hamiltonian_path(g: Digraph) -> bool:
-    """Exact Hamiltonian-path test by subset dynamic programming."""
-    n = g.n
-    if n > _HAM_BUDGET:
-        raise BudgetError(f"Hamiltonian search capped at n={_HAM_BUDGET}")
-    if n <= 1:
-        return True
-    sources = [v for v in range(n) if not g.in_neighbors(v)]
-    sinks = [v for v in range(n) if not g.out_neighbors(v)]
-    if len(sources) > 1 or len(sinks) > 1:
-        return False  # a second forced endpoint can never be visited
-    out = g.out_masks()
-    full = (1 << n) - 1
-    seeds = sources or range(n)
-    ends = [0] * (full + 1)
-    for v in seeds:
-        ends[1 << v] = 1 << v
-    for mask in range(1, full + 1):
-        live = ends[mask]
-        while live:
-            vbit = live & -live
-            live ^= vbit
-            nxt = out[vbit.bit_length() - 1] & ~mask
-            while nxt:
-                wbit = nxt & -nxt
-                nxt ^= wbit
-                ends[mask | wbit] |= wbit
-    return ends[full] != 0

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive: closures via repeated BFS, cuts and
 separators by subset enumeration, Hamiltonian paths by permutation.  None of
-it calls into the library's own algorithms, so agreement is meaningful.
+it calls into the library's own algorithms, so agreement is meaningful.  The
+two exceptions to naive, ``has_triangle_masks`` and ``has_ham_path_dp``, check
+the larger hard-instance gadgets exactly, and are themselves checked against
+the naive ``has_triangle`` and ``ham_path_exists``.
 """
 
 from __future__ import annotations
@@ -166,6 +169,51 @@ def has_triangle(n: int, arcs) -> bool:
         for b in range(n)
         for c in range(n)
     )
+
+
+HAM_BUDGET = 18  # has_ham_path_dp keeps one end mask per node subset
+
+
+def has_triangle_masks(n: int, arcs) -> bool:
+    """:func:`has_triangle` by bitmask rows, fast enough for the gadget tournaments:
+    an arc (u, v) closes a 3-cycle iff some out-neighbour of v is an in-neighbour of u."""
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    return any(out[v] & inn[u] for u, v in arcs)
+
+
+def has_ham_path_dp(n: int, arcs) -> bool:
+    """:func:`ham_path_exists` by subset dynamic programming, usable to n = HAM_BUDGET:
+    ``ends[mask]`` holds the nodes at which a path through exactly ``mask`` can end."""
+    if n > HAM_BUDGET:
+        raise ValueError(f"Hamiltonian search capped at n={HAM_BUDGET}")
+    if n <= 1:
+        return True
+    out, inn = [0] * n, [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    sources = [v for v in range(n) if not inn[v]]
+    sinks = [v for v in range(n) if not out[v]]
+    if len(sources) > 1 or len(sinks) > 1:
+        return False  # a second forced endpoint can never be visited
+    full = (1 << n) - 1
+    ends = [0] * (full + 1)
+    for v in sources or range(n):
+        ends[1 << v] = 1 << v
+    for mask in range(1, full + 1):
+        live = ends[mask]
+        while live:
+            vbit = live & -live
+            live ^= vbit
+            nxt = out[vbit.bit_length() - 1] & ~mask
+            while nxt:
+                wbit = nxt & -nxt
+                nxt ^= wbit
+                ends[mask | wbit] |= wbit
+    return ends[full] != 0
 
 
 def min_chain_cover_size(n: int, arcs) -> int:

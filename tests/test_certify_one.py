@@ -122,9 +122,9 @@ def test_prune_runs_one_scc_decomposition(monkeypatch):
     calls = []
     tarjan = digraph._tarjan
 
-    def counting(n, out):
+    def counting(n, out, *wrap):
         calls.append(n)
-        return tarjan(n, out)
+        return tarjan(n, out, *wrap)
 
     # both bindings of the one Tarjan core, so a call through scc_tarjan counts too
     monkeypatch.setattr(digraph, "_tarjan", counting)
@@ -225,6 +225,29 @@ def test_prune_kernel_equals_the_digraph_formulation(data):
         _assert_prune_equals_reference(g, lo)
 
 
+def test_prune_kernel_at_sampled_block_sizes():
+    # kcert's sampled blocks: 16-40 nodes, m about 2.5n, mostly acyclic.  The hypothesis
+    # test stops at n = 14; at these sizes the cover's matching has to augment.
+    rng = random.Random(18)
+    cyclic = 0
+    for _ in range(40):
+        n = rng.randint(16, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        arcs = set(rng.sample(pairs, 5 * n // 2))
+        if rng.random() < 0.3:  # a few back arcs close cycles
+            arcs.update((v, u) for u, v in rng.sample(pairs, 3))
+        perm = rng.sample(range(n), n)
+        drawn = Digraph(n, arcs)
+        for g in (drawn, Digraph(n, ((perm[u], perm[v]) for u, v in arcs))):
+            _assert_prune_equals_reference(g, rng.randint(1, 500))
+        cyclic += len(scc_tarjan(drawn)) < n
+    assert 3 <= cyclic <= 20
+    for _ in range(20):  # single-arc blocks: no Tarjan component beyond singletons
+        n = rng.randint(2, 40)
+        u, v = rng.sample(range(n), 2)
+        _assert_prune_equals_reference(Digraph(n, [(u, v)]), rng.randint(1, 500))
+
+
 def test_prune_kernel_on_edge_cases():
     graphs = [Digraph(0), Digraph(1), Digraph(5), Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])]
     for g in graphs:
@@ -246,7 +269,7 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
         return wrapped
 
     rng = random.Random(17)
-    checked = 0
+    checked = arcless = 0
     for seed in range(24):
         g = random_digraph(rng, 6, 30)
         model = (INSERTION_ONLY, TURNSTILE)[seed % 2]
@@ -260,8 +283,11 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
             run_passes(stream_of(g, model, seed), [run], run.total_passes)
-        tree_nodes = sum(map(len, run.by_depth))
-        assert calls == {"scc": tree_nodes, "closure": tree_nodes}
+        # an arc-less block runs no decomposition; a pruned block has its input's
+        # closure, so it holds an arc exactly when its input did
+        with_arcs = sum(bool(node.h_arcs) for nodes in run.by_depth for node in nodes)
+        assert calls == {"scc": with_arcs, "closure": with_arcs}
+        arcless += sum(map(len, run.by_depth)) - with_arcs
         assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), run.plan)[0].arcs
         for nodes in run.by_depth[1:]:
             for node in nodes:
@@ -272,7 +298,7 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
                 assert all(reachable(block, a, b) for chain in chains for a, b in zip(chain, chain[1:]))
                 assert len(chains) == len(chain_cover_minimum(block))
                 checked += 1
-    assert checked >= 100
+    assert checked >= 100 and arcless >= 100
 
 
 @given(st.data())

@@ -115,7 +115,8 @@ def test_scc_tarjan_pins_its_emission_order():
     # three components, {0,1} and {3,4} incomparable above the sink {2,5}: the order
     # follows the depth-first visit from node 0, and every component id depends on it
     g = Digraph(6, [(0, 1), (1, 0), (1, 2), (3, 4), (4, 3), (2, 5), (4, 5), (5, 2)])
-    assert scc_tarjan(g) == [{2, 5}, {0, 1}, {3, 4}]
+    comps = scc_tarjan(g)
+    assert comps == [{2, 5}, {0, 1}, {3, 4}] and all(type(c) is frozenset for c in comps)
 
 
 def test_scc_tarjan_runs_deeper_than_the_recursion_limit():

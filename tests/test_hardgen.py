@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import random_digraph
-from streamcert.digraph import BudgetError, Digraph
+from streamcert.digraph import Digraph
 from streamcert.hardgen import (
     alpha_family,
     circulant,
@@ -16,8 +16,6 @@ from streamcert.hardgen import (
     gadget_triangle,
     gadget_triangle_alpha,
     hampath_star,
-    has_hamiltonian_path,
-    has_triangle,
     reach_backedge,
     transitive_tournament,
     triangle_tournament_from_bits,
@@ -71,11 +69,12 @@ def test_triangle_gadget_figure_arcs():
         (2, 4), (4, 3), (2, 5), (3, 5),  # b/c layer oriented by y
         (4, 0), (5, 1),  # the fixed returns c_i -> a_i
     }
-    assert has_triangle(g)  # 1 -> 2 -> 5 -> 1
+    assert oracles.has_triangle_masks(g.n, g.arcs)  # 1 -> 2 -> 5 -> 1
 
 
 def test_triangle_gadget_zero_is_triangle_free():
-    assert not has_triangle(gadget_triangle(ZERO2, ZERO2))
+    g = gadget_triangle(ZERO2, ZERO2)
+    assert not oracles.has_triangle_masks(g.n, g.arcs)
 
 
 def test_triangle_gadget_matches_intersection_exhaustively():
@@ -84,7 +83,7 @@ def test_triangle_gadget_matches_intersection_exhaustively():
         y = [[(bits >> (4 + 2 * r + c)) & 1 for c in range(2)] for r in range(2)]
         g = gadget_triangle(x, y)
         expect = any(x[r][c] and y[r][c] for r in range(2) for c in range(2))
-        assert has_triangle(g) == expect
+        assert oracles.has_triangle_masks(g.n, g.arcs) == expect
         assert oracles.has_triangle(g.n, g.arcs) == expect
 
 
@@ -116,7 +115,7 @@ def test_embed_figure_tournament_arc_for_arc():
     }
     cross = {(u, v) for u in range(6) for v in range(6, 12)}
     assert g.n == 12 and g.arcs == first | second | cross
-    assert has_triangle(g)
+    assert oracles.has_triangle_masks(g.n, g.arcs)
 
 
 def test_embed_size_mismatch():
@@ -140,7 +139,7 @@ def test_triangle_tournament_tracks_bit_intersection():
             for yv in itertools.product((0, 1), repeat=length):
                 g = triangle_tournament_from_bits(xv, yv, 1)
                 expect = any(a and b for a, b in zip(xv, yv))
-                assert has_triangle(g) == expect
+                assert oracles.has_triangle_masks(g.n, g.arcs) == expect
     # seeded sampling at alpha=2 (blocks of 4 bits)
     rng = random.Random(52)
     for _ in range(40):
@@ -148,7 +147,7 @@ def test_triangle_tournament_tracks_bit_intersection():
         xv = [rng.randint(0, 1) for _ in range(length)]
         yv = [rng.randint(0, 1) for _ in range(length)]
         g = triangle_tournament_from_bits(xv, yv, 2)
-        assert has_triangle(g) == any(a and b for a, b in zip(xv, yv))
+        assert oracles.has_triangle_masks(g.n, g.arcs) == any(a and b for a, b in zip(xv, yv))
 
 
 def test_triangle_tournament_validation():
@@ -179,7 +178,7 @@ def test_alpha_gadget_figure_hamiltonian_path():
     # the drawn path s -> t -> p1 -> p2 -> p3 -> u
     for arc in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 1)]:
         assert arc in g.arcs
-    assert has_hamiltonian_path(g)
+    assert oracles.has_ham_path_dp(g.n, g.arcs)
 
 
 def test_alpha_gadget_both_bits_set():
@@ -187,7 +186,7 @@ def test_alpha_gadget_both_bits_set():
     reach = oracles.closure_sets(g.n, g.arcs)
     assert 2 not in reach[0]
     # the pad chain still threads every node even though s -> t is blocked
-    assert has_hamiltonian_path(g) == oracles.ham_path_exists(g.n, g.arcs)
+    assert oracles.has_ham_path_dp(g.n, g.arcs) == oracles.ham_path_exists(g.n, g.arcs)
 
 
 def test_alpha_gadget_validation():
@@ -214,7 +213,7 @@ def test_hampath_star_conjunction_exhaustive_d2():
         for combo in itertools.product(catalogue, repeat=count):
             star = hampath_star(combo)
             expect = all(oracles.ham_path_exists(g.n, g.arcs) for g in combo)
-            assert has_hamiltonian_path(star) == expect
+            assert oracles.has_ham_path_dp(star.n, star.arcs) == expect
 
 
 def test_hampath_star_conjunction_random():
@@ -224,14 +223,14 @@ def test_hampath_star_conjunction_random():
         combo = [random_digraph(rng, d, d) for _ in range(rng.randint(1, 3))]
         star = hampath_star(combo)
         expect = all(oracles.ham_path_exists(g.n, g.arcs) for g in combo)
-        assert has_hamiltonian_path(star) == expect
+        assert oracles.has_ham_path_dp(star.n, star.arcs) == expect
 
 
 def test_hampath_star_trivia():
-    assert has_hamiltonian_path(hampath_star([Digraph(1)] * 3))
-    assert not has_hamiltonian_path(hampath_star([Digraph(2)]))
     two_path = Digraph(2, [(0, 1)])
-    assert has_hamiltonian_path(hampath_star([two_path, two_path]))
+    for combo, expect in (([Digraph(1)] * 3, True), ([Digraph(2)], False), ([two_path, two_path], True)):
+        star = hampath_star(combo)
+        assert oracles.has_ham_path_dp(star.n, star.arcs) == expect
     with pytest.raises(ValueError):
         hampath_star([])
 
@@ -328,10 +327,11 @@ def test_validators_match_bruteforce():
     rng = random.Random(55)
     for _ in range(40):
         g = random_digraph(rng, 2, 7)
-        assert has_triangle(g) == oracles.has_triangle(g.n, g.arcs)
-        assert has_hamiltonian_path(g) == oracles.ham_path_exists(g.n, g.arcs)
+        assert oracles.has_triangle_masks(g.n, g.arcs) == oracles.has_triangle(g.n, g.arcs)
+        assert oracles.has_ham_path_dp(g.n, g.arcs) == oracles.ham_path_exists(g.n, g.arcs)
 
 
 def test_hamiltonian_budget():
-    with pytest.raises(BudgetError):
-        has_hamiltonian_path(transitive_tournament(19))
+    g = transitive_tournament(19)
+    with pytest.raises(ValueError, match="capped at n=18"):
+        oracles.has_ham_path_dp(g.n, g.arcs)
