@@ -8,6 +8,8 @@ Messages sent in round r are readable in round r+1.
 Protocols here are driven by a central scheduler for phase sequencing and
 termination detection, as is usual for simulators, but every bit of
 inter-node information travels through counted, size-checked messages.
+The SCC protocols split on least-rank labels: per level, one flood tells
+each node the least random rank that reaches it (``_Decomposition``).
 """
 
 from __future__ import annotations
@@ -130,25 +132,28 @@ def _flood_value(
     payload: Mapping[int, Message],
     phase: str,
 ) -> dict[int, Message]:
-    """Spread one message per component from its seeds to every member."""
+    """Give every node the least seed value that reaches it along ``links``.
+
+    A node keeps the least value it has heard and relays an improvement only
+    to the neighbours it lowers, so a relayed value is below the receiver's
+    own seed, if it has one.  With one seed value per component this is a
+    first-arrival flood: each node relays once, to the nodes not yet reached.
+    """
     value = dict(payload)
-    frontier = sorted(value)
+    frontier = list(value)
     while frontier:
         sends = {}
         for v in frontier:
-            out = {w: value[v] for w in links[v] if w not in value}
+            x = value[v]
+            out = {w: x for w in links[v] if w not in value or x < value[w]}
             if out:
                 sends[v] = out
         if not sends:
             break
         inbox = sim.exchange(sends, phase)
-        frontier = []
-        for w in sorted(inbox):
-            if w in value:
-                continue
-            src = min(inbox[w])
-            value[w] = inbox[w][src]
-            frontier.append(w)
+        for w, box in inbox.items():
+            value[w] = min(box.values())
+        frontier = list(inbox)
     return value
 
 
@@ -198,11 +203,12 @@ def _convergecast(
 
 
 class _Decomposition:
-    """Schudy-style SCC split: per level, each component of same-label nodes
-    finds its pivot (``_pivot_search``, steps counted as ``search_iters``),
-    and the pivot's floods split it into its SCC and four labelled parts.
-    Set A is the forward reach of the ranks below t*, which are the ranks
-    below the final search interval."""
+    """Schudy-style SCC split: per level, every node floods its rank forward
+    inside its component of same-part nodes and learns least(v), the least
+    rank that reaches it.  Each component finds its pivot (``_pivot_search``,
+    steps counted as ``search_iters``), and the pivot's floods split it into
+    its SCC and four parts.  Set A, the forward reach of the ranks below t*,
+    is the nodes whose least rank lies below the final search interval."""
 
     def __init__(self, net: CongestNetwork, seed: int, with_counters: bool):
         self.net = net
@@ -211,7 +217,6 @@ class _Decomposition:
         self.sim = _Sim(net)
         n = net.topology.n
         self.n = n
-        self.label = [1] * n
         self.scc = [None] * n
         self.counter = [1] * n
 
@@ -222,6 +227,10 @@ class _Decomposition:
         g = self.net.topology
         cube = n**3
         max_levels = 6 * max(1, n.bit_length()) + 24
+        # all nodes start in one part; a link stays while both ends stay
+        # unsettled and in the same part
+        links = {v: set(self.net.neighbors[v]) for v in range(n)}
+        part: dict[int, int] = {}
         for level in range(max_levels):
             active = [v for v in range(n) if self.scc[v] is None]
             if not active:
@@ -229,18 +238,21 @@ class _Decomposition:
             self.sim.bump("depth")
             rank = self._draw_ranks(level, active, cube)
 
-            # every active node tells its neighbours which subproblem it is in
-            sends = {
-                v: dict.fromkeys(self.net.neighbors[v], (self.label[v],))
-                for v in active if self.net.neighbors[v]
-            }
-            inbox = self.sim.exchange(sends, "announce") if sends else {}
-            links = {
-                v: {w for w, (lab,) in inbox.get(v, {}).items() if lab == self.label[v]}
-                for v in active
-            }
+            if level:
+                # every active node tells its unsettled linked neighbours its part
+                sends = {}
+                for v in active:
+                    msg = (part[v],)
+                    out = {w: msg for w in links[v] if self.scc[w] is None}
+                    if out:
+                        sends[v] = out
+                inbox = self.sim.exchange(sends, "announce") if sends else {}
+                links = {
+                    v: {w for w, (p,) in inbox.get(v, {}).items() if p == part[v]}
+                    for v in active
+                }
 
-            # nodes with no same-label neighbour are their own SCC
+            # nodes with no same-part neighbour are their own SCC
             lone = [v for v in active if not links[v]]
             for v in lone:
                 self.scc[v] = v
@@ -252,24 +264,28 @@ class _Decomposition:
             # neighbour is in v's component; comps are keyed by their leader
             leader, depth, parent = self._elect(active, links)
             comps: dict[int, list[int]] = {}
+            children: dict[int, list[int]] = {v: [] for v in active}
             for v in active:
                 comps.setdefault(leader[v], []).append(v)
+                if depth[v]:
+                    children[parent[v]].append(v)
             out_in = {v: [w for w in g.out_neighbors(v) if w in links[v]] for v in active}
             in_in = {v: [w for w in g.in_neighbors(v) if w in links[v]] for v in active}
 
+            # every least rank is the rank of a self-least node: one whose own
+            # rank is its least, since no lower rank reaches it
+            least = _flood_value(self.sim, out_in, {v: (rank[v],) for v in active}, "reach")
+            weight = {v: 1 + len(out_in[v]) for v in active}
+            self_least = {v: least[v][0] == rank[v] for v in active}
             totals = _convergecast(
                 self.sim, comps, parent, depth,
-                {v: (1, len(out_in[v])) for v in active}, "size",
+                {v: (weight[v], int(self_least[v])) for v in active}, "size",
             )
 
-            # each interval holds exactly one rank, t*: its node is the pivot
-            bounds = self._pivot_search(comps, parent, depth, links, out_in, rank, totals)
-            pivots = [v for v in active if bounds[v][0] <= rank[v] <= bounds[v][1]]
+            # each interval holds exactly one self-least rank, t*: its node is the pivot
+            bounds = self._pivot_search(comps, parent, depth, children, rank, least, weight, totals)
+            pivots = [v for v in active if self_least[v] and bounds[v][0] <= rank[v] <= bounds[v][1]]
 
-            set_a = _flood_reach(
-                self.sim, sorted(v for v in active if rank[v] < bounds[v][0]),
-                out_in, "reach",
-            )
             # the forward flood carries the pivot's id, so its SCC learns it
             self.sim.bump("virtual_source_wakeups", len(pivots))
             set_b = _flood_value(self.sim, out_in, {v: (v,) for v in pivots}, "reach")
@@ -277,36 +293,22 @@ class _Decomposition:
 
             branch = {}
             for v in active:
-                in_a, in_b = v in set_a, v in set_b
-                if in_b and v in back:
+                code = 2 * (v in set_b) + (least[v][0] < bounds[v][0])  # in B, in A
+                if code >= 2 and v in back:
                     branch[v] = 3  # the pivot's own SCC
-                elif not in_a and not in_b:
-                    branch[v] = 1
-                elif in_a and not in_b:
-                    branch[v] = 2
-                elif in_b and not in_a:
-                    branch[v] = 4
-                else:
-                    branch[v] = 5
-
-            if self.with_counters:
-                self._update_counters(comps, parent, depth, links, branch)
-
-            for v in active:
-                if branch[v] == 3:
                     self.scc[v] = set_b[v][0]
                 else:
-                    step = branch[v] if branch[v] < 3 else branch[v] - 1
-                    self.label[v] = 5 * self.label[v] + step
+                    part[v] = code  # one word
+                    branch[v] = (1, 2, 4, 5)[code]  # in neither, A only, B only, both
+            if self.with_counters:
+                self._update_counters(comps, parent, depth, children, branch)
         else:  # pragma: no cover - recursion provably shrinks
             raise RuntimeError("decomposition did not converge")
 
     def _draw_ranks(self, level: int, active: list[int], cube: int) -> dict[int, int]:
         attempt = 0
         while True:
-            rank = {
-                v: 1 + prf_u64(self.seed, level, attempt, v) % cube for v in active
-            }
+            rank = {v: 1 + prf_u64(self.seed, level, attempt, v) % cube for v in active}
             if len(set(rank.values())) == len(active):
                 return rank
             attempt += 1
@@ -337,32 +339,35 @@ class _Decomposition:
         parent = {v: state[v][2] for v in active}
         return leader, depth, parent
 
-    def _pivot_search(self, comps, parent, depth, links, out_in, rank, totals):
+    def _pivot_search(self, comps, parent, depth, children, rank, least, weight, totals):
         """Per-component bisection of [1, n^3] for t*, the least threshold t
         whose reach from the ranks <= t weighs half the component (a node
-        weighs 1 + |out_in|).  t* is a rank and stays in [lo, hi], so a root
-        closes its search once [lo, hi] holds one rank: each step's
-        convergecast returns (weight reached, count of ranks in [lo, mid]),
-        and the in-interval count starts at the component's size.  Each
-        flood, the ``search`` floods and the final ``tstar`` one, carries
-        the root's last direction in one word; every node halves its own
-        [lo, hi] by it and computes the next mid.  Returns each node's
-        final [lo, hi].
+        weighs 1 + |out_in|).  That reach is the nodes whose least rank is
+        <= t, so each node tests itself, and it changes only at self-least
+        ranks.  So t* is a self-least rank in [lo, hi], and a root closes its
+        search once [lo, hi] holds one: each step's convergecast returns
+        (weight reached, self-least ranks in [lo, mid]), and the count in
+        the interval starts at the ``size`` convergecast's.  A strongly
+        connected component has one self-least node and takes no step.  The
+        ``search`` floods and the final ``tstar`` one go down the BFS tree (a
+        parent learned its children in ``size``) and carry the root's last
+        direction in one word; every node halves its own [lo, hi] by it and
+        computes the next mid.  Components that took no step skip ``tstar``.
+        Returns each node's final [lo, hi].
 
         A pair covers at most n - 1 nodes of weight <= n, so it fits three
-        words: the weight two, the count one.  Two words overflow on some 3-
-        and 5-node inputs.  Over all 64 arc sets on 3 nodes and 400 random
-        5-node digraphs at seeds 0-2, ``congest_scc`` fails at max_words = 2
-        (in ``announce``, ``size`` and ``search``) and never at 3.
+        words: the weight two, the count one.
         """
         bounds = {v: (1, self.n**3) for key in comps for v in comps[key]}
-        inside = {key: totals[key][0] for key in comps}
-        went_low = dict.fromkeys(comps, False)  # first flood: no node has a mid yet
+        inside = {key: totals[key][1] for key in comps}
+        open_keys = sorted(key for key in comps if inside[key] > 1)
+        stepped = list(open_keys)
+        went_low = dict.fromkeys(open_keys, False)  # first flood: no node has a mid yet
         pending: dict[int, int] = {}  # a node's mid, until it learns the direction
 
         def tell(keys, phase):
             told = _flood_value(
-                self.sim, links, {key: (int(went_low[key]),) for key in keys}, phase
+                self.sim, children, {key: (int(went_low[key]),) for key in keys}, phase
             )
             for v, (low,) in told.items():
                 if v in pending:
@@ -370,43 +375,38 @@ class _Decomposition:
                     bounds[v] = (bounds[v][0], mid) if low else (mid + 1, bounds[v][1])
             return told
 
-        open_keys = sorted(key for key in comps if inside[key] > 1)
         while open_keys:
             self.sim.bump("search_iters")
             told = tell(open_keys, "search")
             for v in told:
                 pending[v] = sum(bounds[v]) // 2
-            reached = _flood_reach(
-                self.sim, sorted(v for v in told if rank[v] <= pending[v]),
-                out_in, "search",
-            )
             counts = _convergecast(
                 self.sim, {key: comps[key] for key in open_keys}, parent, depth,
                 {
                     v: (
-                        1 + len(out_in[v]) if v in reached else 0,
-                        int(bounds[v][0] <= rank[v] <= pending[v]),
+                        weight[v] if least[v][0] <= pending[v] else 0,
+                        int(least[v][0] == rank[v] and bounds[v][0] <= rank[v] <= pending[v]),
                     )
                     for v in told
                 },
                 "search",
             )
             for key in open_keys:
-                weight, in_lower = counts[key]
-                went_low[key] = 2 * weight >= sum(totals[key])
+                reached, in_lower = counts[key]
+                went_low[key] = 2 * reached >= totals[key][0]
                 inside[key] = in_lower if went_low[key] else inside[key] - in_lower
             open_keys = [key for key in open_keys if inside[key] > 1]
-        tell(comps, "tstar")
+        tell(stepped, "tstar")
         return bounds
 
-    def _update_counters(self, comps, parent, depth, links, branch) -> None:
+    def _update_counters(self, comps, parent, depth, children, branch) -> None:
         """Verbatim five-set offsets: later sets shift by earlier set sizes.
 
         One convergecast sums the four indicator counts of sets 1-4 as a
         tuple; a message covers a subtree without the root, so every count is
-        below n.  One flood hands their prefix sums back down, capped at n-1:
-        a node in set b reads the sizes of sets 1..b-1, which leave out the
-        node itself, so the cap never changes a value read.
+        below n.  One flood down the BFS tree hands their prefix sums back,
+        capped at n-1: a node in set b reads the sizes of sets 1..b-1, which
+        leave out the node itself, so the cap never changes a value read.
         """
         sizes = _convergecast(
             self.sim, comps, parent, depth,
@@ -416,7 +416,7 @@ class _Decomposition:
         prefix = {
             key: tuple(min(p, self.n - 1) for p in accumulate(s)) for key, s in sizes.items()
         }
-        seen = _flood_value(self.sim, links, prefix, "count")
+        seen = _flood_value(self.sim, children, prefix, "count")
         for v, b in branch.items():
             self.counter[v] += ((0,) + seen[v])[b - 1]
 

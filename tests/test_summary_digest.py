@@ -50,15 +50,15 @@ PINNED = {
         "kcert seed=1 cases=3 sha256=d9a2965cc70cd699d60d5407dc620f46b73ebd3ef1fd3117e2bd1da2fe506f3c",
         "kcert seed=2 cases=3 sha256=8ea90960a05f1eec25a9332f0a7f3d0f063f8b724c9246216a15fb70eeaadb07",
         "kcert seed=3 cases=3 sha256=abfb65297e3a277a7bafdd8159d5263c681508f03c223b04f68b269c620263e2",
-        "congest seed=1 cases=3 sha256=85f74d8210042ef6988cd1af9d0fa424dd9eaa7f0208a39e060eef6f68b378ae",
-        "congest seed=2 cases=3 sha256=568fc938f4760a2dcb42a5b412dcce67012c9c20932fcf1b40f2d73e598d235b",
-        "congest seed=3 cases=3 sha256=3023a3e52e132496014a7a67e01115bda159e1dae8a0b78735d24bd84df8bdf0",
+        "congest seed=1 cases=3 sha256=413f70f4940d6cb1d7f7f82c0bef1925e32b2378e8d27a41ccc2256cd370e6b4",
+        "congest seed=2 cases=3 sha256=7d28104d2bd83cec21673d5b84ab6ff3953eb10091fcb473824f7cbbacef632c",
+        "congest seed=3 cases=3 sha256=941ec68deec0b51edb300819c712ddbc04e9b44dd3f919d54d84aa8849bc2670",
     ],
     "full": [
         "one-ins seed=1 cases=12 sha256=bc200e961525a0f7def4c9081a4a8a9520eb9490c234866b8c819790406bc3f5",
         "one-turn seed=1 cases=4 sha256=6ec23c53d07c4f49bb47fc3c8b630f6131799f896f61205b8611c5db28f97f27",
         "kcert seed=1 cases=6 sha256=db3490fafaa5d35d1f5100f7c4b72cbf418e5270c22b8f1224037e952cdca41f",
-        "congest seed=1 cases=14 sha256=681e5aa5fc42d5b7d77ca60140098579421f332d96500f73ac2dac3ed257dc6f",
+        "congest seed=1 cases=14 sha256=5513786d82b99473e20d3224a89e8005d45e5b70463bd9d12a10a17968018486",
     ],
 }
 
