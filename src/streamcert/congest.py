@@ -315,29 +315,27 @@ class _Decomposition:
             self.sim.bump("rank_resamples")
 
     def _elect(self, active, links):
-        """Min-ID flood building per-component BFS trees (leader, depth, parent)."""
-        state = {v: (v, 0, v) for v in active}
-        pending = list(active)
-        while pending:
-            sends = {v: dict.fromkeys(links[v], state[v][:2]) for v in pending if links[v]}
+        """Min-ID flood building per-component BFS trees (leader, depth, parent):
+        as in ``_flood_value``, a node relays its (leader, depth) only over links
+        whose state it lowers, and a receiver keeps the least (leader, depth + 1, sender)."""
+        best, parent = {v: (v, 0) for v in active}, {v: v for v in active}
+        frontier = active
+        while frontier:
+            sends = {}
+            for v in frontier:
+                msg = best[v]
+                cand = (msg[0], msg[1] + 1)
+                out = {w: msg for w in links[v] if cand < best[w]}
+                if out:
+                    sends[v] = out
             if not sends:
                 break
             inbox = self.sim.exchange(sends, "leader")
-            pending = []
-            for v in sorted(inbox):
-                best = (state[v][0], state[v][1])
-                src = state[v][2]
-                for w in sorted(inbox[v]):
-                    cand = (inbox[v][w][0], inbox[v][w][1] + 1)
-                    if cand < best:
-                        best, src = cand, w
-                if best < (state[v][0], state[v][1]):
-                    state[v] = (best[0], best[1], src)
-                    pending.append(v)
-        leader = {v: state[v][0] for v in active}
-        depth = {v: state[v][1] for v in active}
-        parent = {v: state[v][2] for v in active}
-        return leader, depth, parent
+            for w, box in inbox.items():
+                lead, d, parent[w] = min((x, y + 1, u) for u, (x, y) in box.items())
+                best[w] = (lead, d)
+            frontier = inbox
+        return {v: b[0] for v, b in best.items()}, {v: b[1] for v, b in best.items()}, parent
 
     def _pivot_search(self, comps, parent, depth, children, rank, least, weight, totals):
         """Per-component bisection of [1, n^3] for t*, the least threshold t
@@ -446,9 +444,10 @@ def congest_k_cert(
     """Each node marks the arcs kept by sampled-subgraph pruning around it.
 
     Nodes sample memberships locally, announce them, gossip each sampled
-    subgraph's arcs inside that subgraph, then prune the component they
-    learned and mark their own incident survivors.  The union of all marks is
-    a k-node certificate of the input.  The members of one component learn
+    subgraph's arcs inside that subgraph (never back to a fact's sender nor
+    to its arc's ends, who hold it), then prune the component they learned
+    and mark their own incident survivors.  The union of all marks is a
+    k-node certificate of the input.  The members of one component learn
     the same arc set and prune it alike, so the simulator prunes each
     distinct set once: this shares computation, not information, and a
     node's marks stay a function of the facts its counted messages brought.
@@ -494,17 +493,18 @@ def congest_k_cert(
     known: list[set[tuple[int, int, int]]] = [set() for _ in range(n)]
     queue = [{w: [] for w in net.neighbors[v]} for v in range(n)]
 
-    def learn(v: int, fact: tuple[int, int, int]) -> None:
+    def learn(v: int, fact: tuple[int, int, int], sender: int) -> None:
         if fact not in known[v]:
             known[v].add(fact)
+            i, a, b = fact
             for w, heap in queue[v].items():
-                if fact[0] in nbr_member[v][w]:
+                if i in nbr_member[v][w] and w != sender and w != a and w != b:
                     heapq.heappush(heap, fact)
 
-    for u, v in g.arcs:
+    for u, v in g.arcs:  # each endpoint holds the arc from round 0
         for i in set(member[u]).intersection(member[v]):
-            learn(u, (i, u, v))
-            learn(v, (i, u, v))
+            learn(u, (i, u, v), v)
+            learn(v, (i, u, v), u)
     while True:
         sends = {}
         for v in range(n):
@@ -514,9 +514,9 @@ def congest_k_cert(
         if not sends:
             break
         inbox = sim.exchange(sends, "gossip")
-        for v in inbox:
-            for msg in inbox[v].values():
-                learn(v, msg)
+        for v, box in inbox.items():
+            for w, msg in box.items():
+                learn(v, msg, w)
 
     # local pruning of every learned component, marking incident survivors;
     # a node knows facts of index i only if it is an endpoint of one of them

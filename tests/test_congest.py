@@ -184,9 +184,64 @@ def test_leader_election_on_ring():
     leader, depth, parent = deco._elect(list(range(6)), links)
     assert set(leader.values()) == {0}
     assert depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 2, 5: 1}
-    assert deco.sim.round == 4
+    assert deco.sim.round == 3
     for v in range(1, 6):
         assert depth[parent[v]] == depth[v] - 1
+
+
+def _bfs_trees(n: int, links) -> dict[int, tuple[int, int, int]]:
+    """(leader, depth, parent) per linked node: the least id of its component,
+    the BFS distance from it, and the least-id neighbour one level closer."""
+    out = {}
+    for root in range(n):
+        if root in out or not links[root]:
+            continue
+        dist, layer = {root: 0}, [root]
+        while layer:
+            later = []
+            for v in layer:
+                for w in links[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        later.append(w)
+            layer = later
+        for v, d in dist.items():
+            out[v] = (root, d, min((w for w in links[v] if dist[w] == d - 1), default=v))
+    return out
+
+
+def test_election_builds_least_id_bfs_trees_and_every_message_lowers(monkeypatch):
+    """On sparse digraphs with several linked components, and their relabelled
+    copies, the election gives every node its component's least id, its BFS
+    depth and its least-id neighbour one level closer; a recording exchange
+    sees every ``leader`` message lower its receiver's (leader, depth)."""
+    state: dict[int, tuple[int, int]] = {}
+    exchange = _Sim.exchange
+
+    def recording(sim, sends, phase):
+        inbox = exchange(sim, sends, phase)
+        assert phase == "leader"
+        for w, box in inbox.items():
+            assert all((x, y + 1) < state[w] for x, y in box.values())
+            state[w] = min((x, y + 1) for x, y in box.values())
+        return inbox
+
+    monkeypatch.setattr(_Sim, "exchange", recording)
+    rng = random.Random(65)
+    several = 0
+    for trial in range(12):
+        for g in relabelled(random_digraph(rng, 20, 60, density=rng.choice((0.02, 0.04))), rng):
+            net = CongestNetwork(g)
+            links = {v: set(net.neighbors[v]) for v in range(g.n)}
+            active = [v for v in range(g.n) if links[v]]
+            state.clear()
+            state.update((v, (v, 0)) for v in active)
+            leader, depth, parent = _Decomposition(net, 0, with_counters=False)._elect(active, links)
+            want = _bfs_trees(g.n, links)
+            assert {v: (leader[v], depth[v], parent[v]) for v in active} == want
+            assert state == {v: (leader[v], depth[v]) for v in active}
+            several += len(set(leader.values())) > 1
+    assert several >= 24
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +302,9 @@ def test_search_pair_needs_three_words(monkeypatch):
         return exchange(sim, sends, phase)
 
     monkeypatch.setattr(_Sim, "exchange", recording)
-    with pytest.raises(ProtocolViolationError, match=r"node 1 sent a 6-bit message in round 6 \(budget 4\)"):
+    with pytest.raises(ProtocolViolationError, match=r"node 1 sent a 6-bit message in round 5 \(budget 4\)"):
         congest_scc(CongestNetwork(g, max_words=2))
-    assert phases == ["leader"] * 3 + ["reach"] + ["size"] * 2
+    assert phases == ["leader"] * 2 + ["reach"] + ["size"] * 2
     ids, _ = congest_scc(CongestNetwork(g, max_words=3))
     assert _blocks(ids) == oracles.scc_partition(g.n, g.arcs)
 
@@ -349,8 +404,8 @@ def test_protocol_traces_are_pinned():
         [(2, 4), (3, 4), (4, 0), (4, 5)],
         [(3, 5), (4, 5), (5, 0), (5, 1)],
     ]
-    assert (tr.rounds_used, tr.messages) == (103, 1746)
-    assert tr.phases == {"announce": 9, "gossip": 94}
+    assert (tr.rounds_used, tr.messages) == (52, 903)
+    assert tr.phases == {"announce": 9, "gossip": 43}
     assert tr.meta == {"samples": 173, "r": 58}
 
     g = random_strong_digraph(random.Random(501), 12, 12, extra=0.3)
@@ -358,25 +413,25 @@ def test_protocol_traces_are_pinned():
     assert hashlib.sha256(repr([sorted(m) for m in marks]).encode()).hexdigest() == (
         "b56af67f006f865860c1b29cd70b08152f06c3a711ea8121ee38f27d0e8239ad"
     )
-    assert (tr.rounds_used, tr.messages) == (422, 24725)
-    assert tr.phases == {"announce": 12, "gossip": 410}
+    assert (tr.rounds_used, tr.messages) == (315, 15385)
+    assert tr.phases == {"announce": 12, "gossip": 303}
     assert tr.meta == {"samples": 477, "r": 80}
 
     g = random_digraph(random.Random(62), 40, 40)
     ids, tr = congest_scc(CongestNetwork(g), seed=3)
     assert ids == [v if v in (14, 24, 30, 31, 33, 35, 39) else 13 for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (42, 1079)
+    assert (tr.rounds_used, tr.messages) == (40, 691)
     assert tr.phases == {
-        "announce": 1, "leader": 6, "size": 4, "search": 12, "tstar": 3, "reach": 16,
+        "announce": 1, "leader": 4, "size": 4, "search": 12, "tstar": 3, "reach": 16,
     }
     assert tr.meta == {"depth": 3, "search_iters": 2, "virtual_source_wakeups": 6}
 
     ranks, tr = congest_toposort(CongestNetwork(g), seed=3)
     ranks_of = {14: 37, 24: 37, 30: 38, 31: 2, 33: 1, 35: 37, 39: 1}
     assert ranks == [ranks_of.get(v, 4) for v in range(40)]
-    assert (tr.rounds_used, tr.messages) == (50, 1161)
+    assert (tr.rounds_used, tr.messages) == (48, 773)
     assert tr.phases == {
-        "announce": 1, "leader": 6, "size": 4,
+        "announce": 1, "leader": 4, "size": 4,
         "search": 12, "tstar": 3, "reach": 16, "count": 8,
     }
     assert tr.meta == {"depth": 3, "search_iters": 2, "virtual_source_wakeups": 6}
@@ -457,6 +512,39 @@ def test_k_cert_prunes_each_distinct_learned_arc_set_once(monkeypatch):
         k = 1 + trial % 2
         marks, tr = congest_k_cert(CongestNetwork(g), k, 0.5, seed=trial)
         assert marks == _per_node_marks(g, _learned_arc_sets(g, trial, tr.meta["r"], 0.5))
+
+
+def test_gossip_skips_the_sender_and_the_arc_ends(monkeypatch):
+    """A node never relays a fact to the neighbour whose message first taught
+    it, nor to an endpoint of the fact's arc; the endpoints hold every fact of
+    their arc from round 0 and are never sent it."""
+    taught: list[dict] = []
+    sent: list[tuple[int, int, int]] = []
+    exchange = _Sim.exchange
+
+    def recording(sim, sends, phase):
+        inbox = exchange(sim, sends, phase)
+        if phase == "gossip":
+            for u, out in sends.items():
+                for w, fact in out.items():
+                    assert w not in fact[1:], (u, w, fact)
+                    if u not in fact[1:]:  # an endpoint holds the fact from round 0
+                        assert taught[u][fact] != w, (u, w, fact)
+                    sent.append(fact)
+            for w, box in inbox.items():
+                for u, fact in box.items():
+                    taught[w].setdefault(fact, u)
+        return inbox
+
+    monkeypatch.setattr(_Sim, "exchange", recording)
+    rng = random.Random(66)
+    for trial in range(8):
+        g = doubled_cycle(6) if trial == 0 else random_strong_digraph(rng, 4, 12, extra=0.3)
+        k = 1 + trial % 2
+        taught[:] = [{} for _ in range(g.n)]
+        marks, tr = congest_k_cert(CongestNetwork(g), k, 0.5, seed=trial)
+        assert marks == _per_node_marks(g, _learned_arc_sets(g, trial, tr.meta["r"], 0.5))
+    assert len(sent) > 1000
 
 
 def test_k_cert_whole_graph_mode():

@@ -50,15 +50,15 @@ PINNED = {
         "kcert seed=1 cases=3 sha256=d9a2965cc70cd699d60d5407dc620f46b73ebd3ef1fd3117e2bd1da2fe506f3c",
         "kcert seed=2 cases=3 sha256=8ea90960a05f1eec25a9332f0a7f3d0f063f8b724c9246216a15fb70eeaadb07",
         "kcert seed=3 cases=3 sha256=abfb65297e3a277a7bafdd8159d5263c681508f03c223b04f68b269c620263e2",
-        "congest seed=1 cases=3 sha256=413f70f4940d6cb1d7f7f82c0bef1925e32b2378e8d27a41ccc2256cd370e6b4",
-        "congest seed=2 cases=3 sha256=7d28104d2bd83cec21673d5b84ab6ff3953eb10091fcb473824f7cbbacef632c",
-        "congest seed=3 cases=3 sha256=941ec68deec0b51edb300819c712ddbc04e9b44dd3f919d54d84aa8849bc2670",
+        "congest seed=1 cases=3 sha256=b5c8fc98a410253a2163f642b5150cc125d94fde69eaa860c7afbdf06038778e",
+        "congest seed=2 cases=3 sha256=e5e777c73c0e86352decfc4a49638e3a463f6dd9c79224a170911c4444744ce8",
+        "congest seed=3 cases=3 sha256=d60c507775ebd1fe9d20b7b87f7bc306200f4a59aa6b4e24939112d450378ed2",
     ],
     "full": [
         "one-ins seed=1 cases=12 sha256=bc200e961525a0f7def4c9081a4a8a9520eb9490c234866b8c819790406bc3f5",
         "one-turn seed=1 cases=4 sha256=6ec23c53d07c4f49bb47fc3c8b630f6131799f896f61205b8611c5db28f97f27",
         "kcert seed=1 cases=6 sha256=db3490fafaa5d35d1f5100f7c4b72cbf418e5270c22b8f1224037e952cdca41f",
-        "congest seed=1 cases=14 sha256=5513786d82b99473e20d3224a89e8005d45e5b70463bd9d12a10a17968018486",
+        "congest seed=1 cases=14 sha256=011528ace6f3ab1382f8029ae1226c3a6470ebec17869de5a207695f2151fd19",
     ],
 }
 
