@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .certify_one import Certificate, OneCertRun, RecursionPlan
-from .digraph import Branching, Digraph, degeneracy, independence_number_exact
+from .digraph import Branching, Digraph
 from .exact import FlowNet, lambda_st
 from .prf import prf_uniform, sample_members
 from .streams import ArcStream, SpaceLedger, StreamStats, run_passes
@@ -317,10 +317,3 @@ def extract_disjoint_branchings(
         current -= tree_arcs
     return out
 
-
-def residual_independence_check(g: Digraph, h: Digraph) -> bool:
-    """True iff alpha(g minus h) <= (degeneracy(h) + 1) * alpha(g)."""
-    if h.n != g.n or not h.arcs <= g.arcs:
-        raise ValueError("h must be an arc-subgraph of g on the same nodes")
-    residual = Digraph(g.n, g.arcs - h.arcs)
-    return independence_number_exact(residual) <= (degeneracy(h) + 1) * independence_number_exact(g)

@@ -15,12 +15,13 @@ from . import apps, bench
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream
 from .congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
-from .digraph import Digraph, require_ascii_decimal
+from .digraph import MAX_NODES, Digraph, require_ascii_decimal
 from .hardgen import (
     alpha_family,
     circulant,
     embed_tournament,
     gadget_plain,
+    gadget_tournament,
     gadget_triangle,
     gadget_triangle_alpha,
     hampath_star,
@@ -132,6 +133,15 @@ def _bits_from_arg(arg: str | None, need: int, seed: int) -> list[int]:
     return bits[:need]
 
 
+def _node_count(n: int) -> None:
+    """``--n`` of gen and bench, checked before anything is built: no reading
+    command accepts a graph of more than ``MAX_NODES`` nodes."""
+    if n < 0:
+        raise ValueError(f"node count must be >= 0, got {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"node count {n} above the ceiling of {MAX_NODES}")
+
+
 def _alpha_from_d(d: int) -> int:
     if d == 3:
         return 1
@@ -140,18 +150,10 @@ def _alpha_from_d(d: int) -> int:
     raise ValueError(f"gadget size {d} does not match any alpha (3 or even >= 4)")
 
 
-def _matrices(bits: list[int], at: int, m: int) -> tuple[list[list[int]], list[list[int]], int]:
-    x = [[bits[at + r * m + c] for c in range(m)] for r in range(m)]
-    at += m * m
-    y = [[bits[at + r * m + c] for c in range(m)] for r in range(m)]
-    return x, y, at + m * m
-
-
 def cmd_gen(args) -> int:
     seed = args.seed or 0
     fam = args.family
-    if args.n < 0:
-        raise ValueError(f"node count must be >= 0, got {args.n}")
+    _node_count(args.n)
     if fam == "transitive":
         g = transitive_tournament(args.n)
     elif fam == "alpha":
@@ -160,14 +162,8 @@ def cmd_gen(args) -> int:
         if args.d < 3 or args.d % 3 or args.n % args.d:
             raise ValueError("need d >= 3 divisible by 3 and n divisible by d")
         m = args.d // 3
-        count = args.n // args.d
-        bits = _bits_from_arg(args.bits, 2 * m * m * count, seed)
-        build = gadget_plain if fam == "plain" else gadget_triangle
-        gadgets, at = [], 0
-        for _ in range(count):
-            x, y, at = _matrices(bits, at, m)
-            gadgets.append(build(x, y))
-        g = embed_tournament(gadgets, args.d)
+        bits = _bits_from_arg(args.bits, 2 * m * m * (args.n // args.d), seed)
+        g = gadget_tournament(gadget_plain if fam == "plain" else gadget_triangle, bits, m)
     elif fam in ("triangle-alpha", "hampath", "reach"):
         alpha = _alpha_from_d(args.d)
         inner = args.n - 2 if fam == "hampath" else args.n
@@ -269,6 +265,7 @@ def cmd_congest(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _node_count(args.n)
     if args.family == "tournament":
         alphas = [int(a) for a in args.alphas.split(",")]
         families = bench.tournament_families(alphas, args.n)

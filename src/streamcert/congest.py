@@ -157,21 +157,6 @@ def _flood_value(
     return value
 
 
-def _flood_reach(
-    sim: _Sim,
-    sources: Sequence[int],
-    arcs_from: Mapping[int, Sequence[int]],
-    phase: str,
-) -> set[int]:
-    """Directed reachability flood; sources start informed and relay once.
-
-    The virtual super-source that feeds the sources never relays anything:
-    its only action is the round-zero wakeup, recorded on the trace.
-    """
-    sim.bump("virtual_source_wakeups", len(sources))
-    return set(_flood_value(sim, arcs_from, dict.fromkeys(sources, (1,)), phase))
-
-
 def _convergecast(
     sim: _Sim,
     comps: Mapping[int, Sequence[int]],
@@ -286,10 +271,11 @@ class _Decomposition:
             bounds = self._pivot_search(comps, parent, depth, children, rank, least, weight, totals)
             pivots = [v for v in active if self_least[v] and bounds[v][0] <= rank[v] <= bounds[v][1]]
 
-            # the forward flood carries the pivot's id, so its SCC learns it
-            self.sim.bump("virtual_source_wakeups", len(pivots))
+            # the forward flood carries the pivot's id, so its SCC learns it; a
+            # virtual super-source wakes the pivots for each flood and relays nothing
+            self.sim.bump("virtual_source_wakeups", 2 * len(pivots))
             set_b = _flood_value(self.sim, out_in, {v: (v,) for v in pivots}, "reach")
-            back = _flood_reach(self.sim, pivots, in_in, "reach")
+            back = _flood_value(self.sim, in_in, dict.fromkeys(pivots, (1,)), "reach")
 
             branch = {}
             for v in active:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -408,27 +408,8 @@ def independence_number_exact(g: Digraph) -> int:
 
 def independence_greedy_bound(g: Digraph) -> int:
     """Cheap lower bound on the independence number (greedy min-degree): the
-    number of closed steps of :func:`_min_degree_elimination`, each of which
-    takes a node of least live degree, lowest id on ties, into the set."""
-    return sum(1 for _ in _min_degree_elimination(g, closed=True))
-
-
-# ---------------------------------------------------------------------------
-# min-degree elimination
-# ---------------------------------------------------------------------------
-
-
-def degeneracy(g: Digraph) -> int:
-    """Degeneracy of the underlying undirected graph: the largest degree a node
-    has when the open steps of :func:`_min_degree_elimination` remove it (least
-    live degree first, lowest id on ties; ties do not change the value)."""
-    return max((d for _, d in _min_degree_elimination(g, closed=False)), default=0)
-
-
-def _min_degree_elimination(g: Digraph, closed: bool) -> Iterator[tuple[int, int]]:
-    """Yield, step by step, the live node of least live degree in the underlying
-    undirected graph, lowest id on ties, with that degree.  An open step then
-    removes the node; a closed step removes it and its live neighbours.
+    number of picks of a live node of least live degree in the underlying
+    undirected graph, lowest id on ties, each removed with its live neighbours.
 
     Matula and Beck's bucket queue over the bitmask rows: ``buckets[d]`` holds
     the live nodes of live degree d, each in exactly one bucket, and a node
@@ -442,15 +423,13 @@ def _min_degree_elimination(g: Digraph, closed: bool) -> Iterator[tuple[int, int
     for v, d in enumerate(deg):
         buckets[d] |= 1 << v
     alive = (1 << g.n) - 1
-    least = 0
+    least = picks = 0
     while alive:
         while not buckets[least]:
             least += 1
-        bucket = buckets[least]
-        low = bucket & -bucket
-        v = low.bit_length() - 1
-        yield v, least
-        gone = adj[v] & alive | low if closed else low
+        low = buckets[least] & -buckets[least]
+        picks += 1
+        gone = adj[low.bit_length() - 1] & alive | low
         alive ^= gone
         while gone:
             low = gone & -gone
@@ -468,6 +447,7 @@ def _min_degree_elimination(g: Digraph, closed: bool) -> Iterator[tuple[int, int
                 deg[w] = d - 1
                 if d <= least:
                     least = d - 1
+    return picks
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .certify_one import Certificate
-from .digraph import BudgetError, Digraph, reachability_masks
+from .digraph import Digraph, reachability_masks
 
 
 class FlowNet:
@@ -192,56 +192,3 @@ def validate_certificate(g: Digraph, cert: Certificate) -> CertValidationReport:
             violations.append((u, v, have, got))
     return CertValidationReport(cert.kind, k, cert.arcs <= g.arcs, tuple(violations))
 
-
-# ---------------------------------------------------------------------------
-# exhaustive inclusion-minimal certificates
-# ---------------------------------------------------------------------------
-
-_ENUM_BUDGET = 18
-
-
-def minimal_certificates_exhaustive(g: Digraph, k: int) -> list[frozenset]:
-    """All inclusion-minimal arc subsets that are k-node certificates of ``g``.
-
-    Walks the monotone family of valid subsets downward from the full arc set;
-    budgeted at 18 arcs.
-    """
-    if g.m > _ENUM_BUDGET:
-        raise BudgetError(f"exhaustive enumeration limited to {_ENUM_BUDGET} arcs, got {g.m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    arcs = sorted(g.arcs)
-    m = len(arcs)
-    valid_cache: dict[int, bool] = {}
-
-    def is_valid(mask: int) -> bool:  # the local arc test of validate_certificate
-        if mask not in valid_cache:
-            sub = Digraph(g.n, (arcs[i] for i in range(m) if (mask >> i) & 1))
-            valid_cache[mask] = all(kappa_st(sub, *arcs[i], limit=k) >= k
-                                    for i in range(m) if not (mask >> i) & 1)
-        return valid_cache[mask]
-
-    minimal: set[int] = set()
-    seen: set[int] = set()
-
-    def walk(mask: int) -> None:
-        if mask in seen:
-            return
-        seen.add(mask)
-        shrinkable = False
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            child = mask ^ low
-            if is_valid(child):
-                shrinkable = True
-                walk(child)
-        if not shrinkable:
-            minimal.add(mask)
-
-    walk((1 << m) - 1)
-    return sorted(
-        (frozenset(arcs[i] for i in range(m) if (mask >> i) & 1) for mask in minimal),
-        key=lambda fs: (len(fs), sorted(fs)),
-    )

@@ -10,7 +10,7 @@ test oracles (``tests/oracles.py``), since no library routine needs them.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .digraph import Digraph
 
@@ -110,26 +110,23 @@ def embed_tournament(gadgets: Sequence[Digraph], d: int) -> Digraph:
     return Digraph(total, arcs)
 
 
-def triangle_tournament_from_bits(
-    xbits: Sequence[int], ybits: Sequence[int], alpha: int
+def gadget_tournament(
+    build: Callable[[BitMatrix, BitMatrix], Digraph], bits: Sequence[int], m: int
 ) -> Digraph:
-    """Tournament of triangle gadgets encoding two alpha^2-per-block strings.
+    """Embed one 3m-node ``build(x, y)`` gadget per 2m^2 bits: x's m^2 bits
+    row by row, then y's.  This is the layout ``gen --bits`` reads.
 
-    The embedded graph contains a directed triangle iff the bit strings
-    intersect (some position carries a 1 in both), because cross-component
-    arcs all point forward and cannot close a cycle.
+    With :func:`gadget_triangle` the result holds a directed triangle iff some
+    gadget has x_ij = y_ij = 1, because cross-component arcs all point forward
+    and cannot close a cycle.
     """
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    block = alpha * alpha
-    if len(xbits) != len(ybits) or len(xbits) % block:
-        raise ValueError("bit strings must have equal length divisible by alpha^2")
-    gadgets = []
-    for start in range(0, len(xbits), block):
-        x = [[xbits[start + r * alpha + c] for c in range(alpha)] for r in range(alpha)]
-        y = [[ybits[start + r * alpha + c] for c in range(alpha)] for r in range(alpha)]
-        gadgets.append(gadget_triangle(x, y))
-    return embed_tournament(gadgets, 3 * alpha)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if len(bits) % (2 * m * m):
+        raise ValueError(f"need a multiple of 2m^2 = {2 * m * m} bits, got {len(bits)}")
+    rows = [list(bits[at:at + m]) for at in range(0, len(bits), m)]
+    gadgets = [build(rows[i:i + m], rows[i + m:i + 2 * m]) for i in range(0, len(rows), 2 * m)]
+    return embed_tournament(gadgets, 3 * m)
 
 
 def hampath_star(gadgets: Sequence[Digraph]) -> Digraph:

@@ -216,14 +216,6 @@ class ArcStream:
         return "\n".join(lines) + "\n"
 
 
-def final_multiplicity(stream: ArcStream) -> Digraph:
-    """Materialize the stream's end state; every update flips its arc between 0 and 1."""
-    present: set[tuple[int, int]] = set()
-    for _, u, v in stream.updates:
-        present ^= {(u, v)}
-    return Digraph(stream.n, present)
-
-
 # ---------------------------------------------------------------------------
 # pass scheduler
 # ---------------------------------------------------------------------------

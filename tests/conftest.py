@@ -89,6 +89,13 @@ def turnstile_stream(g: Digraph, seed: int, churn: int | None = None) -> ArcStre
     return ArcStream(g.n, updates, TURNSTILE)
 
 
+def gadget_bits(xv, yv, m: int) -> list[int]:
+    """Two strings of m^2 bits per gadget as ``hardgen.gadget_tournament`` and
+    ``gen --bits`` read them: per gadget, x's m^2 bits and then y's."""
+    b = m * m
+    return [bit for at in range(0, len(xv), b) for bit in (*xv[at:at + b], *yv[at:at + b])]
+
+
 def stream_of(g: Digraph, model: str, seed: int) -> ArcStream:
     if model == INSERTION_ONLY:
         return ArcStream.from_graph(g, INSERTION_ONLY, seed=seed)

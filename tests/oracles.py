@@ -131,6 +131,28 @@ def min_degree_greedy(n: int, arcs) -> int:
     return count
 
 
+def degeneracy(n: int, arcs) -> int:
+    """Degeneracy of the underlying undirected graph: the largest, over node
+    subsets, of the least degree inside the subset, by subset enumeration."""
+    und = {frozenset(a) for a in arcs}
+    best = 0
+    for size in range(1, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            least = min(sum(1 for w in sub if w != v and frozenset((v, w)) in und) for v in sub)
+            best = max(best, least)
+    return best
+
+
+def final_arcs(updates) -> set[tuple[int, int]]:
+    """Arcs of a stream's final graph: those whose signed (sign, u, v) updates
+    sum to 1.  Every other sum must be 0."""
+    mult: dict[tuple[int, int], int] = {}
+    for sign, u, v in updates:
+        mult[(u, v)] = mult.get((u, v), 0) + sign
+    assert set(mult.values()) <= {0, 1}, mult
+    return {arc for arc, count in mult.items() if count}
+
+
 def two_sat_satisfiable(clauses, nvars: int) -> bool:
     for bits in range(1 << nvars):
         val = [(bits >> i) & 1 == 1 for i in range(nvars)]

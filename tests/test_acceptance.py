@@ -16,7 +16,7 @@ import time
 import pytest
 
 import oracles
-from conftest import DENSITIES, random_digraph, random_strong_digraph, stream_of
+from conftest import DENSITIES, gadget_bits, random_digraph, random_strong_digraph, stream_of
 from streamcert import apps
 from streamcert.certify_k import SampleScheme, k_arc_cert_peeling, k_node_cert
 from streamcert.certify_one import (
@@ -27,23 +27,18 @@ from streamcert.certify_one import (
 )
 from streamcert.congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
 from streamcert.digraph import Digraph, independence_number_exact
-from streamcert.exact import (
-    kappa_st,
-    lambda_st,
-    minimal_certificates_exhaustive,
-    validate_certificate,
-)
+from streamcert.exact import kappa_st, lambda_st, validate_certificate
 from streamcert.hardgen import (
     alpha_family,
     circulant,
     embed_tournament,
     gadget_plain,
+    gadget_tournament,
     gadget_triangle,
     gadget_triangle_alpha,
     hampath_star,
     reach_backedge,
     transitive_tournament,
-    triangle_tournament_from_bits,
 )
 from streamcert.streams import INSERTION_ONLY, TURNSTILE, ArcStream
 
@@ -106,8 +101,10 @@ def _gadget_suite() -> list[Digraph]:
         circulant(25, 2),
         embed_tournament([gadget_triangle(zero, zero), gadget_triangle(fig_x, fig_y)], 6),
         embed_tournament([gadget_plain(fig_x, fig_y)] * 3, 6),
-        triangle_tournament_from_bits([1, 0, 1, 1], [0, 1, 1, 0], 1),
-        triangle_tournament_from_bits([0, 1, 1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1, 1, 0], 2),
+        gadget_tournament(gadget_triangle, gadget_bits([1, 0, 1, 1], [0, 1, 1, 0], 1), 1),
+        gadget_tournament(
+            gadget_triangle, gadget_bits([0, 1, 1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1, 1, 0], 2), 2
+        ),
         gadget_triangle_alpha(0, 1, 5),
         hampath_star([gadget_triangle_alpha(x, y, 2) for x, y in ((0, 0), (1, 0), (0, 1))]),
         reach_backedge(
@@ -228,7 +225,7 @@ def test_criterion_5_minimal_node_certs_are_arc_certs(say):
     certs = 0
     for g in graphs:
         for k in (1, 2, 3):
-            for cert_arcs in minimal_certificates_exhaustive(g, k):
+            for cert_arcs in oracles.minimal_node_certs(g.n, g.arcs, k):
                 assert oracles.arc_condition_holds(g.n, g.arcs, cert_arcs, k), (
                     g.n,
                     sorted(g.arcs),
@@ -320,14 +317,14 @@ def test_criterion_8_gadget_identities(say):
     for length in range(1, 8):
         for xv in itertools.product((0, 1), repeat=length):
             for yv in itertools.product((0, 1), repeat=length):
-                g = triangle_tournament_from_bits(xv, yv, 1)
+                g = gadget_tournament(gadget_triangle, gadget_bits(xv, yv, 1), 1)
                 assert oracles.has_triangle_masks(g.n, g.arcs) == any(a and b for a, b in zip(xv, yv))
     rng = random.Random(808)
     for alpha, length in ((2, 4), (2, 8), (2, 16), (4, 16)):
         for _ in range(60):
             xv = [rng.randint(0, 1) for _ in range(length)]
             yv = [rng.randint(0, 1) for _ in range(length)]
-            g = triangle_tournament_from_bits(xv, yv, alpha)
+            g = gadget_tournament(gadget_triangle, gadget_bits(xv, yv, alpha), alpha)
             assert oracles.has_triangle_masks(g.n, g.arcs) == any(a and b for a, b in zip(xv, yv))
 
     # (b) plain-gadget reachability, exhaustive for m <= 2

@@ -13,7 +13,7 @@ from streamcert import cli
 from streamcert.cli import main
 from streamcert.digraph import Digraph, reachable
 from streamcert.hardgen import transitive_tournament
-from streamcert.streams import ArcStream, final_multiplicity
+from streamcert.streams import ArcStream
 
 
 def _has_triangle(text: str) -> bool:
@@ -52,7 +52,7 @@ def test_gen_stream_mode(capsys):
     stream = ArcStream.from_text(out)
     assert stream.model == "turn"
     assert stream.n == 7
-    assert final_multiplicity(stream).m == 14
+    assert len(oracles.final_arcs(stream.updates)) == 14
 
 
 def test_gen_triangle_bits_control_the_instance(capsys):
@@ -107,7 +107,8 @@ def test_gen_rejects_bad_shapes(capsys):
     for family, n, d, message in (("plain", "6", "0", "need d >= 3 divisible by 3 and n divisible by d"),
                                   ("triangle", "0", "0", "need d >= 3 divisible by 3 and n divisible by d"),
                                   ("transitive", "-3", "3", "node count must be >= 0, got -3"),
-                                  ("triangle-alpha", "-6", "3", "node count must be >= 0, got -6")):
+                                  ("triangle-alpha", "-6", "3", "node count must be >= 0, got -6"),
+                                  ("transitive", "65537", "3", "node count 65537 above the ceiling of 65536")):
         code, out, err = run(capsys, "gen", "--family", family, "--n", n, "--d", d)
         assert (code, out, err) == (2, "", f"error: {message}\n"), family
 
@@ -229,6 +230,7 @@ def test_runaway_sizes_exit_2_before_any_work(circ_files, tmp_path, capsys):
         (("kcert", "--input", str(one), "--passes", "1", "--mode", "peel", "--k", huge),
          f"got {huge}"),
         (("bench", "--n", "4", "--alphas", "1,0"), "alpha must be >= 1, got 0"),
+        (("bench", "--n", "65537"), "node count 65537 above the ceiling of 65536"),
     )
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -13,7 +13,6 @@ from streamcert.congest import (
     CongestNetwork,
     ProtocolViolationError,
     _Decomposition,
-    _flood_reach,
     _flood_value,
     _Sim,
     _word_count,
@@ -161,19 +160,6 @@ def test_flood_value_keeps_the_least_value_that_reaches_each_node():
                 if u == v or v in reach[u]:
                     want[v] = min(want.get(v, x), x)
         assert got == want
-
-
-def test_flood_reach_is_directed():
-    g = path(5)
-    net = CongestNetwork(g)
-    sim = _Sim(net)
-    arcs_from = {v: sorted(g.out_neighbors(v)) for v in range(5)}
-    assert _flood_reach(sim, [0], arcs_from, "r") == set(range(5))
-    assert sim.round == 4
-    sim2 = _Sim(net)
-    assert _flood_reach(sim2, [4], arcs_from, "r") == {4}
-    assert sim2.round == 0
-    assert sim2.meta["virtual_source_wakeups"] == 1
 
 
 def test_leader_election_on_ring():

@@ -6,19 +6,19 @@ import random
 import pytest
 
 import oracles
-from conftest import random_digraph
+from conftest import gadget_bits, random_digraph
 from streamcert.digraph import Digraph
 from streamcert.hardgen import (
     alpha_family,
     circulant,
     embed_tournament,
     gadget_plain,
+    gadget_tournament,
     gadget_triangle,
     gadget_triangle_alpha,
     hampath_star,
     reach_backedge,
     transitive_tournament,
-    triangle_tournament_from_bits,
 )
 
 ZERO2 = [[0, 0], [0, 0]]
@@ -137,7 +137,7 @@ def test_triangle_tournament_tracks_bit_intersection():
     for length in (1, 2, 3):
         for xv in itertools.product((0, 1), repeat=length):
             for yv in itertools.product((0, 1), repeat=length):
-                g = triangle_tournament_from_bits(xv, yv, 1)
+                g = gadget_tournament(gadget_triangle, gadget_bits(xv, yv, 1), 1)
                 expect = any(a and b for a, b in zip(xv, yv))
                 assert oracles.has_triangle_masks(g.n, g.arcs) == expect
     # seeded sampling at alpha=2 (blocks of 4 bits)
@@ -146,15 +146,17 @@ def test_triangle_tournament_tracks_bit_intersection():
         length = rng.choice((4, 8))
         xv = [rng.randint(0, 1) for _ in range(length)]
         yv = [rng.randint(0, 1) for _ in range(length)]
-        g = triangle_tournament_from_bits(xv, yv, 2)
+        g = gadget_tournament(gadget_triangle, gadget_bits(xv, yv, 2), 2)
         assert oracles.has_triangle_masks(g.n, g.arcs) == any(a and b for a, b in zip(xv, yv))
 
 
 def test_triangle_tournament_validation():
     with pytest.raises(ValueError):
-        triangle_tournament_from_bits([1, 0, 1], [0, 1, 1], 2)
+        gadget_tournament(gadget_triangle, [1, 0, 1, 0, 1, 1], 2)
     with pytest.raises(ValueError):
-        triangle_tournament_from_bits([1], [0, 1], 1)
+        gadget_tournament(gadget_triangle, [1, 0, 1], 1)
+    with pytest.raises(ValueError):
+        gadget_tournament(gadget_triangle, [], 0)
 
 
 # ---------------------------------------------------------------------------

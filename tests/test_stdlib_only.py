@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library, and exports
-only names it defines."""
+only names it defines and something outside the tests calls."""
 
 from __future__ import annotations
 
@@ -31,3 +31,34 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from streamcert import *", namespace)  # a stale name raises AttributeError
     assert set(streamcert.__all__) <= namespace.keys()
+
+
+def test_every_exported_name_has_a_caller():
+    """Each name in ``__all__`` is referenced in ``src/``, ``tools/`` or
+    ``perfbench/`` outside ``__init__.py`` and its own definition.  A reference
+    inside the definition of another export that has no caller does not count,
+    so a routine kept alive only by a test-only routine fails too."""
+    exported = set(streamcert.__all__)
+    owners_of: dict[str, list[frozenset]] = {name: [] for name in exported}
+
+    def visit(node: ast.AST, owners: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported:
+            owners |= {node.name}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)  # ast.Name, ast.Attribute
+        if name in owners_of:
+            owners_of[name].append(owners)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    root = PACKAGE.parents[1]
+    for path in sorted(p for d in ("src", "tools", "perfbench") for p in (root / d).rglob("*.py")):
+        if path != PACKAGE / "__init__.py":
+            visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    dead: set[str] = set()
+    while True:
+        more = {name for name in exported - dead
+                if all(owners & (dead | {name}) for owners in owners_of[name])}
+        if not more:
+            break
+        dead |= more
+    assert not dead, sorted(dead)
