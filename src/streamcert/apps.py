@@ -98,7 +98,7 @@ def msss_2apx(cert: Certificate) -> Digraph | None:
     comps = scc_tarjan(g)
     if len(comps) > 1:
         return None
-    return Digraph(g.n, _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, [0] * g.n))
+    return Digraph(g.n, _scc_branching_arcs(g.n, g.out_neighbors, g.in_neighbors, comps))
 
 
 def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
@@ -114,7 +114,7 @@ def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
         raise ValueError(f"strong bridges need a certificate with k >= 2, got k={cert2.k}")
     g = cert2.graph()
     comps = scc_tarjan(g)
-    branchings = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, scc_ids(g, comps))
+    branchings = _scc_branching_arcs(g.n, g.out_neighbors, g.in_neighbors, comps)
     return frozenset((u, v) for u, v in branchings if not _detour(g, u, v))
 
 

@@ -59,9 +59,9 @@ class SampleScheme:
     """Sampling parameters for the randomized certificates.
 
     ``r=None`` selects the desk-scale default ceil(8 * k^2 * ln n) samples for
-    node mode and ceil(8 * k * ln n) for arc mode; the published constant
-    (192 / rho^2 * log2 n, at lambda = 1) is available from :meth:`reference_r`
-    but is far too conservative to run.
+    node mode and ceil(8 * k * ln n) for arc mode.  The published constants,
+    192 / rho^2 * log2 n node samples and 192 / rho * log2 n arc samples (at
+    lambda = 1), are far too conservative to run.
     """
 
     rho: float
@@ -89,10 +89,6 @@ class SampleScheme:
         if r > MAX_SAMPLES:
             raise ValueError(f"{r} samples above the ceiling of {MAX_SAMPLES}")
         return r
-
-    def reference_r(self, n: int) -> int:
-        scale = self.rho**2 if self.mode == "node" else self.rho
-        return math.ceil(192.0 / scale * math.log2(max(2, n)))
 
 
 class _MaskRouter:

@@ -80,32 +80,24 @@ class Certificate:
 class RecursionPlan:
     """Pass budget for the streaming recursion.
 
-    The branching factor is not a setting: a run with d >= 1 levels cuts every
-    range into b = max(2, smallest integer with b**(d+1) >= n) blocks.
-    ``mp_passes`` fixes the per-level pass count q of the turnstile minimum
-    selection; the default is floor(sqrt(p-1)) adjusted so d*q+1 <= p.  p <= 64:
-    a run builds a tree level, an owner table and a schedule entry per pass, and
-    with b >= 2 a level past log2 n <= 16 (``digraph.MAX_NODES``) only copies
+    p alone fixes the schedule: an insertion-only run has d = p - 1 levels of one
+    pass, a turnstile run q = max(1, floor(sqrt(p-1))) selection passes per level
+    and d = floor((p-1)/q) levels.  A run with d >= 1 levels cuts every range
+    into b = max(2, smallest integer with b**(d+1) >= n) blocks.  p <= 64: a run
+    builds a tree level, an owner table and a schedule entry per pass, and with
+    b >= 2 a level past log2 n <= 16 (``digraph.MAX_NODES``) only copies
     single-node blocks.
     """
 
     p: int
-    mp_passes: int | None = None
 
     def __post_init__(self):
         if not 1 <= self.p <= 64:
             raise ValueError(f"pass budget p must be in [1, 64], got {self.p}")
-        if self.mp_passes is not None:
-            if self.p == 1:
-                raise ValueError("mp_passes is meaningless for a 1-pass plan")
-            if not 1 <= self.mp_passes <= self.p - 1:
-                raise ValueError(f"mp_passes must be in [1, p-1], got {self.mp_passes}")
 
     def turnstile_split(self) -> tuple[int, int]:
         """(levels d, per-level passes q) with d*q + 1 <= p."""
-        if self.p == 1:
-            return 0, 1
-        q = self.mp_passes or max(1, math.isqrt(self.p - 1))
+        q = max(1, math.isqrt(self.p - 1))
         return (self.p - 1) // q, q
 
 
@@ -156,11 +148,7 @@ def _prune(n: int, arcs, lo: int = 0) -> tuple[set[tuple[int, int]], tuple[tuple
         for u, row in enumerate(out):
             for v in row:
                 inn[v].append(u)
-        comp_id = [0] * n
-        for c, comp in enumerate(comps):
-            for v in comp:
-                comp_id[v] = c
-        branchings = _scc_branching_arcs(out.__getitem__, inn.__getitem__, comps, comp_id)
+        branchings = _scc_branching_arcs(n, out.__getitem__, inn.__getitem__, comps)
         kept.update((u + lo, v + lo) for u, v in branchings)
     return kept, tuple(sorted(tuple(order[i] + lo for i in chain) for chain in chains))
 
@@ -234,17 +222,11 @@ class OneCertRun:
         arc_filter=None,
     ):
         self.model = model
-        self.plan = plan
         self.name = name
         self.arc_filter = arc_filter
         self.size = n
 
-        if model == TURNSTILE:
-            self.levels, self.q = plan.turnstile_split()
-        else:
-            if plan.mp_passes is not None:
-                raise ValueError("mp_passes applies to turnstile streams only")
-            self.levels, self.q = plan.p - 1, 1
+        self.levels, self.q = plan.turnstile_split() if model == TURNSTILE else (plan.p - 1, 1)
         self.total_passes = 1 + self.levels * self.q
 
         self.b = int_root_ceil(self.size, self.levels + 1)

@@ -200,7 +200,7 @@ def cmd_gen(args) -> int:
 
 def cmd_one(args) -> int:
     stream = _stream(args.input)
-    plan = RecursionPlan(p=args.passes, mp_passes=args.mp_passes)
+    plan = RecursionPlan(p=args.passes)
     ledger = None
     if args.strict_space:
         budget = _eval_budget(args.strict_space, {"n": stream.n, "p": args.passes})
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("one", help="1-certificate from a stream")
     p.add_argument("--input", required=True, help="stream file or - for stdin")
     p.add_argument("--passes", type=int, required=True)
-    p.add_argument("--mp-passes", type=int, default=None)
     p.add_argument("--strict-space", default=None, metavar="EXPR",
                    help="word budget over n and p, e.g. '8*n**1.5'")
     p.set_defaults(func=cmd_one)

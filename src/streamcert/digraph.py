@@ -232,7 +232,7 @@ def _closure(out_rows: list[int], comps: Sequence[Sequence[int]]) -> list[int]:
     return reach
 
 
-def reachability_masks(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> list[int]:
+def reachability_masks(g: Digraph, comps: Sequence[Sequence[int]] | None = None) -> list[int]:
     """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle).
     ``comps`` passes in ``scc_tarjan(g)`` when the caller already holds it."""
     return _closure(g.out_masks(), scc_tarjan(g) if comps is None else comps)
@@ -274,23 +274,21 @@ def transitive_closure(g: Digraph) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-def scc_tarjan(g: Digraph) -> list[frozenset[int]]:
+def scc_tarjan(g: Digraph) -> Sequence[Sequence[int]]:
     """Strongly connected components, emitted in reverse topological order
     of the condensation (a component is emitted only after everything it can
     reach).  A wrapper over :func:`_tarjan`, the one implementation."""
-    return _tarjan(g.n, g.out_neighbors, frozenset)
+    return _tarjan(g.n, g.out_neighbors)
 
 
-def _tarjan(n: int, out: Callable[[int], Sequence[int]], wrap: Callable | None = None) -> list:
+def _tarjan(n: int, out: Callable[[int], Sequence[int]]) -> list[list[int]]:
     """:func:`scc_tarjan` of the graph on ``0..n-1`` with ascending out-neighbours ``out(v)``,
-    each component as the list of nodes popped off the stack for it, or passed through
-    ``wrap`` as it is popped: the prune kernel keeps the lists, :func:`scc_tarjan` wraps
-    each in a frozenset, and neither holds a second list of components."""
+    each component as the list of nodes popped off the stack for it."""
     index_of = [-1] * n
     low = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    comps: list = []
+    comps: list[list[int]] = []
     counter = 0
 
     # Iterative Tarjan so large certify/bench instances cannot hit the
@@ -326,13 +324,13 @@ def _tarjan(n: int, out: Callable[[int], Sequence[int]], wrap: Callable | None =
                         comp.append(w)
                         if w == v:
                             break
-                    comps.append(comp if wrap is None else wrap(comp))
+                    comps.append(comp)
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
     return comps
 
 
-def scc_ids(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> list[int]:
+def scc_ids(g: Digraph, comps: Sequence[Sequence[int]] | None = None) -> list[int]:
     """Component id per node; ids follow the reverse topological emission order.
 
     ``comps`` passes in ``scc_tarjan(g)`` when the caller already holds it.
@@ -455,7 +453,7 @@ def independence_greedy_bound(g: Digraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def chain_cover_minimum(g: Digraph, comps: Sequence[frozenset[int]] | None = None) -> ChainCover:
+def chain_cover_minimum(g: Digraph, comps: Sequence[Sequence[int]] | None = None) -> ChainCover:
     """A minimum chain cover, chains sorted: a wrapper over :func:`_chain_cover`, the
     one implementation, whose numbering the prune kernel ``certify_one._prune`` also
     selects its arcs in.  ``comps`` passes in ``scc_tarjan(g)`` when the caller
@@ -572,12 +570,19 @@ def grow_branching(g: Digraph, root: int, kind: str) -> Branching:
 
 
 def _scc_branching_arcs(
-    out: Callable, inn: Callable, comps: Sequence[Sequence[int]], comp_id: Sequence[int]
+    n: int, out: Callable, inn: Callable, comps: Sequence[Sequence[int]]
 ) -> set[tuple[int, int]]:
-    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  One BFS per
-    direction over the ascending ``out(u)`` or ``inn(u)`` starts at every root at once and follows
-    only arcs inside a component: each tree is the lowest-id-first BFS tree of its component."""
-    roots = [min(comp) for comp in comps if len(comp) > 1]
+    """One in- plus one out-branching per nontrivial SCC, rooted at its least id.  Only nodes of
+    nontrivial components get an id, -1 elsewhere.  One BFS per direction over the ascending
+    ``out(u)`` or ``inn(u)`` starts at every root at once and follows only arcs inside a
+    component: each tree is the lowest-id-first BFS tree of its component."""
+    comp_id = [-1] * n
+    roots: list[int] = []
+    for comp in comps:
+        if len(comp) > 1:
+            for v in comp:
+                comp_id[v] = len(roots)
+            roots.append(min(comp))
     arcs: set[tuple[int, int]] = set()
     for step, forward in ((out, True), (inn, False)):
         seen = set(roots)

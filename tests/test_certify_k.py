@@ -57,7 +57,6 @@ def test_scheme_sample_counts():
     assert SampleScheme(rho=0.5, r=7).sample_count(2, 30) == 7
     # rho=1 keeps everything, so one run suffices regardless of r
     assert SampleScheme(rho=1.0).sample_count(2, 30) == 1
-    assert SampleScheme(rho=0.5).reference_r(30) == 3769
 
 
 def test_sample_count_has_a_ceiling():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import tracemalloc
@@ -63,15 +64,13 @@ def test_recursion_plan_validation_and_split():
         RecursionPlan(p=0)
     with pytest.raises(ValueError, match=r"in \[1, 64\], got 65"):
         RecursionPlan(p=65)
-    with pytest.raises(ValueError):
-        RecursionPlan(p=1, mp_passes=1)
-    with pytest.raises(ValueError):
-        RecursionPlan(p=3, mp_passes=3)
-    assert RecursionPlan(p=1).turnstile_split() == (0, 1)
-    for p in range(2, 9):
-        for q in [None] + list(range(1, p)):
-            d, qq = RecursionPlan(p=p, mp_passes=q).turnstile_split()
-            assert d >= 1 and qq >= 1 and d * qq + 1 <= p
+    assert [f.name for f in dataclasses.fields(RecursionPlan)] == ["p"]
+    splits = {p: RecursionPlan(p=p).turnstile_split() for p in range(1, 65)}
+    assert [splits[p] for p in (1, 2, 4, 5, 7, 10, 64)] == [(0, 1), (1, 1), (3, 1), (2, 2), (3, 2), (3, 3), (9, 7)]
+    for p, (d, q) in splits.items():
+        # q passes of selection per level, about sqrt(p - 1), and no whole level left unspent
+        assert q >= 1 and q * q <= max(1, p - 1) < (q + 1) ** 2
+        assert d * q + 1 <= p < (d + 1) * q + 1
 
 
 def test_prune_transitive_tournament_to_hamiltonian_path():
@@ -176,7 +175,7 @@ def test_scc_branchings_equal_per_component_bfs():
                                            if u in index and v in index))
                 for kind in ("out", "in"):
                     ref.update((nodes[u], nodes[v]) for u, v in grow_branching(sub, 0, kind).arcs)
-            got = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, scc_ids(g, comps))
+            got = _scc_branching_arcs(n, g.out_neighbors, g.in_neighbors, comps)
             assert got == ref, sorted(g.arcs)
             several += sum(len(c) > 1 for c in comps) >= 2
     assert several >= 20
@@ -195,7 +194,7 @@ def _reference_prune(g: Digraph) -> tuple[set[tuple[int, int]], tuple[tuple[int,
         if comp_id[x] != comp_id[v]:
             ci, pos = chain_at[v]
             first[x, ci] = min(first.get((x, ci), (pos, v)), (pos, v))
-    arcs = _scc_branching_arcs(g.out_neighbors, g.in_neighbors, comps, comp_id)
+    arcs = _scc_branching_arcs(g.n, g.out_neighbors, g.in_neighbors, comps)
     arcs.update((x, v) for (x, _), (_, v) in first.items())
     return arcs, cover.chains
 
@@ -273,7 +272,8 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
     for seed in range(24):
         g = random_digraph(rng, 6, 30)
         model = (INSERTION_ONLY, TURNSTILE)[seed % 2]
-        run = OneCertRun(g.n, model, RecursionPlan(p=2 + seed % 4), SpaceLedger())
+        plan = RecursionPlan(p=2 + seed % 4)
+        run = OneCertRun(g.n, model, plan, SpaceLedger())
         with monkeypatch.context() as mp:
             # every binding of the one Tarjan core and the one closure sweep, so a
             # second decomposition or closure anywhere counts
@@ -288,7 +288,7 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
         with_arcs = sum(bool(node.h_arcs) for nodes in run.by_depth for node in nodes)
         assert calls == {"scc": with_arcs, "closure": with_arcs}
         arcless += sum(map(len, run.by_depth)) - with_arcs
-        assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), run.plan)[0].arcs
+        assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), plan)[0].arcs
         for nodes in run.by_depth[1:]:
             for node in nodes:
                 lo, size = node.lo, node.hi - node.lo
@@ -393,7 +393,7 @@ _RING = Digraph(12, {(i, (i + j) % 12) for i in range(12) for j in (1, 2, 5)})
 # criterion 7 does not reach: StreamStats, arc count and sorted-arc digest.
 ROUTING_PINS = {
     "turnstile-mp2": (
-        lambda: one_cert_stream(turnstile_stream(_G, 31), RecursionPlan(p=5, mp_passes=2)),
+        lambda: one_cert_stream(turnstile_stream(_G, 31), RecursionPlan(p=5)),
         StreamStats(passes=5, peak_words=232), 23, "6179c947ef91eb5b",
     ),
     "k-node-universe": (
@@ -417,8 +417,8 @@ ROUTING_PINS = {
     ),
     # q = 3: the first two passes of each selection cut non-trivially
     "turnstile-mp3": (
-        lambda: one_cert_stream(turnstile_stream(alpha_family(48, 4), 36), RecursionPlan(p=7, mp_passes=3)),
-        StreamStats(passes=7, peak_words=2824), 176, "6e1f24d4cf12f7f6",
+        lambda: one_cert_stream(turnstile_stream(alpha_family(48, 4), 36), RecursionPlan(p=10)),
+        StreamStats(passes=10, peak_words=2025), 176, "6e1f24d4cf12f7f6",
     ),
 }
 
@@ -435,11 +435,14 @@ def test_routing_paths_are_pinned(name):
 def test_a_turnstile_level_holds_its_open_selection_counters():
     """After every level pass but the last, a tree node of that depth holds 3
     words per selection and the counters of its open passes, and a strict
-    budget of the peak less one word stops the run."""
+    budget of the peak less one word stops the run.  The budgets split into
+    q = 1, 2 and 3 passes per level."""
     st = turnstile_stream(alpha_family(48, 4), 36)
-    for plan, nodes in ((RecursionPlan(p=5, mp_passes=2), 5), (RecursionPlan(p=7, mp_passes=3), 10)):
+    for p, q, nodes, peak in ((3, 1, 0, 3352), (5, 2, 5, 2824), (10, 3, 26, 2025)):
+        plan = RecursionPlan(p=p)
         ledger = SpaceLedger()
         run = OneCertRun(st.n, TURNSTILE, plan, ledger)
+        assert run.q == q
         checked = 0
         for i, (kind, depth, j) in enumerate(run.schedule):
             run.begin_pass(i)(st.updates)
@@ -449,7 +452,7 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
                     counters = sum(len(inst.counters or ()) for inst in node.table.values())
                     assert node.account.extra == 3 * len(node.table) + counters, (plan, i, node.lo)
                     checked += 1
-        assert checked == nodes and ledger.peak == 2824
+        assert checked == nodes and ledger.peak == peak
         with pytest.raises(SpaceBudgetError):
             one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak - 1))
         cert, stats = one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak))
@@ -458,16 +461,13 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
 
 def test_turnstile_pass_budget_matches_split():
     g = transitive_tournament(12)
-    for p in (1, 2, 3, 5):
-        for q in {None, 1, max(1, p - 2)}:
-            if q is not None and (p == 1 or q > p - 1):
-                continue
-            plan = RecursionPlan(p=p, mp_passes=q)
-            st = turnstile_stream(g, seed=p * 7 + (q or 0))
-            cert, stats = one_cert_stream(st, plan)
-            d, qq = plan.turnstile_split()
-            assert stats.passes == d * qq + 1
-            assert transitive_closure(cert.graph()) == transitive_closure(g)
+    for p in (1, 2, 3, 5, 7, 10):  # q = 1, 1, 1, 2, 2, 3
+        plan = RecursionPlan(p=p)
+        cert, stats = one_cert_stream(turnstile_stream(g, seed=p * 7), plan)
+        d, q = plan.turnstile_split()
+        assert stats.passes == d * q + 1
+        assert (cert.provenance["levels"], cert.provenance["mp_passes"]) == (d, q)
+        assert transitive_closure(cert.graph()) == transitive_closure(g)
 
 
 def test_streamed_certificates_match_closure_oracle():

@@ -4,7 +4,9 @@ import argparse
 import inspect
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,6 +309,18 @@ def test_every_cli_option_is_read_by_its_handler():
         for action in sub._actions:
             if action.dest != "help":
                 assert f"args.{action.dest}" in source, (name, action.option_strings)
+
+
+def test_readme_synopses_list_every_cli_option():
+    """Each command's synopsis line under the README's CLI heading names exactly
+    the options its parser defines, so an option cannot be added or dropped
+    without the synopsis following."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopses = dict(re.findall(r"^- `(\w+) ([^`]*)`", readme.split("\n## CLI\n")[1], re.M))
+    (subs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name in ("gen", "one", "kcert", "verify", "congest", "bench"):
+        defined = {s for a in subs.choices[name]._actions for s in a.option_strings if s.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z-]*", synopses[name])) == defined - {"--help"}, name
 
 
 def test_seed_belongs_to_seeded_commands_only(circ_files):

@@ -122,9 +122,10 @@ def test_stream_commands_exit_cleanly_and_certify(data):
     base = ArcStream.from_graph(g, model, seed=1) if model == "ins" else turnstile_stream(g, 1)
     text = mutated(data, base.to_text())
     command = data.draw(st.sampled_from(("one", "kcert")))
-    argv = [command, "--input", "s", "--passes", data.draw(st.sampled_from(EXTREME))]
+    # p = 5 and 10 split a turnstile level into q = 2 and 3 selection passes
+    argv = [command, "--input", "s", "--passes", data.draw(st.sampled_from(EXTREME + ("5", "10")))]
     if command == "one":
-        argv += options(data, mp_passes=EXTREME, strict_space=BUDGETS)
+        argv += options(data, strict_space=BUDGETS)
     else:
         mode = data.draw(st.sampled_from(("node", "arc", "peel")))
         k = data.draw(st.sampled_from(EXTREME))

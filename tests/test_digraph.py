@@ -106,22 +106,22 @@ def test_scc_tarjan_matches_mutual_reachability():
     rng = random.Random(2)
     for _ in range(60):
         g = random_digraph(rng, 1, 12)
-        assert set(scc_tarjan(g)) == oracles.scc_partition(g.n, g.arcs)
+        assert set(map(frozenset, scc_tarjan(g))) == oracles.scc_partition(g.n, g.arcs)
 
 
 def test_scc_tarjan_pins_its_emission_order():
     # three components, {0,1} and {3,4} incomparable above the sink {2,5}: the order
-    # follows the depth-first visit from node 0, and every component id depends on it
+    # follows the depth-first visit from node 0, and every component id depends on it;
+    # each component lists its nodes in the order they leave the stack
     g = Digraph(6, [(0, 1), (1, 0), (1, 2), (3, 4), (4, 3), (2, 5), (4, 5), (5, 2)])
-    comps = scc_tarjan(g)
-    assert comps == [{2, 5}, {0, 1}, {3, 4}] and all(type(c) is frozenset for c in comps)
+    assert scc_tarjan(g) == [[5, 2], [1, 0], [4, 3]]
 
 
 def test_scc_tarjan_runs_deeper_than_the_recursion_limit():
     n = 50_000
     path = scc_tarjan(Digraph(n, [(i, i + 1) for i in range(n - 1)]))
-    assert len(path) == n and path[0] == {n - 1} and path[-1] == {0}
-    assert scc_tarjan(Digraph(n, [(i, (i + 1) % n) for i in range(n)])) == [set(range(n))]
+    assert len(path) == n and path[0] == [n - 1] and path[-1] == [0]
+    assert scc_tarjan(Digraph(n, [(i, (i + 1) % n) for i in range(n)])) == [list(range(n - 1, -1, -1))]
 
 
 def test_scc_ids_reverse_topological():
