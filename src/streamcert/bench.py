@@ -12,7 +12,7 @@ from typing import Sequence
 from . import __version__
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream, validate_one_cert
-from .digraph import BudgetError, Digraph, independence_greedy_bound, independence_number_exact
+from .digraph import Digraph
 from .exact import validate_certificate
 from .streams import INSERTION_ONLY, ArcStream
 
@@ -20,22 +20,20 @@ CSV_FIELDS = ("n", "alpha", "k", "p", "model", "peak_words", "passes", "cert_siz
 
 
 def bench_space_passes(
-    families: Sequence[tuple[str, Digraph]],
+    families: Sequence[tuple[str, Digraph, int]],
     alg: str = "one",
     p_values: Sequence[int] = (1, 2, 3),
     seeds: Sequence[int] = (0,),
     models: Sequence[str] = (INSERTION_ONLY,),
     k: int = 1,
 ) -> list[dict]:
-    """One row per (family graph, p, model, seed): space, passes, size, verdict."""
+    """One row per (family graph, p, model, seed): space, passes, size, verdict.
+    Each family is ``(name, graph, alpha)``: its generator fixes the independence
+    number, which the ``alpha`` column reports."""
     if alg not in ("one", "kcert", "peel"):
         raise ValueError(f"alg must be one|kcert|peel, got {alg!r}")
     rows = []
-    for name, g in families:
-        try:
-            alpha = independence_number_exact(g)
-        except BudgetError:
-            alpha = independence_greedy_bound(g)
+    for name, g, alpha in families:
         for model in models:
             for p in p_values:
                 for seed in seeds:
@@ -130,8 +128,10 @@ def verify_texts(graph_text: str, cert_text: str, k: int = 1, kind: str = "node"
 
 def tournament_families(
     alphas: Sequence[int] = (1, 2, 4), n: int = 64
-) -> list[tuple[str, Digraph]]:
-    """Embedded-tournament benchmark family at fixed n across alpha values."""
+) -> list[tuple[str, Digraph, int]]:
+    """Embedded-tournament benchmark family at fixed n across alpha values, as
+    ``(name, graph, alpha)``: ``alpha_family`` has independence number exactly
+    alpha, or 0 when n < alpha leaves it empty."""
     from .hardgen import alpha_family
 
     out = []
@@ -139,7 +139,7 @@ def tournament_families(
         if alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         size = n - (n % alpha)
-        out.append((f"tournament-a{alpha}", alpha_family(size, alpha)))
+        out.append((f"tournament-a{alpha}", alpha_family(size, alpha), alpha if size else 0))
     return out
 
 

@@ -67,24 +67,22 @@ class SampleScheme:
     rho: float
     r: int | None = None
     seed: int = 0
-    mode: str = "node"
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must be in (0, 1], got {self.rho}")
-        if self.mode not in ("node", "arc"):
-            raise ValueError(f"mode must be 'node' or 'arc', got {self.mode!r}")
         if self.r is not None and self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
 
-    def sample_count(self, k: int, n: int) -> int:
-        """Samples to draw; above ``MAX_SAMPLES`` a ``ValueError``."""
+    def sample_count(self, k: int, n: int, mode: str) -> int:
+        """Samples to draw for ``mode`` "node" or "arc"; above ``MAX_SAMPLES`` a
+        ``ValueError``."""
         if self.rho == 1.0:
             return 1  # all samples coincide with the whole input
         if self.r is not None:
             r = self.r
         else:
-            weight = k * k if self.mode == "node" else k
+            weight = k * k if mode == "node" else k
             r = max(1, math.ceil(8 * weight * math.log(max(2, n))))
         if r > MAX_SAMPLES:
             raise ValueError(f"{r} samples above the ceiling of {MAX_SAMPLES}")
@@ -130,7 +128,7 @@ class _MaskRouter:
 
 
 def _sampled_cert(
-    stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan
+    stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan, mode: str
 ) -> tuple[Certificate, StreamStats]:
     """Union of the 1-certificates of r samples sharing one set of passes.
     Node mode draws all memberships in one sweep and routes updates by
@@ -140,9 +138,9 @@ def _sampled_cert(
         raise ValueError(f"k must be >= 1, got {k}")
     if scheme.rho > 1.0 / k:
         raise ValueError(f"rho={scheme.rho} exceeds 1/k for k={k}")
-    r = scheme.sample_count(k, n)
+    r = scheme.sample_count(k, n, mode)
     ledger = SpaceLedger()
-    if scheme.mode == "node":
+    if mode == "node":
         samples = sample_members(scheme.seed, r, n, scheme.rho)
         runs = [
             OneCertRun(len(members), stream.model, plan, ledger, name=f"sample{i}")
@@ -162,7 +160,7 @@ def _sampled_cert(
     run_passes(stream, consumers, passes)
     union = {(ids[u], ids[v]) for ids, run in zip(samples, runs) for u, v in run.cert_arcs}
     prov = {
-        "algorithm": f"k_{scheme.mode}_cert_sampled",
+        "algorithm": f"k_{mode}_cert_sampled",
         "k": k,
         "rho": scheme.rho,
         "r": r,
@@ -170,7 +168,7 @@ def _sampled_cert(
         "p": plan.p,
         "model": stream.model,
     }
-    cert = Certificate(n, frozenset(union), kind=scheme.mode, k=k, provenance=prov)
+    cert = Certificate(n, frozenset(union), kind=mode, k=k, provenance=prov)
     return cert, StreamStats(passes=passes, peak_words=ledger.peak)
 
 
@@ -178,18 +176,14 @@ def k_node_cert(
     stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan
 ) -> tuple[Certificate, StreamStats]:
     """Randomized k-node certificate: union of r node-sampled 1-certificates."""
-    if scheme.mode != "node":
-        raise ValueError("k_node_cert needs a node-mode sampling scheme")
-    return _sampled_cert(stream, k, scheme, plan)
+    return _sampled_cert(stream, k, scheme, plan, "node")
 
 
 def k_arc_cert_sampled(
     stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan
 ) -> tuple[Certificate, StreamStats]:
     """Randomized k-arc certificate: union of r arc-sampled 1-certificates."""
-    if scheme.mode != "arc":
-        raise ValueError("k_arc_cert_sampled needs an arc-mode sampling scheme")
-    return _sampled_cert(stream, k, scheme, plan)
+    return _sampled_cert(stream, k, scheme, plan, "arc")
 
 
 # ---------------------------------------------------------------------------

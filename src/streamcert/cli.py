@@ -217,7 +217,7 @@ def cmd_kcert(args) -> int:
     if args.mode == "peel":
         cert, stats = k_arc_cert_peeling(stream, args.k, plan)
     else:
-        scheme = SampleScheme(rho=_rho(args.k, args.rho), r=args.r, seed=seed, mode=args.mode)
+        scheme = SampleScheme(rho=_rho(args.k, args.rho), r=args.r, seed=seed)
         runner = k_node_cert if args.mode == "node" else k_arc_cert_sampled
         cert, stats = runner(stream, args.k, scheme, plan)
     _emit_cert(cert, stats, {"model": stream.model, "mode": args.mode})
@@ -270,7 +270,8 @@ def cmd_bench(args) -> int:
         alphas = [int(a) for a in args.alphas.split(",")]
         families = bench.tournament_families(alphas, args.n)
     else:
-        families = [(f"circulant-k{args.k}", circulant(args.n, args.k))]
+        # the undirected graph is the k-th power of an n-cycle
+        families = [(f"circulant-k{args.k}", circulant(args.n, args.k), args.n // (args.k + 1))]
     rows = bench.bench_space_passes(
         families,
         alg=args.alg,

@@ -445,7 +445,7 @@ def congest_k_cert(
     g = net.topology
     n = g.n
     sim = _Sim(net)
-    r = SampleScheme(rho=rho).sample_count(k, n)
+    r = SampleScheme(rho=rho).sample_count(k, n, "node")
     member: dict[int, list[int]] = {v: [] for v in range(n)}
     for i, members in enumerate(sample_members(seed, r, n, rho)):
         for v in members:

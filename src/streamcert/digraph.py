@@ -29,10 +29,6 @@ class CoverageError(ValueError):
         )
 
 
-class BudgetError(RuntimeError):
-    """Raised when an exact routine is asked to exceed its instance-size budget."""
-
-
 # Most nodes a graph, stream or 2-SAT text may declare: closures hold n**2 bits and
 # runs build per-node tables before reading an arc, so a header alone could ask for gigabytes.
 MAX_NODES = 1 << 16
@@ -102,14 +98,6 @@ class Digraph:
         rows = [0] * self.n
         for u, v in self.arcs:
             rows[u] |= 1 << v
-        return rows
-
-    def undirected_masks(self) -> list[int]:
-        """Underlying undirected adjacency as bitmasks."""
-        rows = [0] * self.n
-        for u, v in self.arcs:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
         return rows
 
     def reversed(self) -> "Digraph":
@@ -340,112 +328,6 @@ def scc_ids(g: Digraph, comps: Sequence[Sequence[int]] | None = None) -> list[in
         for v in comp:
             ids[v] = i
     return ids
-
-
-# ---------------------------------------------------------------------------
-# independence number (exact, branch and bound)
-# ---------------------------------------------------------------------------
-
-_INDEPENDENCE_BUDGET = 64
-
-
-def independence_number_exact(g: Digraph) -> int:
-    """Exact maximum independent set size of the underlying undirected graph.
-
-    Branch-and-bound with a greedy clique-cover bound; hard budget n <= 64.
-    """
-    n = g.n
-    if n > _INDEPENDENCE_BUDGET:
-        raise BudgetError(
-            f"exact independence number limited to n <= {_INDEPENDENCE_BUDGET}, got {n}"
-        )
-    if n == 0:
-        return 0
-    adj = g.undirected_masks()
-    full = (1 << n) - 1
-    best = 0
-
-    def bound(cand: int) -> int:
-        # Greedy clique cover of cand: each clique contributes at most one
-        # node to an independent set.
-        cliques = 0
-        rest = cand
-        while rest:
-            cliques += 1
-            low = rest & -rest
-            v = low.bit_length() - 1
-            clique = low
-            grow = rest & adj[v]
-            while grow:
-                glow = grow & -grow
-                w = glow.bit_length() - 1
-                clique |= glow
-                grow &= adj[w]
-            rest &= ~clique
-        return cliques
-
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        if size + bound(cand) <= best:
-            return
-        low = cand & -cand
-        v = low.bit_length() - 1
-        # branch 1: take v
-        expand(cand & ~(adj[v] | low), size + 1)
-        # branch 2: skip v
-        expand(cand ^ low, size)
-
-    expand(full, 0)
-    return best
-
-
-def independence_greedy_bound(g: Digraph) -> int:
-    """Cheap lower bound on the independence number (greedy min-degree): the
-    number of picks of a live node of least live degree in the underlying
-    undirected graph, lowest id on ties, each removed with its live neighbours.
-
-    Matula and Beck's bucket queue over the bitmask rows: ``buckets[d]`` holds
-    the live nodes of live degree d, each in exactly one bucket, and a node
-    moves down one bucket per neighbour removed.  A pick is the lowest bit of
-    the lowest nonempty bucket.  ``least`` never exceeds a live degree and
-    drops at most one per move, so its climbs total at most n plus the moves.
-    """
-    adj = g.undirected_masks()
-    deg = [row.bit_count() for row in adj]
-    buckets = [0] * g.n  # a live degree is at most n - 1
-    for v, d in enumerate(deg):
-        buckets[d] |= 1 << v
-    alive = (1 << g.n) - 1
-    least = picks = 0
-    while alive:
-        while not buckets[least]:
-            least += 1
-        low = buckets[least] & -buckets[least]
-        picks += 1
-        gone = adj[low.bit_length() - 1] & alive | low
-        alive ^= gone
-        while gone:
-            low = gone & -gone
-            gone ^= low
-            u = low.bit_length() - 1
-            buckets[deg[u]] ^= low
-            rest = adj[u] & alive
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                d = deg[w]
-                buckets[d] ^= low
-                buckets[d - 1] |= low
-                deg[w] = d - 1
-                if d <= least:
-                    least = d - 1
-    return picks
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ from .digraph import Digraph
 
 BitMatrix = Sequence[Sequence[int]]
 
+# Most arcs a dense generator adds: every family's arcs are held in memory before
+# any is written, and a tournament on MAX_NODES nodes would need about 2 * 10**9.
+MAX_ARCS = 1 << 21
+
+
+def _check_arcs(count: int) -> None:
+    if count > MAX_ARCS:
+        raise ValueError(f"{count} arcs above the generators' ceiling of {MAX_ARCS}")
+
 
 def _check_square(name: str, mat: BitMatrix, m: int) -> None:
     if len(mat) != m or any(len(row) != m for row in mat):
@@ -92,12 +101,15 @@ def embed_tournament(gadgets: Sequence[Digraph], d: int) -> Digraph:
 
     Component i occupies ids [i*d, (i+1)*d); any two nodes of different
     components are joined by the arc pointing from the lower component, so an
-    independent set can never leave one component and alpha(G) <= d.
+    independent set can never leave one component and alpha(G) <= d.  More
+    than ``MAX_ARCS`` forward arcs raise ``ValueError`` before any is built.
     """
     for idx, gadget in enumerate(gadgets):
         if gadget.n != d:
             raise ValueError(f"gadget {idx} has {gadget.n} nodes, expected {d}")
-    total = len(gadgets) * d
+    c = len(gadgets)
+    _check_arcs(c * (c - 1) // 2 * d * d)
+    total = c * d
     arcs = set()
     for i, gadget in enumerate(gadgets):
         base = i * d
@@ -194,9 +206,12 @@ def alpha_family(n: int, alpha: int) -> Digraph:
 
 
 def circulant(n: int, k: int) -> Digraph:
-    """Arcs (v, v+1), ..., (v, v+k) mod n: the classic k-arc-strong cycle stack."""
+    """Arcs (v, v+1), ..., (v, v+k) mod n: the classic k-arc-strong cycle stack.
+    Its undirected graph is the k-th power of an n-cycle, of independence number
+    n // (k + 1).  More than ``MAX_ARCS`` arcs raise ``ValueError``."""
     if n < 3 or not 1 <= k < n:
         raise ValueError(f"need n >= 3 and 1 <= k < n, got n={n} k={k}")
+    _check_arcs(n * k)
     return Digraph(n, ((v, (v + s) % n) for v in range(n) for s in range(1, k + 1)))
 
 

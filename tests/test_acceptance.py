@@ -26,7 +26,7 @@ from streamcert.certify_one import (
     validate_one_cert,
 )
 from streamcert.congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
-from streamcert.digraph import Digraph, independence_number_exact
+from streamcert.digraph import Digraph
 from streamcert.exact import kappa_st, lambda_st, validate_certificate
 from streamcert.hardgen import (
     alpha_family,
@@ -143,8 +143,8 @@ def test_criterion_2_sparsity_and_witness(say):
     )
     checked = 0
     for g in suite:
-        alpha = independence_number_exact(g)
-        if g.n <= 14:  # cross-validate the exact solver where brute force reaches
+        alpha = oracles.independence_number_bb(g.n, g.arcs)
+        if g.n <= 14:  # cross-validate the branch and bound where brute force reaches
             assert alpha == oracles.independence_number(g.n, g.arcs)
         for p in (1, 2):
             cert, _ = one_cert_stream(
@@ -175,7 +175,7 @@ def test_criterion_3_sampled_k_cert_success_rate(say):
                 _C3_RUNS.append((g, cert, k))
             else:
                 fails += 1
-            r2 = 2 * scheme.sample_count(k, g.n)
+            r2 = 2 * scheme.sample_count(k, g.n, "node")
             stream = ArcStream.from_graph(g, INSERTION_ONLY, seed=seed)
             cert2, _ = k_node_cert(
                 stream, k, SampleScheme(rho=1.0 / k, seed=seed, r=r2), RecursionPlan(1)
@@ -371,11 +371,12 @@ def test_criterion_8_gadget_identities(say):
         count = rng.randint(1, 24 // d)
         gadgets = [random_digraph(rng, d, d) for _ in range(count)]
         g = embed_tournament(gadgets, d)
-        alpha = independence_number_exact(g)
+        alpha = oracles.independence_number_bb(g.n, g.arcs)
         if g.n <= 16:
             assert alpha == oracles.independence_number(g.n, g.arcs)
         assert alpha <= d
-    assert independence_number_exact(embed_tournament([Digraph(4)] * 6, 4)) == 4
+    g = embed_tournament([Digraph(4)] * 6, 4)
+    assert oracles.independence_number_bb(g.n, g.arcs) == 4
     say(8, True, "identities (a)-(e) all hold: exhaustive cores plus seeded sampling")
 
 
@@ -416,7 +417,7 @@ def test_criterion_9_applications_equivalence(say):
             stream = ArcStream.from_graph(g, INSERTION_ONLY, seed=seed)
             cert, _ = k_node_cert(
                 stream, 2,
-                SampleScheme(rho=0.5, seed=seed, r=2 * scheme.sample_count(2, g.n)),
+                SampleScheme(rho=0.5, seed=seed, r=2 * scheme.sample_count(2, g.n, "node")),
                 RecursionPlan(1),
             )
         assert apps.strong_bridges(cert) == oracles.strong_bridges(g.n, g.arcs)

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import oracles
+from streamcert import cli
 from streamcert.bench import (
     bench_space_passes,
     rows_to_csv,
@@ -19,7 +21,7 @@ from streamcert.streams import INSERTION_ONLY, TURNSTILE
 
 
 def test_rows_cover_the_grid():
-    fams = [("tt8", transitive_tournament(8))]
+    fams = [("tt8", transitive_tournament(8), 1)]
     rows = bench_space_passes(fams, p_values=(1, 2), models=(INSERTION_ONLY, TURNSTILE))
     assert len(rows) == 4
     for row in rows:
@@ -34,31 +36,40 @@ def test_rows_cover_the_grid():
 
 
 def test_peel_and_kcert_rows_verify():
-    fams = [("circ", circulant(9, 2))]
+    fams = [("circ", circulant(9, 2), 3)]
     peel = bench_space_passes(fams, alg="peel", p_values=(1,), k=2)
     assert peel[0]["verified"] == "pass" and peel[0]["passes"] == 2
     sampled = bench_space_passes(fams, alg="kcert", p_values=(1,), k=2)
     assert sampled[0]["verified"] == "pass" and sampled[0]["k"] == 2
 
 
-def test_alpha_above_the_exact_budget_is_the_greedy_bound():
-    rows = bench_space_passes([("circulant-k2", circulant(2000, 2))], p_values=[1])
-    assert [(r["n"], r["alpha"], r["verified"]) for r in rows] == [(2000, 666, "pass")]
+def test_circulant_bench_reads_alpha_from_its_construction(capsys):
+    assert cli.main(["bench", "--family", "circulant", "--n", "2000", "--k", "2", "--p-list", "1"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["n"], r["alpha"], r["verified"]) for r in rows] == [("2000", "666", "pass")]
+
+
+def test_tournament_rows_carry_the_independence_number():
+    fams = tournament_families(alphas=(1, 4), n=3)  # 3 nodes hold no block of 4
+    for _, g, alpha in fams:
+        assert alpha == oracles.independence_number(g.n, g.arcs)
+    rows = bench_space_passes(fams, p_values=(1,))
+    assert [(r["n"], r["alpha"], r["verified"]) for r in rows] == [(3, 1, "pass"), (0, 0, "pass")]
 
 
 def test_bad_alg_name():
     with pytest.raises(ValueError):
-        bench_space_passes([("x", transitive_tournament(4))], alg="magic")
+        bench_space_passes([("x", transitive_tournament(4), 1)], alg="magic")
 
 
 def test_failed_row_carries_context():
     weak = Digraph(4, [(0, 1), (1, 2), (2, 3)])  # not 2-arc-strong
     with pytest.raises(RuntimeError, match="family=weak .*p=1"):
-        bench_space_passes([("weak", weak)], alg="peel", k=2)
+        bench_space_passes([("weak", weak, 2)], alg="peel", k=2)
 
 
 def test_csv_round_trip():
-    rows = bench_space_passes([("tt6", transitive_tournament(6))], p_values=(1,))
+    rows = bench_space_passes([("tt6", transitive_tournament(6), 1)], p_values=(1,))
     text = rows_to_csv(rows)
     back = list(csv.DictReader(io.StringIO(text)))
     assert len(back) == 1
@@ -66,7 +77,7 @@ def test_csv_round_trip():
 
 
 def test_save_results_manifest(tmp_path):
-    rows = bench_space_passes([("tt6", transitive_tournament(6))], p_values=(1,))
+    rows = bench_space_passes([("tt6", transitive_tournament(6), 1)], p_values=(1,))
     config = {"families": "tt6", "p_values": [1]}
     csv_path, manifest_path = save_results(rows, tmp_path / "out", config)
     assert csv_path.exists() and manifest_path.exists()
@@ -97,9 +108,8 @@ def test_verify_texts_exit_codes():
 
 def test_tournament_families_sizes():
     fams = tournament_families(alphas=(1, 2, 4), n=10)
-    names = [name for name, _ in fams]
-    assert names == ["tournament-a1", "tournament-a2", "tournament-a4"]
-    assert [g.n for _, g in fams] == [10, 10, 8]
+    assert [name for name, _, _ in fams] == ["tournament-a1", "tournament-a2", "tournament-a4"]
+    assert [(g.n, alpha) for _, g, alpha in fams] == [(10, 1), (10, 2), (8, 4)]
 
 
 def test_tournament_families_reject_alpha_below_one():

@@ -403,7 +403,7 @@ ROUTING_PINS = {
     ),
     "k-arc-sampled-filter": (
         lambda: k_arc_cert_sampled(turnstile_stream(_G, 32), 2,
-                                   SampleScheme(rho=0.5, seed=7, r=6, mode="arc"), RecursionPlan(p=3)),
+                                   SampleScheme(rho=0.5, seed=7, r=6), RecursionPlan(p=3)),
         StreamStats(passes=3, peak_words=1013), 54, "ddc6c89ddb231503",
     ),
     "k-arc-peeling-filter": (

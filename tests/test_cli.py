@@ -233,6 +233,11 @@ def test_runaway_sizes_exit_2_before_any_work(circ_files, tmp_path, capsys):
          f"got {huge}"),
         (("bench", "--n", "4", "--alphas", "1,0"), "alpha must be >= 1, got 0"),
         (("bench", "--n", "65537"), "node count 65537 above the ceiling of 65536"),
+        # dense families are counted before any arc is built
+        (("gen", "--family", "transitive", "--n", "2049"), "2098176 arcs above the generators' ceiling of 2097152"),
+        (("gen", "--family", "alpha", "--n", "4096", "--d", "2"), "8384512 arcs above"),
+        (("gen", "--family", "circulant", "--n", "65536", "--k", "33"), "2162688 arcs above"),
+        (("bench", "--family", "tournament", "--n", "2049", "--alphas", "1"), "2098176 arcs above"),
     )
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

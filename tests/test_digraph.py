@@ -16,15 +16,12 @@ from streamcert.digraph import (
     GraphFormatError,
     chain_cover_minimum,
     grow_branching,
-    independence_greedy_bound,
-    independence_number_exact,
     reachability_masks,
     reachable,
     scc_ids,
     scc_tarjan,
     transitive_closure,
 )
-from streamcert.hardgen import alpha_family, circulant
 
 
 def test_construction_dedupes_and_sorts_neighbors():
@@ -142,37 +139,7 @@ def test_independence_exact_on_arbitrary_six_node_graphs(bits):
     pairs = [(u, v) for u in range(6) for v in range(6) if u != v]
     arcs = [pairs[i] for i in range(30) if (bits >> i) & 1]
     g = Digraph(6, arcs)
-    assert independence_number_exact(g) == oracles.independence_number(6, arcs)
-
-
-def test_independence_greedy_is_a_lower_bound():
-    rng = random.Random(4)
-    for _ in range(40):
-        g = random_digraph(rng, 1, 12)
-        assert 1 <= independence_greedy_bound(g) <= independence_number_exact(g)
-
-
-def test_independence_greedy_matches_the_oracle():
-    # picks depend on labels, so library and oracle see the same relabelled copy
-    rng = random.Random(24)
-    graphs = [random_digraph(rng, 1, 30, density) for density in (0.03, 0.1, 0.3, 0.6, 0.9) for _ in range(12)]
-    graphs += [alpha_family(n, a) for n, a in ((12, 3), (24, 4), (40, 5))]
-    graphs += [circulant(n, k) for n, k in ((7, 1), (13, 2), (30, 3))]
-    for g in graphs:
-        for h in relabelled(g, rng):
-            assert independence_greedy_bound(h) == oracles.min_degree_greedy(h.n, h.arcs), h.arcs
-
-
-def test_independence_greedy_on_long_sparse_inputs():
-    # sizes where a rescan of every live node per removal took seconds; no timing assert
-    n = 1000  # threshold graph: about 500 distinct degrees
-    cases = [
-        (Digraph(4000, [(i, i + 1) for i in range(3999)]), 2000),
-        (circulant(4000, 2), 1333),  # 4-regular underlying graph
-        (Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u + v >= n]), 501),
-    ]
-    for g, greedy in cases:
-        assert independence_greedy_bound(g) == greedy
+    assert oracles.independence_number_bb(6, arcs) == oracles.independence_number(6, arcs)
 
 
 def _assert_valid_chain_cover(g: Digraph, cover: ChainCover):
@@ -208,7 +175,7 @@ def test_chain_cover_at_most_independence_number():
     rng = random.Random(7)
     for _ in range(40):
         g = random_digraph(rng, 1, 12)
-        assert len(chain_cover_minimum(g)) <= independence_number_exact(g)
+        assert len(chain_cover_minimum(g)) <= oracles.independence_number_bb(g.n, g.arcs)
 
 
 def test_grow_branching_spans_strong_graphs():

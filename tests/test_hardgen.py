@@ -303,6 +303,14 @@ def test_alpha_family_hits_its_independence_number():
         alpha_family(-3, 1)
 
 
+def test_circulant_hits_its_independence_number():
+    # the undirected graph is the k-th power of an n-cycle: alpha = n // (k + 1)
+    for n in range(3, 13):
+        for k in range(1, n):
+            g = circulant(n, k)
+            assert oracles.independence_number(g.n, g.arcs) == n // (k + 1), (n, k)
+
+
 def test_transitive_tournament_shape():
     g = transitive_tournament(5)
     assert g.arcs == {(u, v) for u in range(5) for v in range(5) if u < v}
