@@ -23,11 +23,9 @@ from .certify_one import (
 from .digraph import (
     Branching,
     ChainCover,
-    CoverageError,
     Digraph,
     GraphFormatError,
     chain_cover_minimum,
-    grow_branching,
     reachable,
     scc_ids,
     scc_tarjan,
@@ -57,7 +55,6 @@ __all__ = [
     "CertValidationReport",
     "Certificate",
     "ChainCover",
-    "CoverageError",
     "Digraph",
     "GraphFormatError",
     "INSERTION_ONLY",
@@ -75,7 +72,6 @@ __all__ = [
     "TURNSTILE",
     "chain_cover_minimum",
     "extract_disjoint_branchings",
-    "grow_branching",
     "k_arc_cert_peeling",
     "k_arc_cert_sampled",
     "k_node_cert",

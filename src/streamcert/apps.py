@@ -150,7 +150,7 @@ def distance_d_dominating(cert: Certificate, d: int) -> set[int]:
         raise ValueError("graph is not strongly connected")
     if g.n == 0:
         return set()
-    # the lowest-id-first BFS tree of grow_branching(g, 0, "out"), with depths
+    # the lowest-id-first BFS out-tree from node 0, with depths
     parent, depth = {}, {0: 0}
     order = [0]
     for u in order:  # the list grows while it is walked: FIFO order

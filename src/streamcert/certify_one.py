@@ -408,7 +408,7 @@ def one_cert_stream(
         "b": run.b,
         "model": stream.model,
         "levels": run.levels,
-        "mp_passes": run.q if stream.model == TURNSTILE else None,
+        "q": run.q if stream.model == TURNSTILE else None,
     }
     cert = Certificate(stream.n, run.cert_arcs, kind="node", k=1, provenance=prov)
     return cert, StreamStats(passes=run.total_passes, peak_words=ledger.peak)

@@ -9,24 +9,12 @@ its neighbour tuples once, on first use) and are safe for concurrent use.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 
 class GraphFormatError(ValueError):
     """Raised when graph text input is malformed (bad counts, self-loop, duplicate)."""
-
-
-class CoverageError(ValueError):
-    """Raised when a requested branching cannot span the graph; names a missing node."""
-
-    def __init__(self, missing: int, root: int, kind: str):
-        self.missing = missing
-        self.root = root
-        self.kind = kind
-        super().__init__(
-            f"no spanning {kind}-branching from root {root}: node {missing} not covered"
-        )
 
 
 # Most nodes a graph, stream or 2-SAT text may declare: closures hold n**2 bits and
@@ -123,6 +111,8 @@ class Digraph:
         """Parse the ``"n m"`` + ``m * "u v"`` format.  Duplicates, self-loops and ids
         out of range are errors; the constructor checks the last two."""
         require_ascii_decimal(text, GraphFormatError)
+        if "+" in text or "-" in text:  # int() reads +0 and -0 as 0
+            raise GraphFormatError("node ids must be ASCII decimal: text holds a sign")
         lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
         if not lines:
             raise GraphFormatError("empty graph text")
@@ -169,9 +159,6 @@ class ChainCover:
     def __len__(self) -> int:
         return len(self.chains)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for c in self.chains for v in c)
-
 
 @dataclass(frozen=True)
 class Branching:
@@ -180,21 +167,6 @@ class Branching:
     root: int
     arcs: frozenset[tuple[int, int]]
     kind: str  # "out" | "in"
-
-    def is_valid_for(self, g: Digraph) -> bool:
-        """Check the branching against ``g``: n - 1 arcs of ``g`` that reach every node from
-        the root (``out``) or lead every node to it (``in``).  A search that reaches all n
-        nodes over only n - 1 arcs uses each of them as a tree arc, so every non-root node
-        then has exactly one parent and the root has none."""
-        if self.kind not in ("out", "in") or not 0 <= self.root < g.n:
-            return False
-        if len(self.arcs) != g.n - 1 or not self.arcs <= g.arcs:
-            return False
-        try:
-            grow_branching(Digraph(g.n, self.arcs), self.root, self.kind)
-        except CoverageError:
-            return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +390,6 @@ def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Se
 # ---------------------------------------------------------------------------
 # branchings
 # ---------------------------------------------------------------------------
-
-
-def grow_branching(g: Digraph, root: int, kind: str) -> Branching:
-    """BFS spanning branching with lowest-node-id tie-breaking.
-
-    ``kind='out'`` spans away from the root along arcs; ``kind='in'`` spans
-    toward it.  Raises :class:`CoverageError` naming a missing node when the
-    root does not cover the graph.
-    """
-    if kind not in ("out", "in"):
-        raise ValueError(f"kind must be 'out' or 'in', got {kind!r}")
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    step = g.out_neighbors if kind == "out" else g.in_neighbors
-    parent = {root: root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in step(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if len(parent) != g.n:
-        missing = min(v for v in range(g.n) if v not in parent)
-        raise CoverageError(missing, root, kind)
-    arcs = set()
-    for v, u in parent.items():
-        if v == root:
-            continue
-        arcs.add((u, v) if kind == "out" else (v, u))
-    return Branching(root, frozenset(arcs), kind)
 
 
 def _scc_branching_arcs(

@@ -117,10 +117,6 @@ def _network(g: Digraph, split: bool) -> FlowNet:
 
 def lambda_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
     """Maximum number of pairwise arc-disjoint s->t paths."""
-    if s == t:
-        raise ValueError("lambda_st requires s != t")
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
     return _network(g, False).max_flow(s, t, limit)
 
 
@@ -131,10 +127,6 @@ def kappa_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
     v not in {s, t}; arc (u, v) becomes (2u+1 -> 2v) with unit capacity.
     The direct arc (s, t), if present, is simply one more unit path.
     """
-    if s == t:
-        raise ValueError("kappa_st requires s != t")
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"pair ({s},{t}) out of range for n={g.n}")
     return _network(g, True).max_flow(s, t, limit)
 
 

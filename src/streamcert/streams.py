@@ -187,10 +187,9 @@ class ArcStream:
         head = lines[0].split()
         if len(head) != 2:
             raise StreamFormatError(f"bad header {lines[0]!r}, expected 'n model'")
-        try:
-            n = int(head[0])
-        except ValueError as exc:
-            raise StreamFormatError(f"bad node count {head[0]!r}") from exc
+        if not head[0].isdigit():  # int() also reads signed counts
+            raise StreamFormatError(f"node count must be ASCII decimal, got {head[0]!r}")
+        n = int(head[0])
         if n > MAX_NODES:
             raise StreamFormatError(f"node count {n} above the ceiling of {MAX_NODES}")
         model = head[1]
@@ -202,11 +201,14 @@ class ArcStream:
                 parts = ln.split()
                 if len(parts) != 3 or parts[0] not in ("+", "-"):
                     raise StreamFormatError(f"bad update line {ln!r}")
+                if not (parts[1].isdigit() and parts[2].isdigit()):
+                    bad = parts[2] if parts[1].isdigit() else parts[1]
+                    raise StreamFormatError(f"node ids must be ASCII decimal, got {bad!r}")
                 yield 1 if parts[0] == "+" else -1, parts[1], parts[2]
 
         try:  # the constructor converts each id token once
             return cls(n, updates(), model)
-        except ValueError as exc:  # a token int() refuses, or a broken stream
+        except ValueError as exc:  # a broken stream
             raise StreamFormatError(str(exc)) from exc
 
     def to_text(self) -> str:
@@ -336,10 +338,6 @@ class MinSelect:
         self.result: int | None = None
         if length:
             self._open_pass()
-
-    @property
-    def done(self) -> bool:
-        return self.lo == self.hi
 
     def _open_pass(self) -> None:
         self.nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)

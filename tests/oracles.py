@@ -328,6 +328,51 @@ def strong_bridges(n: int, arcs) -> set[tuple[int, int]]:
     return out
 
 
+def bfs_branching(n: int, arcs, root: int, kind: str) -> frozenset[tuple[int, int]]:
+    """Arcs of the lowest-id-first BFS tree from ``root``: along arcs for ``kind='out'``,
+    against them for ``'in'``; it spans only what the root reaches."""
+    step: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in arcs:
+        if kind == "out":
+            step[u].append(v)
+        else:
+            step[v].append(u)
+    seen, queue, tree = {root}, [root], set()
+    for u in queue:
+        for v in sorted(step[u]):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+                tree.add((u, v) if kind == "out" else (v, u))
+    return frozenset(tree)
+
+
+def is_spanning_branching(n: int, arcs, tree, root: int, kind: str) -> bool:
+    """True iff ``tree`` is n - 1 arcs of the graph with one parent per non-root node and
+    none for ``root`` (a tail for ``kind='out'``, a head for ``'in'``) and reaches every node
+    from the root along its arcs (``out``) or against them (``in``)."""
+    tree = set(tree)
+    if kind not in ("out", "in") or not 0 <= root < n:
+        return False
+    if len(tree) != n - 1 or not tree <= set(arcs):
+        return False
+    children: dict[int, list[int]] = {v: [] for v in range(n)}
+    has_parent = set()
+    for u, v in tree:
+        parent, child = (u, v) if kind == "out" else (v, u)
+        if child == root or child in has_parent:
+            return False
+        has_parent.add(child)
+        children[parent].append(child)
+    seen, stack = {root}, [root]
+    while stack:
+        for child in children[stack.pop()]:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return len(seen) == n
+
+
 def ball_out(n: int, arcs, src: int, radius: int) -> set[int]:
     adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for u, v in arcs:

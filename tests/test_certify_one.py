@@ -31,7 +31,6 @@ from streamcert.digraph import (
     Digraph,
     _scc_branching_arcs,
     chain_cover_minimum,
-    grow_branching,
     reachable,
     scc_ids,
     scc_tarjan,
@@ -174,7 +173,7 @@ def test_scc_branchings_equal_per_component_bfs():
                 sub = Digraph(len(nodes), ((index[u], index[v]) for u, v in g.arcs
                                            if u in index and v in index))
                 for kind in ("out", "in"):
-                    ref.update((nodes[u], nodes[v]) for u, v in grow_branching(sub, 0, kind).arcs)
+                    ref.update((nodes[u], nodes[v]) for u, v in oracles.bfs_branching(sub.n, sub.arcs, 0, kind))
             got = _scc_branching_arcs(n, g.out_neighbors, g.in_neighbors, comps)
             assert got == ref, sorted(g.arcs)
             several += sum(len(c) > 1 for c in comps) >= 2
@@ -466,7 +465,7 @@ def test_turnstile_pass_budget_matches_split():
         cert, stats = one_cert_stream(turnstile_stream(g, seed=p * 7), plan)
         d, q = plan.turnstile_split()
         assert stats.passes == d * q + 1
-        assert (cert.provenance["levels"], cert.provenance["mp_passes"]) == (d, q)
+        assert (cert.provenance["levels"], cert.provenance["q"]) == (d, q)
         assert transitive_closure(cert.graph()) == transitive_closure(g)
 
 

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_digraph, random_multi_scc_digraph, relabelled
 from streamcert.digraph import (
-    Branching,
     ChainCover,
-    CoverageError,
     Digraph,
     GraphFormatError,
     chain_cover_minimum,
-    grow_branching,
     reachability_masks,
     reachable,
     scc_ids,
@@ -49,9 +46,10 @@ def test_text_round_trip_and_format_errors():
             Digraph.from_text(bad)
 
 
-@pytest.mark.parametrize("text", ["11 1\n1_0 2\n", "1_1 0\n", "4 1\n\u0663 2\n", "4 1\n0 \uff11\n"])
+@pytest.mark.parametrize("text", ["11 1\n1_0 2\n", "1_1 0\n", "4 1\n\u0663 2\n", "4 1\n0 \uff11\n",
+                                  "+3 0\n", "3 1\n+0 1\n", "3 1\n1 -0\n"])
 def test_graph_text_node_ids_are_ascii_decimal(text):
-    # int() alone would read 1_0 as 10 and the Arabic-Indic or full-width digit as 3 or 1
+    # int() alone would read 1_0 as 10, the Arabic-Indic or full-width digit as 3 or 1, and -0 as 0
     with pytest.raises(GraphFormatError, match="ASCII decimal"):
         Digraph.from_text(text)
 
@@ -178,56 +176,37 @@ def test_chain_cover_at_most_independence_number():
         assert len(chain_cover_minimum(g)) <= oracles.independence_number_bb(g.n, g.arcs)
 
 
-def test_grow_branching_spans_strong_graphs():
-    rng = random.Random(8)
-    for _ in range(30):
-        n = rng.randint(2, 10)
-        cyc = {(i, (i + 1) % n) for i in range(n)}
-        extra = {
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < 0.3
-        }
-        g = Digraph(n, cyc | extra)
-        for kind in ("out", "in"):
-            b = grow_branching(g, rng.randrange(n), kind)
-            assert isinstance(b, Branching)
-            assert b.is_valid_for(g)
-
-
-def test_grow_branching_reports_uncovered_node():
-    g = Digraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(CoverageError) as err:
-        grow_branching(g, 0, "out")
-    assert "2" in str(err.value)
-
-
 def test_branching_validity_rejects_wrong_shapes():
     g = Digraph(3, [(0, 1), (1, 2), (0, 2), (2, 0)])
-    assert Branching(0, frozenset({(0, 1), (1, 2)}), "out").is_valid_for(g)
+    assert oracles.is_spanning_branching(g.n, g.arcs, {(0, 1), (1, 2)}, 0, "out")
     # two parents for node 2
-    assert not Branching(0, frozenset({(0, 2), (1, 2)}), "out").is_valid_for(g)
+    assert not oracles.is_spanning_branching(g.n, g.arcs, {(0, 2), (1, 2)}, 0, "out")
     # arc not in the graph
-    assert not Branching(0, frozenset({(0, 1), (2, 1)}), "out").is_valid_for(g)
+    assert not oracles.is_spanning_branching(g.n, g.arcs, {(0, 1), (2, 1)}, 0, "out")
     # cycle instead of a tree
-    assert not Branching(1, frozenset({(0, 2), (2, 0)}), "out").is_valid_for(g)
+    assert not oracles.is_spanning_branching(g.n, g.arcs, {(0, 2), (2, 0)}, 1, "out")
+    # a parent for the root
+    assert not oracles.is_spanning_branching(g.n, g.arcs, {(2, 0), (0, 1)}, 0, "out")
+    # the same tree read the other way round
+    assert oracles.is_spanning_branching(g.n, g.arcs, {(1, 2), (0, 2)}, 2, "in")
+    assert not oracles.is_spanning_branching(g.n, g.arcs, {(0, 1), (1, 2)}, 0, "in")
 
 
 @pytest.mark.parametrize("kind", ["out", "in"])
 def test_branching_root_outside_the_graph_is_invalid(kind):
     one, path = Digraph(1), Digraph(3, [(0, 1), (1, 2), (1, 0), (2, 1)])
-    tree = grow_branching(path, 1, kind).arcs
+    tree = oracles.bfs_branching(path.n, path.arcs, 1, kind)
+    assert oracles.is_spanning_branching(path.n, path.arcs, tree, 1, kind)
     for g, arcs in ((one, frozenset()), (path, tree)):
         for root in (-1, g.n):
-            assert not Branching(root, arcs, kind).is_valid_for(g)
+            assert not oracles.is_spanning_branching(g.n, g.arcs, arcs, root, kind)
 
 
 def test_branching_validity_on_a_long_path():
     n = 20_000
     g = Digraph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 2)])
-    b = grow_branching(g, 0, "out")
-    assert b.is_valid_for(g)
+    tree = oracles.bfs_branching(g.n, g.arcs, 0, "out")
+    assert oracles.is_spanning_branching(g.n, g.arcs, tree, 0, "out")
     # reversing the last tree arc leaves node n-1 unreached, with n-1 arcs still in g
-    flipped = (b.arcs - {(n - 2, n - 1)}) | {(n - 1, n - 2)}
-    assert not Branching(0, flipped, "out").is_valid_for(g)
+    flipped = (tree - {(n - 2, n - 1)}) | {(n - 1, n - 2)}
+    assert not oracles.is_spanning_branching(g.n, g.arcs, flipped, 0, "out")

@@ -88,6 +88,11 @@ def test_max_flow_rejects_a_bad_pair():
             with pytest.raises(ValueError, match="two distinct nodes"):
                 net.max_flow(s, t, limit)
         assert net.max_flow(0, 2) == 1
+    g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    for flow in (kappa_st, lambda_st):
+        for s, t in [(1, 1), (-1, 2), (0, 3)]:
+            with pytest.raises(ValueError, match="two distinct nodes"):
+                flow(g, s, t)
 
 
 def test_interleaved_queries_match_fresh_networks():

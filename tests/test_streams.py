@@ -78,7 +78,8 @@ def test_stream_text_round_trip():
             ArcStream.from_text(bad)
 
 
-@pytest.mark.parametrize("text", ["11 ins\n+ 1_0 2\n", "1_1 ins\n", "4 turn\n+ \u0663 2\n", "4 ins\n+ 0 \uff11\n"])
+@pytest.mark.parametrize("text", ["11 ins\n+ 1_0 2\n", "1_1 ins\n", "4 turn\n+ \u0663 2\n", "4 ins\n+ 0 \uff11\n",
+                                  "+3 ins\n", "3 turn\n+ +0 1\n", "3 ins\n+ 1 -0\n"])
 def test_stream_text_node_ids_are_ascii_decimal(text):
     with pytest.raises(StreamFormatError, match="ASCII decimal"):
         ArcStream.from_text(text)
@@ -266,7 +267,7 @@ def _select(stream, candidates, q):
             if (u, v) in rank_of:
                 inst.observe(rank_of[u, v], sign)
         inst.end_pass()
-    assert inst.done
+    assert inst.lo == inst.hi
     return None if inst.result is None else order[inst.result]
 
 
@@ -279,14 +280,14 @@ def test_min_select_block_counter_walkthrough():
     for rank in range(8):
         inst.observe(rank, -1)
     inst.end_pass()
-    assert not inst.done and (inst.lo, inst.hi) == (8, 12)
+    assert (inst.lo, inst.hi) == (8, 12)
     assert inst.nblocks == 4
     for rank in range(16):
         inst.observe(rank, 1)
     for rank in range(8):
         inst.observe(rank, -1)
     inst.end_pass()
-    assert inst.done and inst.result == 8  # rank 8 = ninth candidate
+    assert inst.lo == inst.hi and inst.result == 8  # rank 8 = ninth candidate
     # the same on a stream: arc (0, 9) is the ninth candidate
     updates = [(1, 0, w) for w in range(1, 17)] + [(-1, 0, w) for w in range(1, 9)]
     candidates = [(0, w) for w in range(1, 17)]
@@ -304,7 +305,7 @@ def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
     way ``lo == hi`` and a later update changes nothing."""
     for survivor in (None, 5):
         inst = MinSelect(16, 2)
-        while not inst.done:
+        while inst.lo != inst.hi:
             if survivor is not None:
                 inst.observe(survivor, 1)
             inst.end_pass()
@@ -314,7 +315,7 @@ def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
         inst.end_pass()
         assert inst.lo == inst.hi and inst.result == survivor
     empty = MinSelect(0, 3)
-    assert empty.done and empty.lo == empty.hi and empty.result is None
+    assert empty.lo == empty.hi and empty.result is None
 
 
 def test_min_select_passes_never_grow():
@@ -330,11 +331,11 @@ def test_min_select_passes_never_grow():
                 inst = MinSelect(span, q)
                 blocks = [inst.nblocks]
                 assert len(inst.counters) == inst.nblocks
-                while not inst.done:
+                while inst.lo != inst.hi:
                     if target is not None:
                         inst.observe(target, 1)
                     inst.end_pass()
-                    if inst.done:
+                    if inst.lo == inst.hi:
                         assert inst.nblocks == 0 and inst.counters is None
                     else:
                         assert len(inst.counters) == inst.nblocks
