@@ -1,8 +1,9 @@
 """Problems solved downstream of a connectivity certificate.
 
-Every routine works purely on the certificate's graph; the companion tests
-check each answer against an offline reference computed from the original
-input, which is the whole point of carrying a certificate around.
+Every routine reads the certificate as its graph: either kind keeps the input's
+closure, and at k >= 2 its strong bridges.  The companion tests check each answer
+against an offline reference computed from the original input, which is the
+whole point of carrying a certificate around.
 """
 
 from __future__ import annotations
@@ -26,20 +27,13 @@ from .digraph import (
 from .exact import kappa_st  # unused here; perfbench's traced mode rebinds apps.kappa_st
 
 
-def _require_node_cert(cert: Certificate) -> Digraph:
-    if cert.kind != "node":
-        raise ValueError(f"need a node certificate, got kind={cert.kind!r}")
-    return cert.graph()
-
-
 def scc_and_toposort(cert: Certificate) -> tuple[list[int], list[int]]:
     """Component ids plus topological ranks of the condensation.
 
     Ranks are equal exactly within a component and strictly increase along
     every cross-component arc.
     """
-    g = _require_node_cert(cert)
-    comp_of = scc_ids(g)  # ids follow reverse topological order
+    comp_of = scc_ids(cert)  # ids follow reverse topological order
     total = max(comp_of, default=-1) + 1
     return comp_of, [total - 1 - c for c in comp_of]
 
@@ -80,11 +74,10 @@ def two_sat(clauses: Sequence[tuple[int, int]], nvars: int) -> list[bool] | None
 
 def min_chain_cover_dag(cert: Certificate) -> ChainCover:
     """Minimum chain cover of an acyclic certificate's reachability order."""
-    g = _require_node_cert(cert)
-    comps = scc_tarjan(g)
+    comps = scc_tarjan(cert)
     if any(len(c) > 1 for c in comps):
         raise ValueError("input graph is not acyclic")
-    return chain_cover_minimum(g, comps)
+    return chain_cover_minimum(cert, comps)
 
 
 def msss_2apx(cert: Certificate) -> Digraph | None:
@@ -94,11 +87,10 @@ def msss_2apx(cert: Certificate) -> Digraph | None:
     2n−2 arcs.  Returns None when the certificate is not strongly connected
     (then no spanning strongly connected subgraph exists at all).
     """
-    g = _require_node_cert(cert)
-    comps = scc_tarjan(g)
+    comps = scc_tarjan(cert)
     if len(comps) > 1:
         return None
-    return Digraph(g.n, _scc_branching_arcs(g.n, g.out_neighbors, g.in_neighbors, comps))
+    return Digraph(cert.n, _scc_branching_arcs(cert.n, cert.out_neighbors, cert.in_neighbors, comps))
 
 
 def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
@@ -112,10 +104,9 @@ def strong_bridges(cert2: Certificate) -> frozenset[tuple[int, int]]:
     """
     if cert2.k < 2:
         raise ValueError(f"strong bridges need a certificate with k >= 2, got k={cert2.k}")
-    g = cert2.graph()
-    comps = scc_tarjan(g)
-    branchings = _scc_branching_arcs(g.n, g.out_neighbors, g.in_neighbors, comps)
-    return frozenset((u, v) for u, v in branchings if not _detour(g, u, v))
+    comps = scc_tarjan(cert2)
+    branchings = _scc_branching_arcs(cert2.n, cert2.out_neighbors, cert2.in_neighbors, comps)
+    return frozenset((u, v) for u, v in branchings if not _detour(cert2, u, v))
 
 
 def _detour(g: Digraph, u: int, v: int) -> bool:
@@ -138,23 +129,22 @@ def arc_disjoint_out_branchings(cert: Certificate, root: int, k: int) -> list[Br
     """k pairwise arc-disjoint spanning out-branchings from the certificate."""
     if cert.k < k:
         raise ValueError(f"certificate has k={cert.k}, cannot support k={k} branchings")
-    return extract_disjoint_branchings(cert.graph(), root, k, "out")
+    return extract_disjoint_branchings(cert, root, k, "out")
 
 
 def distance_d_dominating(cert: Certificate, d: int) -> set[int]:
     """Nodes S, |S| <= ceil(n/d), with every node <= d arcs from some s in S."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    g = _require_node_cert(cert)
-    if len(scc_tarjan(g)) > 1:
+    if len(scc_tarjan(cert)) > 1:
         raise ValueError("graph is not strongly connected")
-    if g.n == 0:
+    if cert.n == 0:
         return set()
     # the lowest-id-first BFS out-tree from node 0, with depths
     parent, depth = {}, {0: 0}
     order = [0]
     for u in order:  # the list grows while it is walked: FIFO order
-        for v in g.out_neighbors(u):
+        for v in cert.out_neighbors(u):
             if v not in depth:
                 parent[v], depth[v] = u, depth[u] + 1
                 order.append(v)
@@ -168,7 +158,7 @@ def distance_d_dominating(cert: Certificate, d: int) -> set[int]:
         for _ in range(min(d, depth[v])):
             up = parent[up]
         chosen.add(up)
-        covered |= _ball_out(g, up, d)
+        covered |= _ball_out(cert, up, d)
     return chosen
 
 
@@ -188,4 +178,4 @@ def _ball_out(g: Digraph, source: int, d: int) -> set[int]:
 
 def transitive_closure_from_cert(cert: Certificate) -> Digraph:
     """Transitive closure computed offline from the stored certificate."""
-    return transitive_closure(cert.graph())
+    return transitive_closure(cert)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .digraph import (
@@ -56,24 +56,18 @@ from .streams import (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Subgraph arc set tagged with certificate kind and threshold."""
+class Certificate(Digraph):
+    """A subgraph H of the input: the Digraph of its arcs, with a kind ("node" | "arc") and k."""
 
-    base_n: int
-    arcs: frozenset
-    kind: str  # "node" | "arc"
-    k: int
-    provenance: Mapping = field(default_factory=dict, compare=False)
+    __slots__ = ("kind", "k", "provenance")
 
-    def __post_init__(self):
-        if self.kind not in ("node", "arc"):
-            raise ValueError(f"kind must be 'node' or 'arc', got {self.kind!r}")
-        if self.k < 1:
-            raise ValueError(f"threshold k must be >= 1, got {self.k}")
-
-    def graph(self) -> Digraph:
-        return Digraph(self.base_n, self.arcs)
+    def __init__(self, n: int, arcs, kind: str, k: int, provenance: Mapping | None = None):
+        if kind not in ("node", "arc"):
+            raise ValueError(f"kind must be 'node' or 'arc', got {kind!r}")
+        if k < 1:
+            raise ValueError(f"threshold k must be >= 1, got {k}")
+        super().__init__(n, arcs)
+        self.kind, self.k, self.provenance = kind, k, {} if provenance is None else provenance
 
 
 @dataclass(frozen=True)
@@ -424,8 +418,6 @@ class OneCertReport:
     contained: bool
     tc_equal: bool
     structural_ok: bool
-    arc_count: int
-    chain_bound: int
     # arcs of G \ H whose head H does not reach, then arcs of H \ G that G does not close
     violations: tuple[tuple[int, int], ...]
 
@@ -441,21 +433,18 @@ def validate_one_cert(g: Digraph, cert: Certificate) -> OneCertReport:
     So G is never decomposed: its arcs are read against H's closure, and an
     arc of H outside G gets one search in G.
     """
-    if cert.base_n != g.n:
-        raise ValueError(f"certificate is over {cert.base_n} nodes, graph has {g.n}")
-    h = cert.graph()
-    contained = cert.arcs <= g.arcs
-
-    comps = scc_tarjan(h)
-    reach_h = reachability_masks(h, comps)
+    if cert.n != g.n:
+        raise ValueError(f"certificate is over {cert.n} nodes, graph has {g.n}")
+    comps = scc_tarjan(cert)
+    reach_h = reachability_masks(cert, comps)
     violations = sorted((u, v) for u, v in g.arcs if not (reach_h[u] >> v) & 1)
     violations += sorted((u, v) for u, v in cert.arcs - g.arcs if not reachable(g, u, v))
 
-    comp_id = scc_ids(h, comps)
-    nchains = len(chain_cover_minimum(h, comps))
+    comp_id = scc_ids(cert, comps)
+    nchains = len(chain_cover_minimum(cert, comps))
     cross_deg = [0] * g.n
     intra: Counter[int] = Counter()
-    for u, v in h.arcs:
+    for u, v in cert.arcs:
         if comp_id[u] == comp_id[v]:
             intra[comp_id[u]] += 1
         else:
@@ -465,10 +454,8 @@ def validate_one_cert(g: Digraph, cert: Certificate) -> OneCertReport:
         intra[c] <= 2 * (size - 1) for c, size in Counter(comp_id).items()
     )
     return OneCertReport(
-        contained=contained,
+        contained=cert.arcs <= g.arcs,
         tc_equal=not violations,
         structural_ok=structural,
-        arc_count=h.m,
-        chain_bound=nchains,
         violations=tuple(violations),
     )

@@ -89,10 +89,17 @@ def _rho(k: int, rho: float | None) -> float:
     return rho if rho is not None else 1.0 / k
 
 
+def _unread(args, mode: str, *names: str) -> None:
+    """An option that ``mode`` never reads is an error, not a silent no-op."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} is not read by {mode}")
+
+
 def _emit_cert(cert, stats, extra=None) -> None:
-    print(Digraph(cert.base_n, cert.arcs).to_text(), end="")
+    print(cert.to_text(), end="")
     info = {
-        "n": cert.base_n,
+        "n": cert.n,
         "kind": cert.kind,
         "k": cert.k,
         "cert_arcs": len(cert.arcs),
@@ -154,6 +161,8 @@ def cmd_gen(args) -> int:
     seed = args.seed or 0
     fam = args.family
     _node_count(args.n)
+    if fam in ("transitive", "alpha", "circulant"):
+        _unread(args, f"--family {fam}", "bits")
     if fam == "transitive":
         g = transitive_tournament(args.n)
     elif fam == "alpha":
@@ -211,13 +220,14 @@ def cmd_one(args) -> int:
 
 
 def cmd_kcert(args) -> int:
+    if args.mode == "peel":
+        _unread(args, "--mode peel", "rho", "r", "seed")
     stream = _stream(args.input)
     plan = RecursionPlan(p=args.passes)
-    seed = args.seed or 0
     if args.mode == "peel":
         cert, stats = k_arc_cert_peeling(stream, args.k, plan)
     else:
-        scheme = SampleScheme(rho=_rho(args.k, args.rho), r=args.r, seed=seed)
+        scheme = SampleScheme(rho=_rho(args.k, args.rho), r=args.r, seed=args.seed or 0)
         runner = k_node_cert if args.mode == "node" else k_arc_cert_sampled
         cert, stats = runner(stream, args.k, scheme, plan)
     _emit_cert(cert, stats, {"model": stream.model, "mode": args.mode})
@@ -233,6 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_congest(args) -> int:
+    if args.proto != "kcert":
+        _unread(args, f"--proto {args.proto}", "rho")
     g = _graph(args.input)
     net = CongestNetwork(g)
     seed = args.seed or 0

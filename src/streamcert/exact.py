@@ -1,4 +1,4 @@
-"""Brute-force ground truth: exact local connectivities and certificate checks.
+"""The library's exact validators: local connectivities and certificate checks.
 
 Everything here favours exactness over scale.  Connectivities come from
 unit-capacity max-flow with depth-first augmentation.  Each digraph's network
@@ -137,8 +137,6 @@ def kappa_st(g: Digraph, s: int, t: int, limit: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class CertValidationReport:
-    kind: str
-    k: int
     contained: bool
     # arcs (u, v) of G \ H with min{k, conn_G(u, v)} > conn_H(u, v): (u, v, required, got)
     violations: tuple[tuple[int, int, int, int], ...]
@@ -149,7 +147,7 @@ class CertValidationReport:
 
 
 def validate_certificate(g: Digraph, cert: Certificate) -> CertValidationReport:
-    r"""Check min{k, conn_G(s, t)} <= conn_H(s, t) for every pair, H the cert's graph,
+    r"""Check min{k, conn_G(s, t)} <= conn_H(s, t) for every pair, H the certificate,
     by the local arc test: H within G is a k-certificate iff every arc (u, v)
     of G \ H has conn_H(u, v) >= k, for both kinds and at any n.
 
@@ -169,18 +167,17 @@ def validate_certificate(g: Digraph, cert: Certificate) -> CertValidationReport:
     At k = 1 conn_H is H's closure bit, and only the arcs it loses get sorted.
     Sorted order lets consecutive flow queries share a first-path tree.
     """
-    if cert.base_n != g.n:
-        raise ValueError(f"certificate is over {cert.base_n} nodes, graph has {g.n}")
-    k, h = cert.k, cert.graph()
-    conn = kappa_st if cert.kind == "node" else lambda_st
+    if cert.n != g.n:
+        raise ValueError(f"certificate is over {cert.n} nodes, graph has {g.n}")
+    k, conn = cert.k, kappa_st if cert.kind == "node" else lambda_st
     missing = g.arcs - cert.arcs
     if k == 1:
-        reach_h = reachability_masks(h)
+        reach_h = reachability_masks(cert)
         missing = [(u, v) for u, v in missing if not (reach_h[u] >> v) & 1]
     violations = []
     for u, v in sorted(missing):
-        got = 0 if k == 1 else conn(h, u, v, limit=k)
+        got = 0 if k == 1 else conn(cert, u, v, limit=k)
         if got < k and (have := 1 if k == 1 else conn(g, u, v, limit=k)) > got:
             violations.append((u, v, have, got))
-    return CertValidationReport(cert.kind, k, cert.arcs <= g.arcs, tuple(violations))
+    return CertValidationReport(cert.arcs <= g.arcs, tuple(violations))
 

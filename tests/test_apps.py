@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from conftest import random_digraph, random_multi_scc_digraph, random_strong_digraph, relabelled
+from conftest import random_digraph, random_multi_scc_digraph, random_strong_digraph, relabelled, stream_of
 from streamcert.apps import (
     arc_disjoint_out_branchings,
     distance_d_dominating,
@@ -16,8 +16,12 @@ from streamcert.apps import (
     transitive_closure_from_cert,
     two_sat,
 )
-from streamcert.certify_one import Certificate
+from streamcert.certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled
+from streamcert.certify_one import Certificate, RecursionPlan
 from streamcert.digraph import Digraph, scc_tarjan
+from streamcert.exact import validate_certificate
+from streamcert.hardgen import alpha_family, circulant
+from streamcert.streams import INSERTION_ONLY
 
 
 def as_cert(g: Digraph, k: int = 1) -> Certificate:
@@ -57,11 +61,46 @@ def test_toposort_ranks_respect_arcs():
                 assert rank[u] < rank[v]
 
 
-def test_apps_reject_arc_certificates():
-    g = cycle(3)
-    bad = Certificate(3, g.arcs, kind="arc", k=1)
-    with pytest.raises(ValueError):
-        scc_and_toposort(bad)
+def _arc_certificates():
+    """(input, certificate, width or None): peeled k-arc certificates of circulants,
+    which are s-arc-strong for s >= k, and sampled 2-arc certificates of
+    ``alpha_family`` DAGs, of width alpha, and of seeded random digraphs."""
+    for n, s, k in ((8, 5, 2), (10, 6, 2), (12, 7, 3), (13, 5, 2)):
+        g = circulant(n, s)
+        yield g, k_arc_cert_peeling(stream_of(g, INSERTION_ONLY, seed=n), k, RecursionPlan(1))[0], None
+    rng = random.Random(49)
+    drawn = [(alpha_family(n, a), a) for n, a in ((12, 3), (16, 2), (16, 4), (20, 5), (24, 3))]
+    drawn += [(random_digraph(rng, 4, 12), None) for _ in range(24)]
+    for seed, (g, width) in enumerate(drawn):
+        scheme = SampleScheme(rho=0.5, r=8 if width else 5, seed=seed)
+        yield g, k_arc_cert_sampled(stream_of(g, INSERTION_ONLY, seed), 2, scheme, RecursionPlan(2))[0], width
+
+
+def test_apps_answer_from_arc_certificates():
+    """A certificate of either kind keeps its input's closure, and at k >= 2 its
+    strong bridges, so every app answers for the input from an arc certificate."""
+    checked = pruned = widths = 0
+    for g, cert, width in _arc_certificates():
+        assert cert.kind == "arc" and cert.k >= 2
+        if not validate_certificate(g, cert).ok:
+            continue
+        checked, pruned = checked + 1, pruned + (cert.m < g.m)
+        comps = oracles.scc_partition(g.n, g.arcs)
+        comp, rank = scc_and_toposort(cert)
+        assert {frozenset(v for v in range(g.n) if comp[v] == c) for c in comp} == comps
+        assert all(rank[u] == rank[v] if comp[u] == comp[v] else rank[u] < rank[v] for u, v in g.arcs)
+        ref = oracles.closure_sets(g.n, g.arcs)
+        assert transitive_closure_from_cert(cert).arcs == {(s, t) for s in range(g.n) for t in ref[s] if s != t}
+        assert strong_bridges(cert) == oracles.strong_bridges(g.n, g.arcs)
+        sub = msss_2apx(cert)
+        if oracles.is_strong(g.n, g.arcs):
+            assert sub.arcs <= g.arcs and oracles.is_strong(g.n, sub.arcs) and sub.m <= 2 * g.n - 2
+        else:
+            assert sub is None
+        if width is not None:
+            assert len(min_chain_cover_dag(cert)) == width
+            widths += cert.m < g.m
+    assert checked >= 25 and pruned >= 12 and widths >= 4, (checked, pruned, widths)
 
 
 # ---------------------------------------------------------------------------

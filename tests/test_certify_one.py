@@ -54,8 +54,11 @@ def test_certificate_field_validation():
         Certificate(3, frozenset(), kind="edge", k=1)
     with pytest.raises(ValueError):
         Certificate(3, frozenset(), kind="node", k=0)
+    for arcs in ({(1, 1)}, {(0, 3)}):  # a self-loop, a head out of range: checked when built
+        with pytest.raises(ValueError):
+            Certificate(3, arcs, kind="arc", k=1)
     cert = Certificate(3, frozenset({(0, 1)}), kind="node", k=1)
-    assert cert.graph().arcs == {(0, 1)}
+    assert cert == Digraph(3, {(0, 1)}) and hash(cert) == hash(Digraph(3, {(0, 1)}))
 
 
 def test_recursion_plan_validation_and_split():
@@ -141,7 +144,7 @@ def test_validator_decomposes_each_graph_once(monkeypatch):
 
     g = alpha_family(64, 4)
     cert = Certificate(g.n, tc_preserving_prune(g).arcs, kind="node", k=1)
-    assert cert.graph() != g
+    assert cert != g
     calls = Counter()
     tarjan = digraph.scc_tarjan
 
@@ -333,7 +336,7 @@ def test_insertion_pass_budget_is_exact():
         st = ArcStream.from_graph(g, INSERTION_ONLY, seed=p)
         cert, stats = one_cert_stream(st, RecursionPlan(p=p))
         assert stats.passes == p
-        assert transitive_closure(cert.graph()) == transitive_closure(g)
+        assert transitive_closure(cert) == transitive_closure(g)
 
 
 def test_reversed_path_is_its_own_one_pass_certificate():
@@ -466,7 +469,7 @@ def test_turnstile_pass_budget_matches_split():
         d, q = plan.turnstile_split()
         assert stats.passes == d * q + 1
         assert (cert.provenance["levels"], cert.provenance["q"]) == (d, q)
-        assert transitive_closure(cert.graph()) == transitive_closure(g)
+        assert transitive_closure(cert) == transitive_closure(g)
 
 
 def test_streamed_certificates_match_closure_oracle():
@@ -492,7 +495,7 @@ def test_figure_tournament_two_pass_certificate():
     cert, stats = one_cert_stream(st, RecursionPlan(p=2))
     assert stats.passes == 2
     assert cert.provenance["b"] == 4
-    assert transitive_closure(cert.graph()) == transitive_closure(g)
+    assert transitive_closure(cert) == transitive_closure(g)
 
 
 def test_extra_phase_survives_adversarial_deletions():
@@ -509,7 +512,7 @@ def test_extra_phase_survives_adversarial_deletions():
     for p in (2, 3):
         cert, _ = one_cert_stream(st, RecursionPlan(p=p))
         assert (5, 3) in cert.arcs
-        assert transitive_closure(cert.graph()) == transitive_closure(final)
+        assert transitive_closure(cert) == transitive_closure(final)
 
 
 def test_determinism_per_stream_and_plan():
@@ -547,7 +550,7 @@ def test_strict_global_budget_stops_hungry_runs():
     relaxed = SpaceLedger(budget=20)
     cert, _ = one_cert_stream(st, RecursionPlan(p=1), relaxed)
     assert relaxed.violations
-    assert transitive_closure(cert.graph()) == transitive_closure(g)
+    assert transitive_closure(cert) == transitive_closure(g)
 
 
 def test_validator_flags_broken_and_foreign_certs():

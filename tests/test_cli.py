@@ -342,6 +342,25 @@ def test_seed_belongs_to_seeded_commands_only(circ_files):
         assert exc.value.code == 2, argv
 
 
+def test_options_the_mode_never_reads_exit_2(circ_files, capsys):
+    """An option whose default is None and that the chosen mode never reads is an
+    error naming it; without it the same command succeeds."""
+    gpath, spath = circ_files
+    for argv, unread in (
+        (("kcert", "--input", spath, "--k", "2", "--passes", "1", "--mode", "peel"),
+         (("--rho", "0.3"), ("--r", "5"), ("--seed", "9"))),
+        (("gen", "--family", "transitive", "--n", "4"), (("--bits", "zz"),)),
+        (("gen", "--family", "alpha", "--n", "4", "--d", "2"), (("--bits", "f"),)),
+        (("gen", "--family", "circulant", "--n", "5"), (("--bits", "f"),)),
+        (("congest", "--proto", "scc", "--input", gpath), (("--rho", "0.3"),)),
+        (("congest", "--proto", "topo", "--input", gpath), (("--rho", "0.3"),)),
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+        for option in unread:
+            code, out, err = run(capsys, *argv, *option)
+            assert (code, out) == (2, "") and err.startswith("error: ") and option[0] in err, (argv, option)
+
+
 def test_kcert_all_modes(circ_files, tmp_path, capsys):
     _, spath = circ_files
     empty = tmp_path / "empty.txt"

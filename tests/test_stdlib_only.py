@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, and exports
 only names it defines and something outside the tests calls; each public
-method of its classes has a caller outside the tests too."""
+method of its classes has a caller outside the tests too, and each field of
+its dataclasses a reader."""
 
 from __future__ import annotations
 
@@ -96,3 +97,25 @@ def test_every_public_method_has_a_caller():
         visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
     dead = sorted(f"{cls}.{name}" for cls, name in methods if name not in read)
     assert not dead, dead
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each annotated field of a ``@dataclass`` in ``src/streamcert/`` is read as
+    an attribute in ``src/``, ``tools/`` or ``perfbench/``.  Like the method check
+    the match is by name, so a field shares its readers with every attribute of
+    that name: it could not flag ``CertValidationReport.kind`` and ``.k`` while
+    ``cert.kind`` and ``cert.k`` were read, so those were removed by hand."""
+    fields: set[tuple[str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                fields |= {(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    assert fields
+    read = {node.attr for path in _non_test_sources()
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute)}
+    unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, unread

@@ -369,7 +369,7 @@ def test_grid_family_two_pass_space_regression():
 
     st = ArcStream.from_graph(g, INSERTION_ONLY, seed=0)
     cert, stats = one_cert_stream(st, RecursionPlan(p=2))
-    assert transitive_closure(cert.graph()) == transitive_closure(g)
+    assert transitive_closure(cert) == transitive_closure(g)
     assert stats.peak_words == 568
     # the 10x10 grid is bipartite with alpha = 50, so alpha * n^1.5 = 50000
     assert stats.peak_words <= 4 * 50_000
