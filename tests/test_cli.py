@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import io
 import json
@@ -14,7 +15,7 @@ import oracles
 from streamcert import cli
 from streamcert.cli import main
 from streamcert.digraph import Digraph, reachable
-from streamcert.hardgen import transitive_tournament
+from streamcert.hardgen import circulant, transitive_tournament
 from streamcert.streams import ArcStream
 
 
@@ -452,6 +453,66 @@ def test_bench_csv_json_and_outdir(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "results.csv").exists()
     assert json.loads((out_dir / "manifest.json").read_text())["rows"] == 2
+
+
+# Exact stdout, stderr and exit code of bench, verify and two app commands;
+# output longer than a line or two is held as its sha256.
+PINNED = (
+    (("bench", "--n", "12", "--alphas", "1,2", "--models", "ins,turn", "--p-list", "1,2", "--seeds", "0,1"),
+     0, "843406cc79558e003aa01c9207a9360aa54aabf180a3562da8ffaa6ef800ce1a", ""),
+    (("bench", "--family", "circulant", "--n", "9", "--k", "2", "--alg", "kcert", "--models", "ins,turn",
+      "--p-list", "1,2", "--seeds", "0,1"),
+     0, "d97479fb5aaa3ffff27c88c35b929c9104d64327eca88358788fef6d03c06077", ""),
+    (("bench", "--family", "circulant", "--n", "9", "--k", "2", "--alg", "peel", "--p-list", "1,2"),
+     0, "n,alpha,k,p,model,peak_words,passes,cert_size,verified\r\n"
+        "9,3,2,1,ins,91,2,18,pass\r\n9,3,2,2,ins,116,4,18,pass\r\n", ""),
+    (("bench", "--family", "circulant", "--n", "9", "--k", "2", "--p-list", "1,2", "--format", "json"),
+     0, "2fdb065c81132f25df43caea65a4a3c3a5ad98459226f0994c2acc8f85a592a9", ""),
+    (("bench", "--n", "6", "--alphas", "1", "--alg", "peel", "--k", "2"),
+     2, "", "error: benchmark row failed (family=tournament-a1 n=6 p=1 model=ins seed=0): "
+            "peeling failed at iteration 1: node 1 behind a cut of size 0\n"),
+    (("bench", "--n", "3", "--alphas", "1,4"),
+     0, "d5b1a62f9147f56b97b57d7f7be1b733bbcacb3d067809b834d6029f8807dd9e", ""),
+    (("bench", "--n", "4", "--alphas", "1,0"), 2, "", "error: alpha must be >= 1, got 0\n"),
+    (("verify", "--graph", "g.txt", "--cert", "g.txt", "--k", "3"),
+     0, "kind=node k=3 n=9 graph_arcs=18 cert_arcs=18\ncontained=True violations=0\nOK\n", ""),
+    (("verify", "--graph", "g.txt", "--cert", "ring.txt"),
+     0, "kind=node k=1 n=9 graph_arcs=18 cert_arcs=9\ncontained=True violations=0\nOK\n", ""),
+    (("verify", "--graph", "g.txt", "--cert", "ring.txt", "--k", "2"),
+     1, "f1728471724f4d9b14bbb5958e93a3e109a6ba303dfc54ec4ae6fb2950e67a19", ""),
+    (("verify", "--graph", "g.txt", "--cert", "ring.txt", "--k", "2", "--kind", "arc"),
+     1, "0fd0368877d89e508ca5d818e4ee4dba12b054bf0837b40878e79e3adbf695f1", ""),
+    (("verify", "--graph", "g.txt", "--cert", "outside.txt"),
+     1, "kind=node k=1 n=9 graph_arcs=18 cert_arcs=10\ncontained=False violations=0\nFAIL\n", ""),
+    (("verify", "--graph", "g.txt", "--cert", "bad.txt"),
+     2, "", "error: declared 2 arcs but found 1 arc lines\n"),
+    (("verify", "--graph", "g.txt", "--cert", "small.txt"),
+     2, "", "error: node counts differ (graph 9, certificate 3)\n"),
+    (("verify", "--graph", "g.txt", "--cert", "g.txt", "--k", "0"),
+     2, "", "error: threshold k must be >= 1, got 0\n"),
+    (("verify", "--graph", "g.txt", "--cert", "missing.txt"),
+     2, "", "error: [Errno 2] No such file or directory: 'missing.txt'\n"),
+    (("tc", "--input", "two.txt"),
+     0, "5 14\n0 1\n0 2\n0 3\n0 4\n1 0\n1 2\n1 3\n1 4\n2 0\n2 1\n2 3\n2 4\n3 4\n4 3\n", ""),
+    (("bridges", "--input", "two.txt"), 0, "0 1\n1 2\n2 0\n3 4\n4 3\n", ""),
+)
+
+
+def test_bench_and_verify_output_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    ring = [(i, (i + 1) % 9) for i in range(9)]
+    for name, g in (("g.txt", circulant(9, 2)), ("ring.txt", Digraph(9, ring)),
+                    ("two.txt", Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3)]))):
+        write_graph(tmp_path / name, g)
+    # an arc outside the graph, a wrong arc count, a wrong node count
+    (tmp_path / "outside.txt").write_text("9 10\n" + "".join(f"{u} {v}\n" for u, v in ring) + "0 5\n")
+    (tmp_path / "bad.txt").write_text("9 2\n0 1\n")
+    (tmp_path / "small.txt").write_text("3 1\n0 1\n")
+    for argv, code, out, err in PINNED:
+        got = run(capsys, *argv)
+        assert got[0] == code, argv
+        for want, text in ((out, got[1]), (err, got[2])):
+            assert want in (text, hashlib.sha256(text.encode()).hexdigest()), argv
 
 
 # ---------------------------------------------------------------------------
