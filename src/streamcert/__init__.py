@@ -26,7 +26,6 @@ from .digraph import (
     Digraph,
     GraphFormatError,
     chain_cover_minimum,
-    reachable,
     scc_ids,
     scc_tarjan,
     transitive_closure,
@@ -78,7 +77,6 @@ __all__ = [
     "kappa_st",
     "lambda_st",
     "one_cert_stream",
-    "reachable",
     "run_passes",
     "scc_ids",
     "scc_tarjan",

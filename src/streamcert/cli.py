@@ -1,9 +1,12 @@
-"""Command-line front end: generators, certificate runs, verification, apps."""
+"""Command-line front end: generators, certificate runs, verification, the
+space/pass bench table and the apps; each command calls the library itself."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
+import itertools
 import json
 import math
 import operator
@@ -11,11 +14,12 @@ import string
 import sys
 from pathlib import Path
 
-from . import apps, bench
+from . import apps
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled, k_node_cert
-from .certify_one import Certificate, RecursionPlan, one_cert_stream
+from .certify_one import Certificate, RecursionPlan, one_cert_stream, validate_one_cert
 from .congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
 from .digraph import MAX_NODES, Digraph, require_ascii_decimal
+from .exact import validate_certificate
 from .hardgen import (
     alpha_family,
     circulant,
@@ -163,6 +167,8 @@ def cmd_gen(args) -> int:
     _node_count(args.n)
     if fam in ("transitive", "alpha", "circulant"):
         _unread(args, f"--family {fam}", "bits")
+    if not args.stream and (args.bits is not None or fam in ("transitive", "alpha", "circulant")):
+        _unread(args, f"--family {fam}{' with --bits' * (args.bits is not None)} and no --stream", "seed")
     if fam == "transitive":
         g = transitive_tournament(args.n)
     elif fam == "alpha":
@@ -235,11 +241,22 @@ def cmd_kcert(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Exit 0 iff the certificate file certifies the graph file at level k, 1 if
+    not; every check runs at any n the parser accepts."""
     if args.graph == args.cert == "-":
         raise ValueError("--graph and --cert cannot both be read from stdin")
-    code, report = bench.verify_texts(_read(args.graph), _read(args.cert), args.k, args.kind)
-    print(report, file=sys.stderr if code == 2 else sys.stdout)  # errors go where main's do
-    return code
+    graph_text, cert_text = _read(args.graph), _read(args.cert)
+    g = Digraph.from_text(graph_text)
+    cert = Certificate.from_text(cert_text, kind=args.kind, k=args.k)
+    if cert.n != g.n:
+        raise ValueError(f"node counts differ (graph {g.n}, certificate {cert.n})")
+    report = validate_certificate(g, cert)
+    print(f"kind={cert.kind} k={cert.k} n={g.n} graph_arcs={g.m} cert_arcs={cert.m}")
+    print(f"contained={report.contained} violations={len(report.violations)}")
+    for s, t, need, got in report.violations[:10]:
+        print(f"  pair ({s}, {t}): required {need}, certificate has {got}")
+    print("OK" if report.ok else "FAIL")
+    return 0 if report.ok else 1
 
 
 def cmd_congest(args) -> int:
@@ -276,30 +293,53 @@ def cmd_congest(args) -> int:
     return 0
 
 
+def _certify(alg: str, stream: ArcStream, k: int, p: int, seed: int):
+    """(certificate, stats) of ``alg`` (one | kcert | peel) on the stream; kcert
+    samples at rho = 1/k."""
+    plan = RecursionPlan(p=p)
+    if alg == "one":
+        return one_cert_stream(stream, plan)
+    if alg == "peel":
+        return k_arc_cert_peeling(stream, k, plan)
+    return k_node_cert(stream, k, SampleScheme(rho=1.0 / k, seed=seed), plan)
+
+
 def cmd_bench(args) -> int:
+    """One row per (family graph, model, p, seed): space, passes, size, verdict.
+    The alpha column follows from how each family is built."""
     _node_count(args.n)
     if args.family == "tournament":
-        alphas = [int(a) for a in args.alphas.split(",")]
-        families = bench.tournament_families(alphas, args.n)
+        families = []
+        for alpha in map(int, args.alphas.split(",")):
+            if alpha < 1:
+                raise ValueError(f"alpha must be >= 1, got {alpha}")
+            size = args.n - args.n % alpha  # embeds blocks of alpha edgeless nodes
+            families.append((f"tournament-a{alpha}", alpha_family(size, alpha), alpha if size else 0))
     else:
         # the undirected graph is the k-th power of an n-cycle
         families = [(f"circulant-k{args.k}", circulant(args.n, args.k), args.n // (args.k + 1))]
-    rows = bench.bench_space_passes(
-        families,
-        alg=args.alg,
-        p_values=[int(p) for p in args.p_list.split(",")],
-        seeds=[int(s) for s in args.seeds.split(",")],
-        models=args.models.split(","),
-        k=args.k,
-    )
-    if args.out_dir:
-        config = {k: v for k, v in vars(args).items() if k != "func"}
-        csv_path, manifest_path = bench.save_results(rows, args.out_dir, config)
-        print(f"wrote {csv_path} and {manifest_path}")
-    elif args.format == "json":
+    p_values = [int(p) for p in args.p_list.split(",")]
+    seeds = [int(s) for s in args.seeds.split(",")]
+    rows = []
+    grid = itertools.product(families, args.models.split(","), p_values, seeds)
+    for (name, g, alpha), model, p, seed in grid:
+        try:
+            stream = ArcStream.from_graph(g, model, seed=seed)
+            cert, stats = _certify(args.alg, stream, args.k, p, seed)
+        except Exception as exc:
+            ctx = f"family={name} n={g.n} p={p} model={model} seed={seed}"
+            raise RuntimeError(f"benchmark row failed ({ctx}): {exc}") from exc
+        validate = validate_one_cert if cert.k == 1 and cert.kind == "node" else validate_certificate
+        rows.append({"n": g.n, "alpha": alpha, "k": cert.k, "p": p, "model": model,
+                     "peak_words": stats.peak_words, "passes": stats.passes, "cert_size": cert.m,
+                     "verified": "pass" if validate(g, cert).ok else "FAIL"})
+    if args.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True))
     else:
-        print(bench.rows_to_csv(rows), end="")
+        writer = csv.DictWriter(sys.stdout, fieldnames=("n", "alpha", "k", "p", "model", "peak_words",
+                                                        "passes", "cert_size", "verified"))
+        writer.writeheader()
+        writer.writerows(rows)
     return 0
 
 
@@ -309,15 +349,8 @@ def cmd_bench(args) -> int:
 
 
 def _cert_of(args, k: int = 1) -> Certificate:
-    g = _graph(args.input)
-    stream = ArcStream.from_graph(g, INSERTION_ONLY, seed=args.seed)
-    plan = RecursionPlan(p=args.passes)
-    if k == 1:
-        cert, _ = one_cert_stream(stream, plan)
-        return cert
-    scheme = SampleScheme(rho=1.0 / k, seed=args.seed or 0)
-    cert, _ = k_node_cert(stream, k, scheme, plan)
-    return cert
+    stream = ArcStream.from_graph(_graph(args.input), INSERTION_ONLY, seed=args.seed)
+    return _certify("one" if k == 1 else "kcert", stream, k, args.passes, args.seed or 0)[0]
 
 
 def cmd_scc(args) -> int:
@@ -470,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=INSERTION_ONLY)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--seeds", default="0")
-    p.add_argument("--out-dir", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_bench)
 

@@ -8,7 +8,6 @@ its neighbour tuples once, on first use) and are safe for concurrent use.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -107,9 +106,10 @@ class Digraph:
     # -- text format ---------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "Digraph":
-        """Parse the ``"n m"`` + ``m * "u v"`` format.  Duplicates, self-loops and ids
-        out of range are errors; the constructor checks the last two."""
+    def from_text(cls, text: str, **fields) -> "Digraph":
+        """Parse the ``"n m"`` + ``m * "u v"`` format into ``cls(n, arcs, **fields)``.
+        Duplicates, self-loops and ids out of range are errors; the constructor
+        checks the last two."""
         require_ascii_decimal(text, GraphFormatError)
         if "+" in text or "-" in text:  # int() reads +0 and -0 as 0
             raise GraphFormatError("node ids must be ASCII decimal: text holds a sign")
@@ -136,7 +136,7 @@ class Digraph:
                 raise GraphFormatError(f"duplicate arc line {ln!r}")
             seen.add((u, v))
         try:
-            return cls(n, seen)
+            return cls(n, seen, **fields)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from exc
 
@@ -196,25 +196,6 @@ def reachability_masks(g: Digraph, comps: Sequence[Sequence[int]] | None = None)
     """Bitmask rows of the transitive closure of ``g`` (self bit not set unless on a cycle).
     ``comps`` passes in ``scc_tarjan(g)`` when the caller already holds it."""
     return _closure(g.out_masks(), scc_tarjan(g) if comps is None else comps)
-
-
-def reachable(g: Digraph, s: int, t: int) -> bool:
-    """True iff a directed s->t path exists; ``s == t`` counts as reachable."""
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError(f"node pair ({s},{t}) out of range for n={g.n}")
-    if s == t:
-        return True
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in g.out_neighbors(u):
-            if v == t:
-                return True
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
 
 
 def transitive_closure(g: Digraph) -> Digraph:

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from streamcert import cli
 from streamcert.cli import main
-from streamcert.digraph import Digraph, reachable
+from streamcert.digraph import Digraph
 from streamcert.hardgen import circulant, transitive_tournament
 from streamcert.streams import ArcStream
 
@@ -161,7 +161,8 @@ def test_verify_k1_certificates_beyond_64_nodes(tmp_path, capsys):
     cpath = write_graph(tmp_path / "cert.txt", cert)
     code, report, _ = run(capsys, "verify", "--graph", str(gpath), "--cert", cpath)
     assert code == 0 and report.endswith("OK\n")
-    u, v = next(a for a in sorted(cert.arcs) if not reachable(Digraph(80, cert.arcs - {a}), *a))
+    u, v = next((u, v) for u, v in sorted(cert.arcs)
+                if v not in oracles.closure_sets(80, cert.arcs - {(u, v)})[u])
     cpath = write_graph(tmp_path / "cut.txt", Digraph(80, cert.arcs - {(u, v)}))
     code, report, _ = run(capsys, "verify", "--graph", str(gpath), "--cert", cpath)
     assert code == 1 and report.endswith("FAIL\n")
@@ -297,10 +298,9 @@ def test_multiplicity_outside_zero_one_exits_2(tmp_path, capsys):
 
 def test_output_options_belong_to_bench_only(circ_files, capsys):
     _, spath = circ_files
-    for flag, value in (("--format", "json"), ("--out-dir", "results")):
-        with pytest.raises(SystemExit) as exc:
-            main(["one", "--input", spath, "--passes", "1", flag, value])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["one", "--input", spath, "--passes", "1", "--format", "json"])
+    assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
@@ -350,9 +350,15 @@ def test_options_the_mode_never_reads_exit_2(circ_files, capsys):
     for argv, unread in (
         (("kcert", "--input", spath, "--k", "2", "--passes", "1", "--mode", "peel"),
          (("--rho", "0.3"), ("--r", "5"), ("--seed", "9"))),
-        (("gen", "--family", "transitive", "--n", "4"), (("--bits", "zz"),)),
-        (("gen", "--family", "alpha", "--n", "4", "--d", "2"), (("--bits", "f"),)),
-        (("gen", "--family", "circulant", "--n", "5"), (("--bits", "f"),)),
+        (("gen", "--family", "transitive", "--n", "4"), (("--bits", "zz"), ("--seed", "3"))),
+        (("gen", "--family", "alpha", "--n", "4", "--d", "2"), (("--bits", "f"), ("--seed", "3"))),
+        (("gen", "--family", "circulant", "--n", "5"), (("--bits", "f"), ("--seed", "3"))),
+        # the seed draws the bits when --bits is absent, and shuffles a stream
+        (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff"), (("--seed", "5"),)),
+        (("gen", "--family", "reach", "--n", "6", "--d", "3", "--bits", "f"), (("--seed", "5"),)),
+        (("gen", "--family", "plain", "--n", "6", "--d", "3", "--seed", "5"), ()),
+        (("gen", "--family", "transitive", "--n", "4", "--stream", "--seed", "3"), ()),
+        (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff", "--stream", "--seed", "5"), ()),
         (("congest", "--proto", "scc", "--input", gpath), (("--rho", "0.3"),)),
         (("congest", "--proto", "topo", "--input", gpath), (("--rho", "0.3"),)),
     ):
@@ -434,7 +440,7 @@ def test_congest_protocols(circ_files, capsys):
     assert json.loads(err)["meta"]["r"] >= 1
 
 
-def test_bench_csv_json_and_outdir(tmp_path, capsys):
+def test_bench_csv_and_json(capsys):
     base = ("bench", "--family", "circulant", "--n", "9", "--k", "2", "--p-list", "1,2")
     code, out, _ = run(capsys, *base)
     assert code == 0
@@ -447,12 +453,6 @@ def test_bench_csv_json_and_outdir(tmp_path, capsys):
     data = json.loads(out)
     assert [row["p"] for row in data] == [1, 2]
     assert all(row["verified"] == "pass" for row in data)
-
-    out_dir = tmp_path / "results"
-    code, out, _ = run(capsys, *base, "--out-dir", str(out_dir))
-    assert code == 0
-    assert (out_dir / "results.csv").exists()
-    assert json.loads((out_dir / "manifest.json").read_text())["rows"] == 2
 
 
 # Exact stdout, stderr and exit code of bench, verify and two app commands;
