@@ -22,7 +22,6 @@ from .digraph import (
     chain_cover_minimum,
     scc_ids,
     scc_tarjan,
-    transitive_closure,
 )
 from .exact import kappa_st  # unused here; perfbench's traced mode rebinds apps.kappa_st
 
@@ -174,8 +173,3 @@ def _ball_out(g: Digraph, source: int, d: int) -> set[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return set(dist)
-
-
-def transitive_closure_from_cert(cert: Certificate) -> Digraph:
-    """Transitive closure computed offline from the stored certificate."""
-    return transitive_closure(cert)

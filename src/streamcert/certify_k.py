@@ -201,7 +201,8 @@ def k_arc_cert_peeling(
     if not 1 <= k <= max(1, n - 1):
         raise ValueError(f"k must be in [1, max(1, n-1)] = [1, {max(1, n - 1)}], got {k}")
     ledger = SpaceLedger()
-    state = ledger.open("peel/state", constant=4)
+    state = ledger.open("peel/state")
+    state.charge(4)
     acc_out: set[tuple[int, int]] = set()
     acc_in: set[tuple[int, int]] = set()
     removed_out: frozenset = frozenset()

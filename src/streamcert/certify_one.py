@@ -167,7 +167,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
 
 
 class _TreeNode:
-    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "chains", "table", "account")
+    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "table", "account")
 
     def __init__(self, lo: int, hi: int, depth: int):
         self.lo = lo
@@ -176,7 +176,6 @@ class _TreeNode:
         self.children: list[_TreeNode] = []
         self.arcs: set[tuple[int, int]] | None = None
         self.h_arcs: set[tuple[int, int]] | None = None  # set by the node's prune
-        self.chains: tuple[tuple[int, ...], ...] | None = None
         # level-pass table keyed by x * n + the head of a child's chain (one word):
         # the best chain position so far (insertion-only) or a MinSelect (turnstile)
         self.table: dict | None = None
@@ -226,7 +225,8 @@ class OneCertRun:
         if self.levels >= 1:
             self.b = max(2, self.b)
 
-        self.account = ledger.open(f"{name}/run", constant=8)
+        self.account = ledger.open(f"{name}/run")
+        self.account.charge(8)
 
         # contiguous-range recursion tree, one node list per depth; empty blocks get no node
         root = _TreeNode(0, self.size, 0)
@@ -315,7 +315,7 @@ class OneCertRun:
                 inst = node.table.get(key)
                 if inst is None:
                     inst = node.table[key] = MinSelect(len(chain_at[h]), passes_left)
-                    node.account.charge(3 + inst.nblocks)  # active range, bookkeeping and counters
+                    node.account.charge(3 + len(inst.counters))  # active range, bookkeeping and counters
                 at = pos[v]
                 if inst.lo <= at < inst.hi:  # MinSelect.observe, inlined
                     inst.counters[inst.find(at - inst.lo)] += sign
@@ -333,10 +333,10 @@ class OneCertRun:
         else:
             if self.model == TURNSTILE:  # a pass never holds more counters than the one before
                 for node in nodes:
-                    spent = sum(inst.nblocks for inst in node.table.values())
+                    spent = sum(len(inst.counters) for inst in node.table.values())
                     for inst in node.table.values():
                         inst.end_pass()
-                        spent -= inst.nblocks
+                        spent -= len(inst.counters)
                     node.account.release(spent)
             if j < self.q - 1:
                 return
@@ -352,13 +352,12 @@ class OneCertRun:
         node.h_arcs, chains = _prune(node.hi - node.lo, arcs, node.lo)
         keep = len(node.h_arcs)
         if node.depth > 0:  # the root's chain cover is never consumed
-            node.chains = chains
             for chain in chains:  # this node's range of the chain table
                 self.chain_at[chain[0]] = chain
                 for i, v in enumerate(chain):
                     self.head[v], self.pos[v] = chain[0], i
             keep += node.hi - node.lo
-        node.account.set_extra(keep + spent)
+        node.account.set_held(keep + spent)
         node.account.release(spent)
 
     def _merge(self, node: _TreeNode) -> None:

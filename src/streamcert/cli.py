@@ -18,7 +18,7 @@ from . import apps
 from .certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled, k_node_cert
 from .certify_one import Certificate, RecursionPlan, one_cert_stream, validate_one_cert
 from .congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
-from .digraph import MAX_NODES, Digraph, require_ascii_decimal
+from .digraph import MAX_NODES, Digraph, require_ascii_decimal, transitive_closure
 from .exact import validate_certificate
 from .hardgen import (
     alpha_family,
@@ -219,7 +219,7 @@ def cmd_one(args) -> int:
     ledger = None
     if args.strict_space:
         budget = _eval_budget(args.strict_space, {"n": stream.n, "p": args.passes})
-        ledger = SpaceLedger(strict=True, budget=budget)
+        ledger = SpaceLedger(budget=budget)
     cert, stats = one_cert_stream(stream, plan, ledger=ledger)
     _emit_cert(cert, stats, {"model": stream.model})
     return 0
@@ -301,13 +301,18 @@ def _certify(alg: str, stream: ArcStream, k: int, p: int, seed: int):
         return one_cert_stream(stream, plan)
     if alg == "peel":
         return k_arc_cert_peeling(stream, k, plan)
-    return k_node_cert(stream, k, SampleScheme(rho=1.0 / k, seed=seed), plan)
+    return k_node_cert(stream, k, SampleScheme(rho=_rho(k, None), seed=seed), plan)
 
 
 def cmd_bench(args) -> int:
     """One row per (family graph, model, p, seed): space, passes, size, verdict.
     The alpha column follows from how each family is built."""
     _node_count(args.n)
+    k = 2 if args.k is None else args.k
+    if args.family == "tournament" and args.alg == "one":
+        _unread(args, "--family tournament --alg one", "k")
+    else:
+        _rho(k, None)  # k >= 1, checked before any family is built
     if args.family == "tournament":
         families = []
         for alpha in map(int, args.alphas.split(",")):
@@ -317,7 +322,7 @@ def cmd_bench(args) -> int:
             families.append((f"tournament-a{alpha}", alpha_family(size, alpha), alpha if size else 0))
     else:
         # the undirected graph is the k-th power of an n-cycle
-        families = [(f"circulant-k{args.k}", circulant(args.n, args.k), args.n // (args.k + 1))]
+        families = [(f"circulant-k{k}", circulant(args.n, k), args.n // (k + 1))]
     p_values = [int(p) for p in args.p_list.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     rows = []
@@ -325,7 +330,7 @@ def cmd_bench(args) -> int:
     for (name, g, alpha), model, p, seed in grid:
         try:
             stream = ArcStream.from_graph(g, model, seed=seed)
-            cert, stats = _certify(args.alg, stream, args.k, p, seed)
+            cert, stats = _certify(args.alg, stream, k, p, seed)
         except Exception as exc:
             ctx = f"family={name} n={g.n} p={p} model={model} seed={seed}"
             raise RuntimeError(f"benchmark row failed ({ctx}): {exc}") from exc
@@ -428,7 +433,7 @@ def cmd_domset(args) -> int:
 
 
 def cmd_tc(args) -> int:
-    print(apps.transitive_closure_from_cert(_cert_of(args)).to_text(), end="")
+    print(transitive_closure(_cert_of(args)).to_text(), end="")
     return 0
 
 
@@ -501,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", choices=("one", "kcert", "peel"), default="one")
     p.add_argument("--p-list", default="1,2,3")
     p.add_argument("--models", default=INSERTION_ONLY)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=None)  # 2 where read
     p.add_argument("--seeds", default="0")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_bench)

@@ -30,7 +30,7 @@ class StreamIntegrityError(ValueError):
 
 
 class SpaceBudgetError(RuntimeError):
-    """The ledger exceeded its declared space budget (strict mode only)."""
+    """The ledger exceeded its declared space budget."""
 
     def __init__(self, words: int, budget: int):
         self.words = words
@@ -52,75 +52,61 @@ class StreamStats:
 
 
 class SpaceAccount:
-    """Words one part of an algorithm holds: a constant overhead plus ``extra``.
+    """Words one part of an algorithm holds, as one count ``held``.
 
     :meth:`charge` is the one path that raises the ledger's peak or checks its
     budget; releasing and dropping only lower the ledger's current total.
     """
 
-    __slots__ = ("_ledger", "name", "constant", "extra")
+    __slots__ = ("_ledger", "name", "held")
 
-    def __init__(self, ledger: "SpaceLedger", name: str, constant: int):
+    def __init__(self, ledger: "SpaceLedger", name: str):
         self._ledger = ledger
         self.name = name
-        self.constant = constant
-        self.extra = -constant  # the opening charge holds the constant, not extra words
-        self.charge(constant)
+        self.held = 0
 
     def charge(self, words: int = 1) -> None:
         if words < 0:
             raise ValueError("charge must be nonnegative")
-        self.extra += words
+        self.held += words
         ledger = self._ledger
         ledger.current += words
         if ledger.current > ledger.peak:
             ledger.peak = ledger.current
         if ledger.budget is not None and ledger.current > ledger.budget:
-            if ledger.strict:
-                raise SpaceBudgetError(ledger.current, ledger.budget)
-            ledger.violation_count += 1
-            if not ledger.violations:
-                ledger.violations.append(("total", ledger.current, ledger.budget))
+            raise SpaceBudgetError(ledger.current, ledger.budget)
 
     def release(self, words: int = 1) -> None:
-        if not 0 <= words <= self.extra:
-            raise ValueError(f"account {self.name!r} cannot release {words} of {self.extra} held")
-        self.extra -= words
+        if not 0 <= words <= self.held:
+            raise ValueError(f"account {self.name!r} cannot release {words} of {self.held} held")
+        self.held -= words
         self._ledger.current -= words
 
-    def set_extra(self, words: int) -> None:
+    def set_held(self, words: int) -> None:
         """Adjust held words to an absolute value (convenience for rebuilds)."""
-        delta = words - self.extra
+        delta = words - self.held
         if delta >= 0:
             self.charge(delta)
         else:
             self.release(-delta)
 
     def drop(self) -> None:
-        """Release everything, including the constant overhead; a second drop releases nothing."""
-        self._ledger.current -= self.constant + self.extra
-        self.constant = 0
-        self.extra = 0
+        """Release everything; a second drop releases nothing."""
+        self.release(self.held)
 
 
 class SpaceLedger:
-    """Tracks current and peak total words over all open accounts.
+    """Tracks current and peak total words over all open accounts.  With a
+    ``budget``, the charge that takes the total past it raises
+    :class:`SpaceBudgetError`."""
 
-    Outside strict mode a charge that takes the total over budget is recorded,
-    not raised: ``violations`` keeps the first overrun, as ``("total", words,
-    budget)``, and ``violation_count`` counts every such charge.
-    """
-
-    def __init__(self, strict: bool = False, budget: int | None = None):
+    def __init__(self, budget: int | None = None):
         self.current = 0
         self.peak = 0
-        self.strict = strict
         self.budget = budget
-        self.violations: list[tuple[str, int, int]] = []
-        self.violation_count = 0
 
-    def open(self, name: str, constant: int = 0) -> SpaceAccount:
-        return SpaceAccount(self, name, constant)
+    def open(self, name: str) -> SpaceAccount:
+        return SpaceAccount(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +305,14 @@ class MinSelect:
     positive end-of-pass counter survives to the next pass.  Counters are
     net over the full update sequence, so a single number per block is enough
     even under deletions.  Construction opens the first pass and
-    :meth:`end_pass` the next until the search is done.  ``nblocks`` counts
-    the counters held, for the owner to charge; a span of at most b**P leaves
-    a block of at most b**(P-1), so it never grows.  A finished search has the
-    empty range ``lo == hi`` and ``nblocks == 0``, so it observes nothing.
+    :meth:`end_pass` the next until the search is done.  ``counters`` holds
+    one counter per block of the open pass, for the owner to charge as
+    ``len(counters)``; a span of at most b**P leaves a block of at most
+    b**(P-1), so it never grows.  A finished search has the empty range
+    ``lo == hi`` and no counters, so it observes nothing.
     """
 
-    __slots__ = ("lo", "hi", "passes_left", "counters", "nblocks", "find", "starts", "result")
+    __slots__ = ("lo", "hi", "passes_left", "counters", "find", "starts", "result")
 
     def __init__(self, length: int, q: int):
         if q < 1:
@@ -333,15 +320,14 @@ class MinSelect:
         self.lo = 0
         self.hi = length
         self.passes_left = q
-        self.counters: list[int] | None = None
-        self.nblocks = 0
+        self.counters: list[int] = []
         self.result: int | None = None
         if length:
             self._open_pass()
 
     def _open_pass(self) -> None:
-        self.nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)
-        self.counters = [0] * self.nblocks
+        nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)
+        self.counters = [0] * nblocks
 
     def observe(self, rank: int, sign: int) -> None:
         if self.lo <= rank < self.hi:
@@ -355,7 +341,7 @@ class MinSelect:
             if c > 0:
                 chosen = i
                 break
-        self.counters, self.nblocks = None, 0
+        self.counters = []
         self.passes_left -= 1
         if chosen < 0:
             self.hi = self.lo

@@ -26,7 +26,7 @@ from streamcert.certify_one import (
     validate_one_cert,
 )
 from streamcert.congest import CongestNetwork, congest_k_cert, congest_scc, congest_toposort
-from streamcert.digraph import Digraph
+from streamcert.digraph import Digraph, transitive_closure
 from streamcert.exact import kappa_st, lambda_st, validate_certificate
 from streamcert.hardgen import (
     alpha_family,
@@ -400,7 +400,7 @@ def test_criterion_9_applications_equivalence(say):
         assert {frozenset(b) for b in blocks.values()} == oracles.scc_partition(g.n, g.arcs)
         for u, v in g.arcs:
             assert (rank[u] == rank[v]) if comp[u] == comp[v] else (rank[u] < rank[v])
-        closed = apps.transitive_closure_from_cert(cert)
+        closed = transitive_closure(cert)
         ref = oracles.closure_sets(g.n, g.arcs)
         assert closed.arcs == frozenset(
             (s, t) for s in range(g.n) for t in ref[s] if s != t

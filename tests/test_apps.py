@@ -13,12 +13,11 @@ from streamcert.apps import (
     msss_2apx,
     scc_and_toposort,
     strong_bridges,
-    transitive_closure_from_cert,
     two_sat,
 )
 from streamcert.certify_k import SampleScheme, k_arc_cert_peeling, k_arc_cert_sampled
 from streamcert.certify_one import Certificate, RecursionPlan
-from streamcert.digraph import Digraph, scc_tarjan
+from streamcert.digraph import Digraph, scc_tarjan, transitive_closure
 from streamcert.exact import validate_certificate
 from streamcert.hardgen import alpha_family, circulant
 from streamcert.streams import INSERTION_ONLY
@@ -90,7 +89,7 @@ def test_apps_answer_from_arc_certificates():
         assert {frozenset(v for v in range(g.n) if comp[v] == c) for c in comp} == comps
         assert all(rank[u] == rank[v] if comp[u] == comp[v] else rank[u] < rank[v] for u, v in g.arcs)
         ref = oracles.closure_sets(g.n, g.arcs)
-        assert transitive_closure_from_cert(cert).arcs == {(s, t) for s in range(g.n) for t in ref[s] if s != t}
+        assert transitive_closure(cert).arcs == {(s, t) for s in range(g.n) for t in ref[s] if s != t}
         assert strong_bridges(cert) == oracles.strong_bridges(g.n, g.arcs)
         sub = msss_2apx(cert)
         if oracles.is_strong(g.n, g.arcs):
@@ -201,7 +200,7 @@ def test_closure_from_cert_matches_oracle():
     rng = random.Random(44)
     for _ in range(20):
         g = random_digraph(rng, 2, 9)
-        closed = transitive_closure_from_cert(as_cert(g))
+        closed = transitive_closure(as_cert(g))
         ref = oracles.closure_sets(g.n, g.arcs)
         # the closure graph cannot carry loops, so on-cycle self pairs drop out
         assert closed.arcs == frozenset(

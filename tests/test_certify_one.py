@@ -44,7 +44,6 @@ from streamcert.streams import (
     SpaceLedger,
     StreamStats,
     blocks,
-    run_passes,
 )
 
 
@@ -257,6 +256,23 @@ def test_prune_kernel_on_edge_cases():
     assert _prune(3, {(11, 12), (12, 13), (13, 11)}, 11) == ({(11, 12), (12, 13), (13, 11)}, ((11, 12, 13),))
 
 
+def _pruned_covers(run, updates):
+    """Drive ``run`` pass by pass over ``updates``.  Right after the pass that
+    prunes the depth-d nodes, d >= 1, and before a shallower prune rewrites
+    their ranges, read each one's rows of the run-wide chain table:
+    ``(node, cover, place)`` with ``place[v] = (head[v], pos[v])`` for each v
+    of its range and ``cover[h] = chain_at[h]`` for each head h there."""
+    covers = []
+    for i, (kind, depth, j) in enumerate(run.schedule):
+        run.begin_pass(i)(updates)
+        run.end_pass(i)
+        if depth > 0 and (kind == "leaf" or j == run.q - 1):
+            for node in run.by_depth[depth]:
+                place = {v: (run.head[v], run.pos[v]) for v in range(node.lo, node.hi)}
+                covers.append((node, {h: run.chain_at[h] for h, _ in place.values()}, place))
+    return covers
+
+
 def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch):
     from streamcert import certify_one, digraph
 
@@ -283,23 +299,24 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
                 mp.setattr(mod, "_tarjan", tarjan)
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
-            run_passes(stream_of(g, model, seed), [run], run.total_passes)
+            covers = _pruned_covers(run, stream_of(g, model, seed).updates)
         # an arc-less block runs no decomposition; a pruned block has its input's
         # closure, so it holds an arc exactly when its input did
         with_arcs = sum(bool(node.h_arcs) for nodes in run.by_depth for node in nodes)
         assert calls == {"scc": with_arcs, "closure": with_arcs}
         arcless += sum(map(len, run.by_depth)) - with_arcs
         assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), plan)[0].arcs
-        for nodes in run.by_depth[1:]:
-            for node in nodes:
-                lo, size = node.lo, node.hi - node.lo
-                block = Digraph(size, ((u - lo, v - lo) for u, v in node.h_arcs))
-                chains = [[v - lo for v in chain] for chain in node.chains]
-                assert sorted(v for chain in chains for v in chain) == list(range(size))
-                reach = oracles.closure_sets(size, block.arcs)
-                assert all(b in reach[a] for chain in chains for a, b in zip(chain, chain[1:]))
-                assert len(chains) == len(chain_cover_minimum(block))
-                checked += 1
+        assert sorted((node.depth, node.lo) for node, _, _ in covers) == [
+            (node.depth, node.lo) for nodes in run.by_depth[1:] for node in nodes]
+        for node, cover, _ in covers:
+            lo, size = node.lo, node.hi - node.lo
+            block = Digraph(size, ((u - lo, v - lo) for u, v in node.h_arcs))
+            chains = [[v - lo for v in chain] for chain in cover.values()]
+            assert sorted(v for chain in chains for v in chain) == list(range(size))
+            reach = oracles.closure_sets(size, block.arcs)
+            assert all(b in reach[a] for chain in chains for a, b in zip(chain, chain[1:]))
+            assert len(chains) == len(chain_cover_minimum(block))
+            checked += 1
     assert checked >= 100 and arcless >= 100
 
 
@@ -369,7 +386,9 @@ def test_owner_tables_match_block_descent():
 
 def test_chain_table_is_one_row_per_run():
     """The level passes find a node's chain in one run-wide table of n entries
-    per column, which every tree node's prune rewrites over its own range."""
+    per column, which every tree node's prune rewrites over its own range:
+    right after the pass that prunes a depth, each of its nodes' ranges holds
+    one chain per head, and each node on it the head and its place."""
     tracemalloc.start()
     try:
         run = OneCertRun(4096, INSERTION_ONLY, RecursionPlan(p=13), SpaceLedger())
@@ -381,12 +400,14 @@ def test_chain_table_is_one_row_per_run():
     for model, seed in ((INSERTION_ONLY, 3), (TURNSTILE, 4)):
         g = random_digraph(random.Random(seed), 40, 60, density=0.1)
         run = OneCertRun(g.n, model, RecursionPlan(p=4), SpaceLedger())
-        run_passes(stream_of(g, model, seed), [run], run.total_passes)
+        covers = _pruned_covers(run, stream_of(g, model, seed).updates)
         assert len(run.head) == len(run.pos) == len(run.chain_at) == g.n
-        for node in run.by_depth[1]:  # the last level written holds depth 1
-            for chain in node.chains:
-                assert run.chain_at[chain[0]] is chain
-                assert [(run.head[v], run.pos[v]) for v in chain] == [(chain[0], i) for i in range(len(chain))]
+        assert {node.depth for node, _, _ in covers} == set(range(1, run.levels + 1))
+        for node, cover, place in covers:
+            assert sorted(v for chain in cover.values() for v in chain) == list(range(node.lo, node.hi))
+            for h, chain in cover.items():
+                assert chain[0] == h
+                assert [place[v] for v in chain] == [(h, i) for i in range(len(chain))]
 
 
 _G = random_digraph(random.Random(31), 14, 20, density=0.3)
@@ -436,7 +457,7 @@ def test_routing_paths_are_pinned(name):
 
 def test_a_turnstile_level_holds_its_open_selection_counters():
     """After every level pass but the last, a tree node of that depth holds 3
-    words per selection and the counters of its open passes, and a strict
+    words per selection and the counters of its open passes, and a
     budget of the peak less one word stops the run.  The budgets split into
     q = 1, 2 and 3 passes per level."""
     st = turnstile_stream(alpha_family(48, 4), 36)
@@ -451,13 +472,13 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
             run.end_pass(i)
             if kind == "level" and j < run.q - 1:
                 for node in run.by_depth[depth]:
-                    counters = sum(len(inst.counters or ()) for inst in node.table.values())
-                    assert node.account.extra == 3 * len(node.table) + counters, (plan, i, node.lo)
+                    counters = sum(len(inst.counters) for inst in node.table.values())
+                    assert node.account.held == 3 * len(node.table) + counters, (plan, i, node.lo)
                     checked += 1
         assert checked == nodes and ledger.peak == peak
         with pytest.raises(SpaceBudgetError):
-            one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak - 1))
-        cert, stats = one_cert_stream(st, plan, SpaceLedger(strict=True, budget=ledger.peak))
+            one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak - 1))
+        cert, stats = one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak))
         assert cert.arcs == run.cert_arcs and stats.peak_words == ledger.peak
 
 
@@ -546,11 +567,7 @@ def test_strict_global_budget_stops_hungry_runs():
     g = transitive_tournament(30)
     st = ArcStream.from_graph(g, INSERTION_ONLY, seed=0)
     with pytest.raises(SpaceBudgetError):
-        one_cert_stream(st, RecursionPlan(p=1), SpaceLedger(strict=True, budget=20))
-    relaxed = SpaceLedger(budget=20)
-    cert, _ = one_cert_stream(st, RecursionPlan(p=1), relaxed)
-    assert relaxed.violations
-    assert transitive_closure(cert) == transitive_closure(g)
+        one_cert_stream(st, RecursionPlan(p=1), SpaceLedger(budget=20))
 
 
 def test_validator_flags_broken_and_foreign_certs():

@@ -361,6 +361,9 @@ def test_options_the_mode_never_reads_exit_2(circ_files, capsys):
         (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff", "--stream", "--seed", "5"), ()),
         (("congest", "--proto", "scc", "--input", gpath), (("--rho", "0.3"),)),
         (("congest", "--proto", "topo", "--input", gpath), (("--rho", "0.3"),)),
+        (("bench", "--n", "6", "--alphas", "1", "--p-list", "1"), (("--k", "7"),)),
+        (("bench", "--family", "tournament", "--alg", "one", "--n", "6", "--alphas", "1", "--p-list", "1"),
+         (("--k", "2"),)),
     ):
         assert run(capsys, *argv)[0] == 0, argv
         for option in unread:
@@ -474,6 +477,10 @@ PINNED = (
     (("bench", "--n", "3", "--alphas", "1,4"),
      0, "d5b1a62f9147f56b97b57d7f7be1b733bbcacb3d067809b834d6029f8807dd9e", ""),
     (("bench", "--n", "4", "--alphas", "1,0"), 2, "", "error: alpha must be >= 1, got 0\n"),
+    (("bench", "--n", "6", "--alphas", "1", "--alg", "kcert", "--k", "0"),
+     2, "", "error: threshold k must be >= 1, got 0\n"),
+    (("bench", "--n", "6", "--alphas", "1", "--alg", "peel", "--k", "0"),
+     2, "", "error: threshold k must be >= 1, got 0\n"),
     (("verify", "--graph", "g.txt", "--cert", "g.txt", "--k", "3"),
      0, "kind=node k=3 n=9 graph_arcs=18 cert_arcs=18\ncontained=True violations=0\nOK\n", ""),
     (("verify", "--graph", "g.txt", "--cert", "ring.txt"),

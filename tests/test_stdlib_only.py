@@ -1,11 +1,12 @@
 """The package imports nothing outside the standard library, and exports
 only names it defines and something outside the tests calls; each public
 method of its classes has a caller outside the tests too, and each field of
-its dataclasses a reader."""
+its dataclasses and each attribute its instances set a reader."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -118,4 +119,29 @@ def test_every_dataclass_field_has_a_reader():
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
             if isinstance(node, ast.Attribute)}
     unread = sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    assert not unread, unread
+
+
+def test_every_instance_attribute_has_a_reader():
+    """Each attribute that a class in ``src/streamcert/`` assigns on ``self`` is
+    read, by name, as an attribute in ``src/``, ``tools/`` or ``perfbench/``; a
+    count that is only ever written holds nothing anyone uses.  Exception
+    classes are exempt: their fields are error data for callers.  Like the
+    checks above the match is by name, so an attribute shares its readers with
+    every attribute of that name: it could not see ``_TreeNode.chains``,
+    written on every prune and read only by tests, because ``ChainCover.chains``
+    shares its name, so that one was removed by hand."""
+    assigned: set[tuple[str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and not issubclass(
+                    getattr(importlib.import_module(f"streamcert.{path.stem}"), node.name), BaseException):
+                assigned |= {(node.name, target.attr) for target in ast.walk(node)
+                             if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                             and isinstance(target.value, ast.Name) and target.value.id == "self"}
+    assert assigned
+    read = {node.attr for path in _non_test_sources()
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{cls}.{name}" for cls, name in assigned if name not in read)
     assert not unread, unread

@@ -87,7 +87,8 @@ def test_stream_text_node_ids_are_ascii_decimal(text):
 
 class _StoreAll:
     def __init__(self, ledger):
-        self.account = ledger.open("store", constant=1)
+        self.account = ledger.open("store")
+        self.account.charge(1)  # a fixed word held from the start
         self.seen = []
 
     def begin_pass(self, i):
@@ -109,7 +110,7 @@ def test_run_passes_delivers_in_order_each_pass():
     consumer = _StoreAll(ledger)
     run_passes(st, [consumer], 3)
     assert consumer.seen == list(st.updates) * 3
-    # one word per stored update plus the account constant
+    # one word per stored update plus the fixed word
     assert ledger.peak == 3 * len(st.updates) + 1
 
 
@@ -133,7 +134,7 @@ class _HoldPresent:
                 self.account.release(1)
 
     def end_pass(self, i):
-        self.account.set_extra(0)
+        self.account.set_held(0)
 
 
 def test_shared_pass_interleaves_consumers_and_the_ledger_sees_it():
@@ -166,14 +167,15 @@ def test_a_lone_consumer_is_fed_the_streams_own_tuple_once_per_pass():
 
 def test_space_ledger_peak_and_release():
     ledger = SpaceLedger()
-    a = ledger.open("a", constant=2)
+    a = ledger.open("a")
     b = ledger.open("b")
+    a.charge(2)
     a.charge(5)
     b.charge(3)
     assert ledger.current == 10 and ledger.peak == 10
     a.release(4)
     assert ledger.current == 6 and ledger.peak == 10
-    b.set_extra(0)
+    b.set_held(0)
     a.drop()
     assert ledger.current == 0 and ledger.peak == 10
     a.drop()  # a second drop has nothing left to release
@@ -182,48 +184,33 @@ def test_space_ledger_peak_and_release():
         b.release(1)
 
 
-def test_space_budget_strict_vs_recording():
-    soft = SpaceLedger(budget=2)
-    acct = soft.open("probe")
-    acct.charge(5)
-    assert soft.violations == [("total", 5, 2)]
-    for _ in range(50):
-        acct.charge(1)
-    assert soft.violations == [("total", 5, 2)]
-    assert soft.violation_count == 51
-
-    shared = SpaceLedger(budget=3)
-    a, b = shared.open("a"), shared.open("b")
-    for _ in range(10):
-        a.charge(1)
-        b.charge(1)
-    assert shared.violations == [("total", 4, 3)]
-    assert shared.violation_count == 17  # every bump from 4 to 20 words
-
-    hard = SpaceLedger(strict=True, budget=2)
-    acct2 = hard.open("probe")
+def test_space_budget_raises_at_the_first_charge_past_it():
+    """A total at the budget is within it; the charge that takes the total past
+    it raises with that total, which the ledger's total and peak keep."""
+    ledger = SpaceLedger(budget=2)
+    acct = ledger.open("probe")
+    acct.charge(2)
     with pytest.raises(SpaceBudgetError) as err:
-        acct2.charge(5)
+        acct.charge(3)
     assert (err.value.words, err.value.budget) == (5, 2)
-    with pytest.raises(SpaceBudgetError):
-        SpaceLedger(strict=True, budget=2).open("wide", constant=3)
+    assert ledger.current == ledger.peak == 5
 
 
 def test_a_release_above_budget_is_not_another_overrun():
-    """Only a charge counts an overrun: releasing words lowers the total even
-    when it stays above budget, and the peak stays where the charge left it."""
+    """Only a charge raises: releasing words lowers the total even when it
+    stays above budget, and the peak stays where the charge left it."""
     ledger = SpaceLedger(budget=3)
     acct = ledger.open("probe")
-    acct.charge(5)
+    with pytest.raises(SpaceBudgetError):
+        acct.charge(5)
     acct.release(1)
     assert ledger.current == 4 and ledger.peak == 5
-    assert ledger.violation_count == 1 and ledger.violations == [("total", 5, 3)]
     acct.drop()
-    assert ledger.current == 0 and ledger.violation_count == 1
+    assert ledger.current == 0 and ledger.peak == 5
 
 
 def test_global_budget_applies_across_accounts():
-    ledger = SpaceLedger(strict=True, budget=6)
+    ledger = SpaceLedger(budget=6)
     a = ledger.open("a")
     b = ledger.open("b")
     a.charge(4)
@@ -274,14 +261,14 @@ def _select(stream, candidates, q):
 def test_min_select_block_counter_walkthrough():
     """Sixteen candidates, the first eight deleted: two 4-block passes land on 9."""
     inst = MinSelect(16, 2)
-    assert inst.nblocks == 4
+    assert len(inst.counters) == 4
     for rank in range(16):
         inst.observe(rank, 1)
     for rank in range(8):
         inst.observe(rank, -1)
     inst.end_pass()
     assert (inst.lo, inst.hi) == (8, 12)
-    assert inst.nblocks == 4
+    assert len(inst.counters) == 4
     for rank in range(16):
         inst.observe(rank, 1)
     for rank in range(8):
@@ -309,7 +296,7 @@ def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
             if survivor is not None:
                 inst.observe(survivor, 1)
             inst.end_pass()
-        assert inst.lo == inst.hi and inst.counters is None and inst.result == survivor
+        assert inst.lo == inst.hi and inst.counters == [] and inst.result == survivor
         for rank in range(16):
             inst.observe(rank, 1)
         inst.end_pass()
@@ -320,26 +307,24 @@ def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
 
 def test_min_select_passes_never_grow():
     """A span of at most b**P leaves a block of at most b**(P-1), so no pass
-    has more blocks than the one before; ``nblocks`` counts exactly the open
-    pass's counters and drops to 0 once the search is done, so an owner that
-    charges it never raises its peak by moving on to the next pass.  Each
+    has more blocks than the one before; ``counters`` holds exactly the open
+    pass's counters and none once the search is done, so an owner that
+    charges their number never raises its peak by moving on to the next pass.  Each
     search lands on its target, and on random turnstile streams on the final
     graph's minimum arc."""
     for span in range(1, 301):
         for q in range(1, 6):
             for target in sorted({0, span // 2, span - 1}) + [None]:
                 inst = MinSelect(span, q)
-                blocks = [inst.nblocks]
-                assert len(inst.counters) == inst.nblocks
+                blocks = [len(inst.counters)]
                 while inst.lo != inst.hi:
                     if target is not None:
                         inst.observe(target, 1)
                     inst.end_pass()
                     if inst.lo == inst.hi:
-                        assert inst.nblocks == 0 and inst.counters is None
+                        assert inst.counters == []
                     else:
-                        assert len(inst.counters) == inst.nblocks
-                        blocks.append(inst.nblocks)
+                        blocks.append(len(inst.counters))
                 assert blocks == sorted(blocks, reverse=True), (span, q, target, blocks)
                 assert len(blocks) <= q
                 assert inst.result == target
