@@ -18,12 +18,15 @@ Two layers:
   shared passes, and one extra pass per level finds, for every node x outside
   a block and every chain of the block's cover, the first chain node u with
   arc (x, u) surviving in the stream.  Under deletions that search runs as a
-  multi-pass block-counter minimum selection.  A pass's feed routes each update
-  by lookups in per-depth owner tables (node id -> tree node), not by a descent
-  from the root; the tables hold what :func:`~streamcert.streams.blocks`
-  recomputes in O(levels) arithmetic, so they are not charged as space.  One
-  run-wide chain table (node id -> head of its chain, position on it) indexes
-  the covers the prunes already charge, so it is charged nothing more.
+  multi-pass block-counter minimum selection: a plain list of counters per
+  (x, chain) entry of the level's table, one counter step per routed update,
+  and :func:`~streamcert.streams.select_step` at the end of each pass.  A
+  pass's feed routes each update by lookups in per-depth owner tables (node
+  id -> tree node), not by a descent from the root; the tables hold what
+  :func:`~streamcert.streams.blocks` recomputes in O(levels) arithmetic, so
+  they are not charged as space.  One run-wide chain table (node id -> head
+  of its chain, position on it) indexes the covers the prunes already charge,
+  so it is charged nothing more.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ from .digraph import (
 from .streams import (
     TURNSTILE,
     ArcStream,
-    MinSelect,
     SpaceLedger,
     StreamStats,
+    _pass_cut,
     blocks,
     int_root_ceil,
     run_passes,
+    select_step,
 )
 
 
@@ -167,7 +171,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
 
 
 class _TreeNode:
-    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "table", "account")
+    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "table", "live", "account")
 
     def __init__(self, lo: int, hi: int, depth: int):
         self.lo = lo
@@ -176,9 +180,11 @@ class _TreeNode:
         self.children: list[_TreeNode] = []
         self.arcs: set[tuple[int, int]] | None = None
         self.h_arcs: set[tuple[int, int]] | None = None  # set by the node's prune
-        # level-pass table keyed by x * n + the head of a child's chain (one word):
-        # the best chain position so far (insertion-only) or a MinSelect (turnstile)
+        # level-pass table keyed by x * n + the head of a child's chain (one word): the best
+        # chain position so far (insertion-only), or a selection's first-pass counters, then
+        # its open (lo, hi, find, counters) or its answer, a position or None (turnstile)
         self.table: dict | None = None
+        self.live: dict | None = None  # the turnstile table's open entries, by key
         self.account = None
 
 
@@ -200,8 +206,18 @@ class OneCertRun:
     reads only the level below and a node's prune rewrites its own range after
     its merge has read the children.  It indexes the cover ``_prune_into``
     charges as ``hi - lo`` words, so it is charged nothing more.  ``begin_pass``
-    picks the leaf, insertion-only or turnstile level feed once per pass, and
-    the turnstile level charges and releases its MinSelect instances' counters.
+    picks the leaf, insertion-only or turnstile level feed once per pass.
+
+    A turnstile level's first pass opens every selection of a chain on one cut,
+    ``_pass_cut(len(chain), q)``: ``slot[v]``, the counter holding ``pos[v]``,
+    and ``width[v]``, the number of counters, are O(1) arithmetic on the
+    charged ``head`` and ``pos``, so like the owner tables they are not
+    charged.  An entry starts as ``width[v]`` counters, charged with 3 words of
+    range and bookkeeping, and a routed update steps one counter.  ``end_pass``
+    ends each open selection by ``select_step``, so it keeps its answer or
+    opens ``(lo, hi, find, counters)``, and each tree node releases its spent
+    counters once.  ``node.live`` indexes the open entries only, so no later
+    pass touches a finished selection.
     """
 
     def __init__(
@@ -303,24 +319,37 @@ class OneCertRun:
                         node.table[key] = at
 
             return insertion_feed
-        chain_at, passes_left = self.chain_at, self.q - j
+        if j == 0:
+            cuts = [_pass_cut(len(self.chain_at[head[v]]), self.q) for v in range(size)]
+            slot = [find(pos[v]) for v, (_, find, _) in enumerate(cuts)]
+            width = [nblocks for nblocks, _, _ in cuts]
 
-        def turnstile_feed(updates) -> None:
+            def turnstile_feed(updates) -> None:
+                for sign, u, v in updates:
+                    node = own[u]
+                    if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                        continue
+                    key = u * size + head[v]
+                    counters = node.table.get(key)
+                    if counters is None:
+                        counters = node.table[key] = [0] * width[v]
+                        node.account.charge(3 + width[v])  # active range, bookkeeping and counters
+                    counters[slot[v]] += sign
+
+            return turnstile_feed
+
+        def select_feed(updates) -> None:
+            # A live key needs no routing test: v shares a chain, so a child, with the arc that opened it.
             for sign, u, v in updates:
-                node = own[u]
-                if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                entry = own[u].live.get(u * size + head[v])
+                if entry is None or keep is not None and not keep(u, v):
                     continue
-                h = head[v]
-                key = u * size + h
-                inst = node.table.get(key)
-                if inst is None:
-                    inst = node.table[key] = MinSelect(len(chain_at[h]), passes_left)
-                    node.account.charge(3 + len(inst.counters))  # active range, bookkeeping and counters
+                lo, hi, find, counters = entry
                 at = pos[v]
-                if inst.lo <= at < inst.hi:  # MinSelect.observe, inlined
-                    inst.counters[inst.find(at - inst.lo)] += sign
+                if lo <= at < hi:
+                    counters[find(at - lo)] += sign
 
-        return turnstile_feed
+        return select_feed
 
     def end_pass(self, pass_index: int) -> None:
         kind, depth, j = self.schedule[pass_index]
@@ -332,11 +361,20 @@ class OneCertRun:
                 leaf.arcs = None
         else:
             if self.model == TURNSTILE:  # a pass never holds more counters than the one before
+                chain_at, size = self.chain_at, self.size
                 for node in nodes:
-                    spent = sum(len(inst.counters) for inst in node.table.values())
-                    for inst in node.table.values():
-                        inst.end_pass()
-                        spent -= len(inst.counters)
+                    table, live, spent = node.table, {}, 0
+                    if j == 0:  # each selection opened on its whole chain
+                        opened = ((key, 0, len(chain_at[key % size]), c) for key, c in table.items())
+                    else:
+                        opened = ((key, lo, hi, c) for key, (lo, hi, _, c) in node.live.items())
+                    for key, lo, hi, counters in opened:
+                        spent += len(counters)
+                        entry = table[key] = select_step(lo, hi, counters, self.q - j)
+                        if type(entry) is tuple:
+                            live[key] = entry
+                            spent -= len(entry[3])
+                    node.live = live
                     node.account.release(spent)
             if j < self.q - 1:
                 return
@@ -361,14 +399,12 @@ class OneCertRun:
         node.account.release(spent)
 
     def _merge(self, node: _TreeNode) -> None:
-        turnstile = self.model == TURNSTILE
         merged: set[tuple[int, int]] = set()
-        for key, entry in node.table.items():
-            pos = entry.result if turnstile else entry  # a MinSelect without survivor answers None
-            if pos is not None:
+        for key, pos in node.table.items():
+            if pos is not None:  # a selection without survivor answers None
                 x, h = divmod(key, self.size)
                 merged.add((x, self.chain_at[h][pos]))
-        table_words = (3 if turnstile else 1) * len(node.table)
+        table_words = (3 if self.model == TURNSTILE else 1) * len(node.table)
         for child in node.children:
             merged |= child.h_arcs
         scratch = node.hi - node.lo

@@ -217,7 +217,7 @@ def cmd_one(args) -> int:
     stream = _stream(args.input)
     plan = RecursionPlan(p=args.passes)
     ledger = None
-    if args.strict_space:
+    if args.strict_space is not None:
         budget = _eval_budget(args.strict_space, {"n": stream.n, "p": args.passes})
         ledger = SpaceLedger(budget=budget)
     cert, stats = one_cert_stream(stream, plan, ledger=ledger)

@@ -101,6 +101,8 @@ class SpaceLedger:
     :class:`SpaceBudgetError`."""
 
     def __init__(self, budget: int | None = None):
+        if budget is not None and budget < 0:
+            raise ValueError(f"space budget must be >= 0, got {budget}")
         self.current = 0
         self.peak = 0
         self.budget = budget
@@ -242,7 +244,7 @@ def run_passes(stream: ArcStream, consumers: Sequence[PassConsumer], passes: int
 
 
 # ---------------------------------------------------------------------------
-# balanced contiguous blocks (minimum selection and the 1-certificate recursion)
+# balanced contiguous blocks and Munro–Paterson multi-pass minimum selection
 # ---------------------------------------------------------------------------
 
 
@@ -267,10 +269,11 @@ def blocks(span: int, nblocks: int) -> tuple[Callable[[int], int], tuple[int, ..
     ``[starts[i], starts[i + 1])`` and ``find(offset)`` is the index of the
     block holding ``offset``.
 
-    The division is done once, here; the cache lets every minimum selection
-    and tree node of one span share a cut, and ``starts`` is a tuple so a
-    shared cut cannot be changed by one of them.  Blocks of one offset (every
-    last pass of a selection) find by the C-level identity.
+    The division is done once, here; the cache lets every tree node and
+    selection pass of one span share a cut (a turnstile level's first pass
+    reads one cut per chain, through its slot tables), and ``starts`` is a
+    tuple so a shared cut cannot be changed by one of them.  Blocks of one
+    offset (every last pass of a selection) find by the C-level identity.
     """
     base, rem = divmod(span, nblocks)
     threshold = rem * (base + 1)
@@ -292,63 +295,24 @@ def _pass_cut(span: int, passes: int) -> tuple[int, Callable[[int], int], tuple[
     return (nblocks := int_root_ceil(span, passes), *blocks(span, nblocks))
 
 
-# ---------------------------------------------------------------------------
-# Munro–Paterson multi-pass minimum selection
-# ---------------------------------------------------------------------------
-
-
-class MinSelect:
-    """One exact minimum-selection instance over ranks ``0..length-1``.
-
-    Each pass partitions the active rank range into near-equal contiguous
-    blocks with one net counter per block; the lowest-indexed block with a
-    positive end-of-pass counter survives to the next pass.  Counters are
-    net over the full update sequence, so a single number per block is enough
-    even under deletions.  Construction opens the first pass and
-    :meth:`end_pass` the next until the search is done.  ``counters`` holds
-    one counter per block of the open pass, for the owner to charge as
-    ``len(counters)``; a span of at most b**P leaves a block of at most
-    b**(P-1), so it never grows.  A finished search has the empty range
-    ``lo == hi`` and no counters, so it observes nothing.
+def select_step(lo: int, hi: int, counters: list[int], passes: int):
+    """End of one pass of an exact minimum selection over ranks ``[lo, hi)``,
+    cut by ``_pass_cut(hi - lo, passes)`` with one counter per block, net over
+    the whole update sequence, so one number per block is enough under
+    deletions.  The lowest positive block survives.  Returns the selected rank,
+    ``None`` when no block is positive, or the next pass's open selection
+    ``(lo, hi, find, counters)`` with zeroed counters.  A span of at most b**P
+    leaves a block of at most b**(P-1), so no pass holds more counters than
+    the one before, and a last pass cuts single ranks, so it always answers.
     """
-
-    __slots__ = ("lo", "hi", "passes_left", "counters", "find", "starts", "result")
-
-    def __init__(self, length: int, q: int):
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        self.lo = 0
-        self.hi = length
-        self.passes_left = q
-        self.counters: list[int] = []
-        self.result: int | None = None
-        if length:
-            self._open_pass()
-
-    def _open_pass(self) -> None:
-        nblocks, self.find, self.starts = _pass_cut(self.hi - self.lo, self.passes_left)
-        self.counters = [0] * nblocks
-
-    def observe(self, rank: int, sign: int) -> None:
-        if self.lo <= rank < self.hi:
-            self.counters[self.find(rank - self.lo)] += sign
-
-    def end_pass(self) -> None:
-        if self.lo == self.hi:
-            return
-        chosen = -1
-        for i, c in enumerate(self.counters):
-            if c > 0:
-                chosen = i
-                break
-        self.counters = []
-        self.passes_left -= 1
-        if chosen < 0:
-            self.hi = self.lo
-            return
-        self.lo, self.hi = self.lo + self.starts[chosen], self.lo + self.starts[chosen + 1]
-        if self.hi - self.lo == 1:
-            # the surviving block is a single rank with positive net count
-            self.result = self.hi = self.lo
-        else:
-            self._open_pass()
+    for i, c in enumerate(counters):
+        if c > 0:
+            break
+    else:
+        return None
+    starts = _pass_cut(hi - lo, passes)[2]
+    lo, hi = lo + starts[i], lo + starts[i + 1]
+    if hi - lo == 1:
+        return lo
+    nblocks, find, _ = _pass_cut(hi - lo, passes - 1)
+    return lo, hi, find, [0] * nblocks

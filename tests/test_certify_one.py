@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_digraph, stream_of, turnstile_stream
+from conftest import random_digraph, random_multi_scc_digraph, stream_of, turnstile_stream
 from streamcert.certify_k import (
     SampleScheme,
     k_arc_cert_peeling,
@@ -412,7 +412,7 @@ def test_chain_table_is_one_row_per_run():
 
 _G = random_digraph(random.Random(31), 14, 20, density=0.3)
 _RING = Digraph(12, {(i, (i + j) % 12) for i in range(12) for j in (1, 2, 5)})
-# Runs through MinSelect across q passes, a node sample and arc filters, which
+# Runs through minimum selection across q passes, a node sample and arc filters, which
 # criterion 7 does not reach: StreamStats, arc count and sorted-arc digest.
 ROUTING_PINS = {
     "turnstile-mp2": (
@@ -457,9 +457,11 @@ def test_routing_paths_are_pinned(name):
 
 def test_a_turnstile_level_holds_its_open_selection_counters():
     """After every level pass but the last, a tree node of that depth holds 3
-    words per selection and the counters of its open passes, and a
-    budget of the peak less one word stops the run.  The budgets split into
-    q = 1, 2 and 3 passes per level."""
+    words per selection and the counters of its open selections, and a
+    budget of the peak less one word stops the run.  After every level pass
+    the live index holds exactly the open entries, and none once the level's
+    last pass has answered them all.  The budgets split into q = 1, 2 and 3
+    passes per level."""
     st = turnstile_stream(alpha_family(48, 4), 36)
     for p, q, nodes, peak in ((3, 1, 0, 3352), (5, 2, 5, 2824), (10, 3, 26, 2025)):
         plan = RecursionPlan(p=p)
@@ -470,16 +472,42 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
         for i, (kind, depth, j) in enumerate(run.schedule):
             run.begin_pass(i)(st.updates)
             run.end_pass(i)
-            if kind == "level" and j < run.q - 1:
-                for node in run.by_depth[depth]:
-                    counters = sum(len(inst.counters) for inst in node.table.values())
-                    assert node.account.held == 3 * len(node.table) + counters, (plan, i, node.lo)
+            if kind != "level":
+                continue
+            for node in run.by_depth[depth]:
+                table = node.table or {}  # the merge drops the table after the last pass
+                open_ = {key: e for key, e in table.items() if type(e) is tuple}
+                assert node.live == open_ and all(node.live[key] is e for key, e in open_.items())
+                if j < run.q - 1:
+                    counters = sum(len(e[3]) for e in open_.values())
+                    assert node.account.held == 3 * len(table) + counters, (plan, i, node.lo)
                     checked += 1
         assert checked == nodes and ledger.peak == peak
         with pytest.raises(SpaceBudgetError):
             one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak - 1))
         cert, stats = one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak))
         assert cert.arcs == run.cert_arcs and stats.peak_words == ledger.peak
+
+
+def test_a_finished_selection_observes_nothing():
+    """A selection ends with no positive block or with one surviving rank, as
+    a plain answer in the level's table without counters, and the live index
+    leaves it out: a later pass's feed, fed updates that reach only finished
+    entries, changes no entry and steps no counter."""
+    st = turnstile_stream(alpha_family(48, 4), 36)
+    run = OneCertRun(st.n, TURNSTILE, RecursionPlan(p=10), SpaceLedger())
+    level = run.schedule.index(("level", 0, 1))
+    for i in range(level):
+        run.begin_pass(i)(st.updates)
+        run.end_pass(i)
+    nodes = run.by_depth[0]
+    done = [divmod(key, run.size) for node in nodes for key, e in node.table.items() if type(e) is not tuple]
+    assert done and any(node.live for node in nodes)
+    before = [dict(node.table) for node in nodes]
+    counts = [[list(e[3]) for e in node.live.values()] for node in nodes]
+    run.begin_pass(level)([(1, x, v) for x, h in done for v in run.chain_at[h]])
+    assert [dict(node.table) for node in nodes] == before
+    assert [[list(e[3]) for e in node.live.values()] for node in nodes] == counts
 
 
 def test_turnstile_pass_budget_matches_split():
@@ -491,6 +519,22 @@ def test_turnstile_pass_budget_matches_split():
         assert stats.passes == d * q + 1
         assert (cert.provenance["levels"], cert.provenance["q"]) == (d, q)
         assert transitive_closure(cert) == transitive_closure(g)
+
+
+def test_turnstile_levels_equal_insertion_only_levels_on_the_final_graph():
+    """A turnstile run at p with split (d, q) builds the same tree as an
+    insertion-only run at p = d + 1 over the stream's final graph, and both
+    keep, per node and chain, the earliest chain node with a present arc: the
+    minimum selection finds it among the arcs of final multiplicity 1."""
+    rng = random.Random(40)
+    for trial in range(60):
+        g = random_digraph(rng, 2, 40) if trial % 2 else random_multi_scc_digraph(rng, 8, 40)
+        st = turnstile_stream(g, trial)
+        final = ArcStream.from_graph(g, INSERTION_ONLY, seed=trial)
+        for p in (1, 2, 3, 4, 5, 7, 10):
+            d, _ = RecursionPlan(p=p).turnstile_split()
+            cert, _ = one_cert_stream(st, RecursionPlan(p=p))
+            assert cert.arcs == one_cert_stream(final, RecursionPlan(p=d + 1))[0].arcs, (trial, p)
 
 
 def test_streamed_certificates_match_closure_oracle():

@@ -196,14 +196,22 @@ def test_one_strict_space(circ_files, capsys):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10", "(-8)**(1/3)"],
-    ids=["zero-division", "syntax", "nesting", "overflow", "complex"],
+    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10", "(-8)**(1/3)", ""],
+    ids=["zero-division", "syntax", "nesting", "overflow", "complex", "empty"],
 )
 def test_malformed_budget_expression_exits_2(circ_files, capsys, expr):
     _, spath = circ_files
     code, out, err = run(capsys, "one", "--input", spath, "--passes", "1", "--strict-space", expr)
     assert code == 2 and out == ""
     assert err.startswith("error: bad space budget expression") and err.count("\n") == 1
+
+
+def test_a_negative_space_budget_exits_2_before_any_pass(circ_files, capsys):
+    _, spath = circ_files
+    code, out, err = run(capsys, "one", "--input", spath, "--passes", "1", "--strict-space", "-1")
+    assert (code, out, err) == (2, "", "error: space budget must be >= 0, got -1\n")
+    code, out, err = run(capsys, "one", "--input", spath, "--passes", "1", "--strict-space", "n-n")
+    assert (code, out, err) == (2, "", "error: space ledger holds 8 words, budget 0\n")  # 0 is a budget
 
 
 @pytest.mark.parametrize("line", ["1 2 3", "1", "1 x"])

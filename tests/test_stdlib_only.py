@@ -75,9 +75,7 @@ def test_every_public_method_has_a_caller():
     """Each public method or property of a class in ``src/streamcert/`` is read
     as an attribute in ``src/``, ``tools/`` or ``perfbench/`` outside a function
     of its own name.  Like the check on exports the match is by name alone, so
-    any attribute of that name counts: ``MinSelect.observe``, the reference
-    that the turnstile feed inlines, passes because ``perfbench/clock.py``
-    reads ``counters.observe`` of its own ``_Counters``."""
+    any attribute of that name counts."""
     methods: set[tuple[str, str]] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

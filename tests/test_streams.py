@@ -14,14 +14,15 @@ from streamcert.streams import (
     INSERTION_ONLY,
     TURNSTILE,
     ArcStream,
-    MinSelect,
     SpaceBudgetError,
     SpaceLedger,
     StreamFormatError,
     StreamIntegrityError,
+    _pass_cut,
     blocks,
     int_root_ceil,
     run_passes,
+    select_step,
 )
 
 
@@ -242,39 +243,64 @@ def test_int_root_ceil_is_the_smallest_root():
             assert b >= 1 and b**k >= n and (b == 1 or (b - 1) ** k < n), (n, k, b)
 
 
+def _first_pass(span, q):
+    """The open selection a turnstile level starts over ``span`` ranks with q passes."""
+    nblocks, find, _ = _pass_cut(span, q)
+    return 0, span, find, [0] * nblocks
+
+
+def _observe(entry, rank, sign):
+    """The counter step a level feed makes for an update at ``rank``."""
+    lo, hi, find, counters = entry
+    if lo <= rank < hi:
+        counters[find(rank - lo)] += sign
+
+
+def _run(span, q, observe):
+    """Drive one selection over ``span`` ranks: ``observe(entry)`` once per
+    pass, then ``select_step``.  Its answer and the counts of its passes."""
+    entry, widths = _first_pass(span, q), []
+    for passes in range(q, 0, -1):
+        widths.append(len(entry[3]))
+        observe(entry)
+        entry = select_step(entry[0], entry[1], entry[3], passes)
+        if type(entry) is not tuple:
+            return entry, widths
+    raise AssertionError(f"a selection over {span} ranks is still open after {q} passes")
+
+
 def _select(stream, candidates, q):
-    """Candidate arcs ranked in sorted order, one MinSelect over them driven
-    q times by observe per update then end_pass: the minimum arc of final
-    multiplicity 1, or None."""
+    """Candidate arcs ranked in sorted order, one selection over them driven
+    by a counter step per update and ``select_step`` per pass: the minimum
+    arc of final multiplicity 1, or None."""
     order = sorted(candidates)
     rank_of = {arc: i for i, arc in enumerate(order)}
-    inst = MinSelect(len(order), q)
-    for _ in range(q):
+
+    def observe(entry):
         for sign, u, v in stream.updates:
             if (u, v) in rank_of:
-                inst.observe(rank_of[u, v], sign)
-        inst.end_pass()
-    assert inst.lo == inst.hi
-    return None if inst.result is None else order[inst.result]
+                _observe(entry, rank_of[u, v], sign)
+
+    rank, _ = _run(len(order), q, observe)
+    return None if rank is None else order[rank]
 
 
 def test_min_select_block_counter_walkthrough():
     """Sixteen candidates, the first eight deleted: two 4-block passes land on 9."""
-    inst = MinSelect(16, 2)
-    assert len(inst.counters) == 4
-    for rank in range(16):
-        inst.observe(rank, 1)
-    for rank in range(8):
-        inst.observe(rank, -1)
-    inst.end_pass()
-    assert (inst.lo, inst.hi) == (8, 12)
-    assert len(inst.counters) == 4
-    for rank in range(16):
-        inst.observe(rank, 1)
-    for rank in range(8):
-        inst.observe(rank, -1)
-    inst.end_pass()
-    assert inst.lo == inst.hi and inst.result == 8  # rank 8 = ninth candidate
+
+    def observe(entry):
+        for rank in range(16):
+            _observe(entry, rank, 1)
+        for rank in range(8):
+            _observe(entry, rank, -1)
+
+    entry = _first_pass(16, 2)
+    assert len(entry[3]) == 4
+    observe(entry)
+    entry = select_step(0, 16, entry[3], 2)
+    assert entry[:2] == (8, 12) and len(entry[3]) == 4
+    observe(entry)
+    assert select_step(8, 12, entry[3], 1) == 8  # rank 8 = ninth candidate
     # the same on a stream: arc (0, 9) is the ninth candidate
     updates = [(1, 0, w) for w in range(1, 17)] + [(-1, 0, w) for w in range(1, 9)]
     candidates = [(0, w) for w in range(1, 17)]
@@ -285,49 +311,24 @@ def test_min_select_block_counter_walkthrough():
     # a single pass degenerates to one counter per candidate
     st = ArcStream(6, [(1, 0, w) for w in (5, 2, 4)], TURNSTILE)
     assert _select(st, [(0, w) for w in (2, 4, 5)], 1) == (0, 2)
-
-
-def test_a_finished_min_select_has_an_empty_range_and_observes_nothing():
-    """A search ends with no positive block or with one surviving rank; either
-    way ``lo == hi`` and a later update changes nothing."""
-    for survivor in (None, 5):
-        inst = MinSelect(16, 2)
-        while inst.lo != inst.hi:
-            if survivor is not None:
-                inst.observe(survivor, 1)
-            inst.end_pass()
-        assert inst.lo == inst.hi and inst.counters == [] and inst.result == survivor
-        for rank in range(16):
-            inst.observe(rank, 1)
-        inst.end_pass()
-        assert inst.lo == inst.hi and inst.result == survivor
-    empty = MinSelect(0, 3)
-    assert empty.lo == empty.hi and empty.result is None
+    # an empty range answers None
+    assert select_step(0, 0, [], 3) is None and _run(0, 3, lambda e: None)[0] is None
 
 
 def test_min_select_passes_never_grow():
     """A span of at most b**P leaves a block of at most b**(P-1), so no pass
-    has more blocks than the one before; ``counters`` holds exactly the open
-    pass's counters and none once the search is done, so an owner that
-    charges their number never raises its peak by moving on to the next pass.  Each
-    search lands on its target, and on random turnstile streams on the final
-    graph's minimum arc."""
+    has more blocks than the one before, and an owner that charges their
+    number never raises its peak by moving on to the next pass.  Each search
+    answers, a rank or None without counters, in at most q passes and lands
+    on its target, and on random turnstile streams on the final graph's
+    minimum arc."""
     for span in range(1, 301):
         for q in range(1, 6):
             for target in sorted({0, span // 2, span - 1}) + [None]:
-                inst = MinSelect(span, q)
-                blocks = [len(inst.counters)]
-                while inst.lo != inst.hi:
-                    if target is not None:
-                        inst.observe(target, 1)
-                    inst.end_pass()
-                    if inst.lo == inst.hi:
-                        assert inst.counters == []
-                    else:
-                        blocks.append(len(inst.counters))
-                assert blocks == sorted(blocks, reverse=True), (span, q, target, blocks)
-                assert len(blocks) <= q
-                assert inst.result == target
+                got, widths = _run(span, q, lambda e: target is None or _observe(e, target, 1))
+                assert widths == sorted(widths, reverse=True), (span, q, target, widths)
+                assert len(widths) <= q
+                assert got == target
     # random turnstile streams: the selection is the final graph's minimum arc
     rng = random.Random(9)
     for seed in range(40):
