@@ -411,6 +411,7 @@ class OneCertRun:
         node.account.charge(len(merged) + scratch)
         for child in node.children:
             child.account.drop()
+            child.h_arcs = None
         node.table = None
         node.account.release(table_words)
         self._prune_into(node, merged, len(merged) + scratch)

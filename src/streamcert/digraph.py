@@ -306,10 +306,15 @@ def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Se
     its out-neighbours.  A chain-order successor gets a later number, so the cover is
     a minimum path cover of the closure restricted to later numbers (Fulkerson's
     reduction) and each chain is a rising list of numbers.  One loop over ``comps``
-    builds the numbering and the spans, then one :func:`_closure` sweep.  Numbers are
-    matched in order by depth-first augmenting search: s's closure row is cut to its
-    later numbers when s's turn comes, and a turn whose first candidate is free ends
-    without a search."""
+    builds the numbering and the spans, then one :func:`_closure` sweep.  The matching
+    starts greedy: in number order, s's closure row is cut to its later numbers and s
+    takes the lowest still free one, ``row & free``.  Each number left unmatched with a
+    nonempty row then gets one depth-first augmenting search (Kuhn's method) that
+    tries a free candidate first and skips ``dead``, the numbers earlier failed
+    searches visited: each is matched to a number whose whole row is dead, so no
+    augmenting path enters them.  By Berge's theorem a free number with no augmenting
+    path never gets one later, so one search per free number turns any starting
+    matching into a maximum one, and the cover is minimum."""
     order: list[int] = []
     spans = []
     for comp in reversed(comps):  # comps come sinks first: number from the sources
@@ -330,33 +335,41 @@ def _chain_cover(n: int, out: Callable[[int], Sequence[int]], comps: Sequence[Se
 
     succ = [-1] * n  # number -> the later number it is matched to
     pred = [-1] * n
+    free = (1 << n) - 1  # numbers no earlier number is matched to
     for s in range(n):
-        row = rows[s] = rows[s] >> (s + 1) << (s + 1)  # every matched left is below s: cut already
-        if not row:
-            continue
-        low = row & -row
-        v = low.bit_length() - 1
-        if pred[v] == -1:  # the first number tried is free: the search ends at once
+        row = rows[s] = rows[s] >> (s + 1) << (s + 1)  # cut to s's later numbers
+        take = row & free
+        if take:
+            low = take & -take
+            free ^= low
+            v = low.bit_length() - 1
             pred[v], succ[s] = s, v
+    dead = 0  # numbers a failed search visited: no augmenting path passes them
+    for s in range(n):
+        if succ[s] != -1 or not rows[s]:
             continue
-        seen = low
-        stack = [(s, row ^ low), (pred[v], rows[pred[v]])]  # (left number, later numbers not yet tried)
+        seen = dead
+        stack = [(s, rows[s])]  # (left number, later numbers not yet tried)
         while stack:
             u, cand = stack.pop()
             cand &= ~seen
             if not cand:
                 continue
-            low = cand & -cand
+            hit = cand & free
+            low = hit & -hit if hit else cand & -cand
             seen |= low
             stack.append((u, cand ^ low))
             v = low.bit_length() - 1
             if pred[v] == -1:
+                free ^= low
                 # flip the path: each left on the stack takes the right it was trying
                 for u, _ in reversed(stack):
                     pred[v] = u
                     succ[u], v = v, succ[u]
                 break
             stack.append((pred[v], rows[pred[v]]))
+        else:
+            dead = seen
 
     chains = []
     for head in range(n):

@@ -307,6 +307,29 @@ def min_chain_cover_size(n: int, arcs) -> int:
     return best[full]
 
 
+def min_chain_cover_size_matching(n: int, arcs) -> int:
+    """Minimum number of chains covering any digraph, for sizes the subset DP cannot
+    reach: n minus a maximum matching of the strict order "u before v" (Dilworth, by
+    Fulkerson's reduction).  u is before v when u reaches v and, if v reaches u too,
+    u < v: two nodes are comparable in it exactly when one reaches the other, so its
+    chains are the chains of the reachability order.  Kuhn's augmenting search over
+    Python sets, one try per node, no bitmasks and no topological numbering."""
+    reach = closure_sets(n, arcs)
+    before = [{v for v in reach[u] if v != u and (u not in reach[v] or u < v)} for u in range(n)]
+    matched: dict[int, int] = {}  # right node -> the left node it is matched to
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in before[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in matched or augment(matched[v], seen):
+                    matched[v] = u
+                    return True
+        return False
+
+    return n - sum(augment(u, set()) for u in range(n))
+
+
 def msss_optimum(n: int, arcs) -> int | None:
     """Minimum arc count of a spanning strongly connected subgraph, or None."""
     arcs = sorted(arcs)

@@ -70,6 +70,7 @@ def _arc_certificates():
     rng = random.Random(49)
     drawn = [(alpha_family(n, a), a) for n, a in ((12, 3), (16, 2), (16, 4), (20, 5), (24, 3))]
     drawn += [(random_digraph(rng, 4, 12), None) for _ in range(24)]
+    drawn += [(alpha_family(n, a), a) for n, a in ((28, 4), (30, 5))]
     for seed, (g, width) in enumerate(drawn):
         scheme = SampleScheme(rho=0.5, r=8 if width else 5, seed=seed)
         yield g, k_arc_cert_sampled(stream_of(g, INSERTION_ONLY, seed), 2, scheme, RecursionPlan(2))[0], width

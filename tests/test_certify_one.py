@@ -104,6 +104,23 @@ def test_prune_bound_and_witness_on_random_graphs():
             assert report.ok, report
 
 
+def test_prune_and_validate_a_wide_sparse_dag():
+    """3n arcs, each from u to one of its next 63 ids: a DAG of width 122 at
+    n = 2048, the shape on which one augmenting search per number, with no
+    greedy start, takes cubic time."""
+    n, rng = 2048, random.Random(1)
+    arcs: set[tuple[int, int]] = set()
+    while len(arcs) < 3 * n:
+        u = rng.randrange(n - 1)
+        arcs.add((u, rng.randint(u + 1, min(n - 1, u + 63))))
+    g = Digraph(n, arcs)
+    assert len(chain_cover_minimum(g)) == 122
+    h = tc_preserving_prune(g)
+    assert h.arcs <= g.arcs and h.m <= (122 + 2) * n
+    report = validate_one_cert(g, Certificate(n, h.arcs, kind="node", k=1))
+    assert report.ok, report
+
+
 def test_prune_keeps_one_cross_arc_per_node_and_chain():
     rng = random.Random(14)
     for _ in range(100):
@@ -259,9 +276,10 @@ def test_prune_kernel_on_edge_cases():
 def _pruned_covers(run, updates):
     """Drive ``run`` pass by pass over ``updates``.  Right after the pass that
     prunes the depth-d nodes, d >= 1, and before a shallower prune rewrites
-    their ranges, read each one's rows of the run-wide chain table:
-    ``(node, cover, place)`` with ``place[v] = (head[v], pos[v])`` for each v
-    of its range and ``cover[h] = chain_at[h]`` for each head h there."""
+    their ranges and before their parent's merge releases their pruned arcs,
+    read each one's rows of the run-wide chain table and its pruned arcs:
+    ``(node, cover, place, arcs)`` with ``place[v] = (head[v], pos[v])`` for
+    each v of its range and ``cover[h] = chain_at[h]`` for each head h there."""
     covers = []
     for i, (kind, depth, j) in enumerate(run.schedule):
         run.begin_pass(i)(updates)
@@ -269,7 +287,8 @@ def _pruned_covers(run, updates):
         if depth > 0 and (kind == "leaf" or j == run.q - 1):
             for node in run.by_depth[depth]:
                 place = {v: (run.head[v], run.pos[v]) for v in range(node.lo, node.hi)}
-                covers.append((node, {h: run.chain_at[h] for h, _ in place.values()}, place))
+                cover = {h: run.chain_at[h] for h, _ in place.values()}
+                covers.append((node, cover, place, node.h_arcs))
     return covers
 
 
@@ -300,17 +319,21 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
             covers = _pruned_covers(run, stream_of(g, model, seed).updates)
+        # a merge releases its children's pruned arcs: only the root keeps its own
+        root = run.by_depth[0][0]
+        assert all(node.h_arcs is None for nodes in run.by_depth[1:] for node in nodes)
+        assert root.h_arcs is not None and run.cert_arcs == root.h_arcs
         # an arc-less block runs no decomposition; a pruned block has its input's
         # closure, so it holds an arc exactly when its input did
-        with_arcs = sum(bool(node.h_arcs) for nodes in run.by_depth for node in nodes)
+        with_arcs = bool(root.h_arcs) + sum(bool(arcs) for _, _, _, arcs in covers)
         assert calls == {"scc": with_arcs, "closure": with_arcs}
         arcless += sum(map(len, run.by_depth)) - with_arcs
         assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), plan)[0].arcs
-        assert sorted((node.depth, node.lo) for node, _, _ in covers) == [
+        assert sorted((node.depth, node.lo) for node, _, _, _ in covers) == [
             (node.depth, node.lo) for nodes in run.by_depth[1:] for node in nodes]
-        for node, cover, _ in covers:
+        for node, cover, _, arcs in covers:
             lo, size = node.lo, node.hi - node.lo
-            block = Digraph(size, ((u - lo, v - lo) for u, v in node.h_arcs))
+            block = Digraph(size, ((u - lo, v - lo) for u, v in arcs))
             chains = [[v - lo for v in chain] for chain in cover.values()]
             assert sorted(v for chain in chains for v in chain) == list(range(size))
             reach = oracles.closure_sets(size, block.arcs)
@@ -402,8 +425,8 @@ def test_chain_table_is_one_row_per_run():
         run = OneCertRun(g.n, model, RecursionPlan(p=4), SpaceLedger())
         covers = _pruned_covers(run, stream_of(g, model, seed).updates)
         assert len(run.head) == len(run.pos) == len(run.chain_at) == g.n
-        assert {node.depth for node, _, _ in covers} == set(range(1, run.levels + 1))
-        for node, cover, place in covers:
+        assert {node.depth for node, _, _, _ in covers} == set(range(1, run.levels + 1))
+        for node, cover, place, _ in covers:
             assert sorted(v for chain in cover.values() for v in chain) == list(range(node.lo, node.hi))
             for h, chain in cover.items():
                 assert chain[0] == h
@@ -427,7 +450,7 @@ ROUTING_PINS = {
     "k-arc-sampled-filter": (
         lambda: k_arc_cert_sampled(turnstile_stream(_G, 32), 2,
                                    SampleScheme(rho=0.5, seed=7, r=6), RecursionPlan(p=3)),
-        StreamStats(passes=3, peak_words=1013), 54, "ddc6c89ddb231503",
+        StreamStats(passes=3, peak_words=1018), 54, "ddc6c89ddb231503",
     ),
     "k-arc-peeling-filter": (
         lambda: k_arc_cert_peeling(turnstile_stream(_RING, 33), 2, RecursionPlan(p=3)),
@@ -441,7 +464,7 @@ ROUTING_PINS = {
     # q = 3: the first two passes of each selection cut non-trivially
     "turnstile-mp3": (
         lambda: one_cert_stream(turnstile_stream(alpha_family(48, 4), 36), RecursionPlan(p=10)),
-        StreamStats(passes=10, peak_words=2025), 176, "6e1f24d4cf12f7f6",
+        StreamStats(passes=10, peak_words=2030), 176, "6e1f24d4cf12f7f6",
     ),
 }
 
@@ -463,7 +486,7 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
     last pass has answered them all.  The budgets split into q = 1, 2 and 3
     passes per level."""
     st = turnstile_stream(alpha_family(48, 4), 36)
-    for p, q, nodes, peak in ((3, 1, 0, 3352), (5, 2, 5, 2824), (10, 3, 26, 2025)):
+    for p, q, nodes, peak in ((3, 1, 0, 3346), (5, 2, 5, 2819), (10, 3, 26, 2030)):
         plan = RecursionPlan(p=p)
         ledger = SpaceLedger()
         run = OneCertRun(st.n, TURNSTILE, plan, ledger)

@@ -476,7 +476,7 @@ PINNED = (
      0, "d97479fb5aaa3ffff27c88c35b929c9104d64327eca88358788fef6d03c06077", ""),
     (("bench", "--family", "circulant", "--n", "9", "--k", "2", "--alg", "peel", "--p-list", "1,2"),
      0, "n,alpha,k,p,model,peak_words,passes,cert_size,verified\r\n"
-        "9,3,2,1,ins,91,2,18,pass\r\n9,3,2,2,ins,116,4,18,pass\r\n", ""),
+        "9,3,2,1,ins,92,2,18,pass\r\n9,3,2,2,ins,116,4,18,pass\r\n", ""),
     (("bench", "--family", "circulant", "--n", "9", "--k", "2", "--p-list", "1,2", "--format", "json"),
      0, "2fdb065c81132f25df43caea65a4a3c3a5ad98459226f0994c2acc8f85a592a9", ""),
     (("bench", "--n", "6", "--alphas", "1", "--alg", "peel", "--k", "2"),

@@ -157,6 +157,31 @@ def test_chain_cover_is_valid_and_minimum():
             cover = chain_cover_minimum(g)
             _assert_valid_chain_cover(g, cover)
             assert len(cover) == oracles.min_chain_cover_size(g.n, g.arcs)
+            assert oracles.min_chain_cover_size_matching(g.n, g.arcs) == len(cover)
+
+
+def _wide_sparse_dag(rng: random.Random, n: int) -> Digraph:
+    """Two or three arcs per node, each to one of its next 20 ids: a wide order."""
+    k = rng.choice((2, 3))
+    return Digraph(n, {(u, rng.randint(u + 1, min(n - 1, u + 20))) for u in range(n - 1) for _ in range(k)})
+
+
+def test_chain_cover_at_scale_matches_a_plain_matching_oracle():
+    """Graphs past the subset DP's reach, where the greedy sweep leaves numbers to
+    augment: wide sparse DAGs and sparse digraphs with planted cycles, each as drawn
+    and relabelled, judged by closure sets and Kuhn's method over Python sets."""
+    rng = random.Random(41)
+    drawn = [_wide_sparse_dag(rng, rng.randint(60, 120)) for _ in range(6)]
+    drawn += [random_multi_scc_digraph(rng, 60, 120) for _ in range(6)]
+    widths = set()
+    for g in (copy for d in drawn for copy in relabelled(d, rng)):
+        cover = chain_cover_minimum(g)
+        reach = oracles.closure_sets(g.n, g.arcs)
+        assert sorted(v for chain in cover.chains for v in chain) == list(range(g.n))
+        assert all(b in reach[a] for chain in cover.chains for a, b in zip(chain, chain[1:]))
+        assert len(cover) == oracles.min_chain_cover_size_matching(g.n, g.arcs)
+        widths.add(len(cover))
+    assert max(widths) >= 10
 
 
 def test_chain_cover_of_a_reversed_path_is_one_chain():
