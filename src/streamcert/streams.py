@@ -116,6 +116,16 @@ class SpaceLedger:
 # ---------------------------------------------------------------------------
 
 
+class _IdTokens(dict):
+    """Node-id token -> its int, converted the first time the token is read."""
+
+    def __missing__(self, token: str) -> int:
+        if not token.isdigit():  # int() also reads signs
+            raise StreamFormatError(f"node ids must be ASCII decimal, got {token!r}")
+        self[token] = value = int(token)
+        return value
+
+
 class ArcStream:
     """Signed arc updates over nodes 0..n-1, in order; every arc stays at multiplicity 0 or 1."""
 
@@ -128,8 +138,10 @@ class ArcStream:
             raise StreamIntegrityError(f"node count must be nonnegative, got {n}")
         ups = []
         present: set[tuple[int, int, int]] = set()  # arcs at multiplicity 1, as (1, u, v)
-        for sign, u, v in updates:
-            u, v = int(u), int(v)
+        for up in updates:
+            sign, u, v = up
+            if type(u) is not int or type(v) is not int:  # so a float id raises, not truncates
+                up = sign, u, v = sign, operator.index(u), operator.index(v)
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +-1, got {sign!r}")
             if u == v:
@@ -138,7 +150,6 @@ class ArcStream:
                 raise StreamIntegrityError(f"update ({u},{v}) out of range for n={n}")
             if sign < 0 and model == INSERTION_ONLY:
                 raise StreamIntegrityError("deletion in insertion-only stream")
-            up = (sign, u, v)
             key = up if sign > 0 else (1, u, v)  # an insert keys by the tuple ``ups`` keeps
             if sign > 0 and key not in present:
                 present.add(key)
@@ -168,13 +179,16 @@ class ArcStream:
 
     @classmethod
     def from_text(cls, text: str) -> "ArcStream":
+        """Parse ``"n model"``, then one ``"+ u v"`` or ``"- u v"`` line per update, lazily: blank
+        lines are skipped, the first fault raises, and each id token is converted once, to one int."""
         require_ascii_decimal(text, StreamFormatError)
-        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-        if not lines:
+        lines = iter(text.splitlines())
+        header = next(filter(None, map(str.strip, lines)), None)  # leaves ``lines`` past it
+        if header is None:
             raise StreamFormatError("empty stream text")
-        head = lines[0].split()
+        head = header.split()
         if len(head) != 2:
-            raise StreamFormatError(f"bad header {lines[0]!r}, expected 'n model'")
+            raise StreamFormatError(f"bad header {header!r}, expected 'n model'")
         if not head[0].isdigit():  # int() also reads signed counts
             raise StreamFormatError(f"node count must be ASCII decimal, got {head[0]!r}")
         n = int(head[0])
@@ -184,26 +198,28 @@ class ArcStream:
         if model not in (INSERTION_ONLY, TURNSTILE):
             raise StreamFormatError(f"unknown model {model!r}")
 
-        def updates():  # lazily, so no line's id tokens outlive its update
-            for ln in lines[1:]:
-                parts = ln.split()
-                if len(parts) != 3 or parts[0] not in ("+", "-"):
-                    raise StreamFormatError(f"bad update line {ln!r}")
-                if not (parts[1].isdigit() and parts[2].isdigit()):
-                    bad = parts[2] if parts[1].isdigit() else parts[1]
-                    raise StreamFormatError(f"node ids must be ASCII decimal, got {bad!r}")
-                yield 1 if parts[0] == "+" else -1, parts[1], parts[2]
+        ids, signs = _IdTokens(), {"+": 1, "-": -1}
 
-        try:  # the constructor converts each id token once
+        def updates():  # lazily, so no line's tokens outlive its update
+            for ln in lines:
+                parts = ln.split()
+                try:  # three tokens, the first a sign
+                    sign, u, v = parts
+                    sign = signs[sign]
+                except (ValueError, KeyError):
+                    if not parts:
+                        continue
+                    raise StreamFormatError(f"bad update line {ln.strip()!r}") from None
+                yield sign, ids[u], ids[v]
+
+        try:
             return cls(n, updates(), model)
         except ValueError as exc:  # a broken stream
             raise StreamFormatError(str(exc)) from exc
 
     def to_text(self) -> str:
-        lines = [f"{self.n} {self.model}"]
-        for sign, u, v in self.updates:
-            lines.append(f"{'+' if sign > 0 else '-'} {u} {v}")
-        return "\n".join(lines) + "\n"
+        ups = (f"{'+' if sign > 0 else '-'} {u} {v}\n" for sign, u, v in self.updates)
+        return f"{self.n} {self.model}\n" + "".join(ups)
 
 
 # ---------------------------------------------------------------------------

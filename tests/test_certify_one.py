@@ -343,6 +343,52 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
     assert checked >= 100 and arcless >= 100
 
 
+def _census(run):
+    """Words the run's objects reference, counted from the objects, not from
+    the charge sites: the run account's words, then per tree node its leaf
+    arcs, its pruned arcs and its table words (1 per insertion-only entry; 3
+    plus its open counters per turnstile entry, an answer keeping its 3)."""
+    words = run.account.held
+    for nodes in run.by_depth:
+        for node in nodes:
+            words += len(node.arcs or ()) + len(node.h_arcs or ())
+            for entry in (node.table or {}).values():
+                if run.model == INSERTION_ONLY:
+                    words += 1
+                else:
+                    words += 3 + (len(entry) if type(entry) is list else
+                                  len(entry[3]) if type(entry) is tuple else 0)
+    return words
+
+
+@pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
+def test_a_run_never_references_more_words_than_the_ledger_holds(model):
+    """``_census``, taken every 97 updates and at every pass end, never
+    exceeds ``ledger.current``.
+
+    Uncharged by design, so not counted: the owner tables (``owner[d][x]``),
+    the turnstile slot and width tables, and the run-wide chain table
+    (``head``, ``pos``, ``chain_at``), which indexes the chain cover each
+    node's prune charges as ``hi - lo`` words.  kcert sample runs behind
+    ``_MaskRouter`` and peeling are not covered here."""
+    for n, p in ((256, 1), (256, 2), (256, 3), (192, 5), (256, 9)):
+        stream = ArcStream.from_graph(alpha_family(n, 4), model, seed=0)
+        ledger = SpaceLedger()
+        run = OneCertRun(n, model, RecursionPlan(p=p), ledger)
+        ups, checks = stream.updates, 0
+        for i in range(run.total_passes):
+            feed = run.begin_pass(i)
+            for at in range(0, len(ups), 97):
+                feed(ups[at:at + 97])
+                assert _census(run) <= ledger.current, (n, p, i, at)
+                checks += 1
+            run.end_pass(i)
+            assert _census(run) <= ledger.current, (n, p, i)
+        cert, stats = one_cert_stream(stream, RecursionPlan(p=p))
+        assert (run.cert_arcs, ledger.peak) == (cert.arcs, stats.peak_words)
+        assert checks >= run.total_passes * len(ups) // 97
+
+
 @given(st.data())
 def test_certificates_do_not_depend_on_labelling(data):
     n = data.draw(st.integers(1, 12))

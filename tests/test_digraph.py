@@ -36,6 +36,12 @@ def test_construction_rejects_self_loops_and_range():
         Digraph(3, [(-1, 0)])
 
 
+def test_construction_rejects_float_ids():
+    for arcs in ([(0.2, 1)], [(0, 1.0)], [(0, 1), (2.5, 0)]):
+        with pytest.raises(TypeError):
+            Digraph(3, arcs)
+
+
 def test_text_round_trip_and_format_errors():
     g = Digraph(4, [(0, 1), (1, 2), (3, 0)])
     assert Digraph.from_text(g.to_text()).arcs == g.arcs
