@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Protocol, Sequence
 
-from .digraph import MAX_NODES, Digraph, require_ascii_decimal
+from .digraph import Digraph, read_header
 
 INSERTION_ONLY = "ins"
 TURNSTILE = "turn"
@@ -116,16 +116,6 @@ class SpaceLedger:
 # ---------------------------------------------------------------------------
 
 
-class _IdTokens(dict):
-    """Node-id token -> its int, converted the first time the token is read."""
-
-    def __missing__(self, token: str) -> int:
-        if not token.isdigit():  # int() also reads signs
-            raise StreamFormatError(f"node ids must be ASCII decimal, got {token!r}")
-        self[token] = value = int(token)
-        return value
-
-
 class ArcStream:
     """Signed arc updates over nodes 0..n-1, in order; every arc stays at multiplicity 0 or 1."""
 
@@ -179,42 +169,28 @@ class ArcStream:
 
     @classmethod
     def from_text(cls, text: str) -> "ArcStream":
-        """Parse ``"n model"``, then one ``"+ u v"`` or ``"- u v"`` line per update, lazily: blank
-        lines are skipped, the first fault raises, and each id token is converted once, to one int."""
-        require_ascii_decimal(text, StreamFormatError)
-        lines = iter(text.splitlines())
-        header = next(filter(None, map(str.strip, lines)), None)  # leaves ``lines`` past it
-        if header is None:
-            raise StreamFormatError("empty stream text")
-        head = header.split()
-        if len(head) != 2:
-            raise StreamFormatError(f"bad header {header!r}, expected 'n model'")
-        if not head[0].isdigit():  # int() also reads signed counts
-            raise StreamFormatError(f"node count must be ASCII decimal, got {head[0]!r}")
-        n = int(head[0])
-        if n > MAX_NODES:
-            raise StreamFormatError(f"node count {n} above the ceiling of {MAX_NODES}")
-        model = head[1]
-        if model not in (INSERTION_ONLY, TURNSTILE):
-            raise StreamFormatError(f"unknown model {model!r}")
-
-        ids, signs = _IdTokens(), {"+": 1, "-": -1}
-
-        def updates():  # lazily, so no line's tokens outlive its update
-            for ln in lines:
-                parts = ln.split()
-                try:  # three tokens, the first a sign
-                    sign, u, v = parts
-                    sign = signs[sign]
-                except (ValueError, KeyError):
-                    if not parts:
-                        continue
-                    raise StreamFormatError(f"bad update line {ln.strip()!r}") from None
-                yield sign, ids[u], ids[v]
-
+        """Parse the ``"n model"`` header (see :func:`~streamcert.digraph.read_header`), then one
+        ``"+ u v"`` or ``"- u v"`` line per update, lazily, skipping blank lines; the first fault raises."""
         try:
+            n, model, lines, ids = read_header(text, "stream", "n model")
+            if model not in (INSERTION_ONLY, TURNSTILE):
+                raise ValueError(f"unknown model {model!r}")
+            signs = {"+": 1, "-": -1}
+
+            def updates():  # lazily, so no line's tokens outlive its update
+                for ln in lines:
+                    parts = ln.split()
+                    try:  # three tokens, the first a sign
+                        sign, u, v = parts
+                        sign = signs[sign]
+                    except (ValueError, KeyError):
+                        if not parts:
+                            continue
+                        raise ValueError(f"bad update line {ln.strip()!r}") from None
+                    yield sign, ids[u], ids[v]
+
             return cls(n, updates(), model)
-        except ValueError as exc:  # a broken stream
+        except ValueError as exc:  # a broken header, line or stream
             raise StreamFormatError(str(exc)) from exc
 
     def to_text(self) -> str:

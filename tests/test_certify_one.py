@@ -14,6 +14,7 @@ import oracles
 from conftest import random_digraph, random_multi_scc_digraph, stream_of, turnstile_stream
 from streamcert.certify_k import (
     SampleScheme,
+    _MaskRouter,
     k_arc_cert_peeling,
     k_arc_cert_sampled,
     k_node_cert,
@@ -36,6 +37,7 @@ from streamcert.digraph import (
     transitive_closure,
 )
 from streamcert.hardgen import alpha_family, embed_tournament, gadget_triangle, transitive_tournament
+from streamcert.prf import sample_members
 from streamcert.streams import (
     INSERTION_ONLY,
     TURNSTILE,
@@ -385,6 +387,36 @@ def test_a_run_never_references_more_words_than_the_ledger_holds(model):
             assert _census(run) <= ledger.current, (n, p, i)
         cert, stats = one_cert_stream(stream, RecursionPlan(p=p))
         assert (run.cert_arcs, ledger.peak) == (cert.arcs, stats.peak_words)
+
+
+@pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
+def test_kcert_sample_runs_never_reference_more_words_than_the_ledger_holds(model):
+    """The sample lists' words plus ``_census`` over every sample run, taken
+    every 97 updates and at every pass end, never exceed ``ledger.current``
+    of a ``_MaskRouter`` run, and the union and peak are ``k_node_cert``'s.
+
+    Uncharged by design, so not counted: the router's ``mask`` and ``local``
+    maps, since a sample run can recompute membership from the PRF, besides
+    the tables ``_census`` names.  Peeling is not covered here."""
+    for n, p, k in ((64, 1, 2), (96, 2, 3), (80, 3, 2), (64, 5, 3)):
+        stream = ArcStream.from_graph(alpha_family(n, 4), model, seed=0)
+        scheme, plan = SampleScheme(rho=1 / k, seed=1), RecursionPlan(p=p)
+        samples = sample_members(scheme.seed, scheme.sample_count(k, n, "node"), n, scheme.rho)
+        ledger = SpaceLedger()
+        runs = [OneCertRun(len(members), model, plan, ledger) for members in samples]
+        router = _MaskRouter(n, runs, samples, ledger)
+        held = sum(map(len, samples))
+        ups = stream.updates
+        for i in range(runs[0].total_passes):
+            feed = router.begin_pass(i)
+            for at in range(0, len(ups), 97):
+                feed(ups[at:at + 97])
+                assert held + sum(map(_census, runs)) <= ledger.current, (n, p, k, i, at)
+            router.end_pass(i)
+            assert held + sum(map(_census, runs)) <= ledger.current, (n, p, k, i)
+        union = {(ids[u], ids[v]) for ids, run in zip(samples, runs) for u, v in run.cert_arcs}
+        cert, stats = k_node_cert(stream, k, scheme, plan)
+        assert (union, ledger.peak) == (cert.arcs, stats.peak_words)
 
 
 @given(st.data())

@@ -196,8 +196,9 @@ def test_one_strict_space(circ_files, capsys):
 
 
 @pytest.mark.parametrize(
-    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10", "(-8)**(1/3)", ""],
-    ids=["zero-division", "syntax", "nesting", "overflow", "complex", "empty"],
+    "expr", ["1/0", "n*", "(" * 300 + "1" + ")" * 300, "1e308*10", "0*1e400", "(-8)**(1/3)", "",
+             "True", "n*False"],  # int(True) is 1: a bool would run with a budget of 1 or 0
+    ids=["zero-division", "syntax", "nesting", "overflow", "nan", "complex", "empty", "true", "false"],
 )
 def test_malformed_budget_expression_exits_2(circ_files, capsys, expr):
     _, spath = circ_files

@@ -59,6 +59,71 @@ def test_graph_text_node_ids_are_ascii_decimal(text):
         Digraph.from_text(text)
 
 
+ASCII_ONLY = "node ids must be ASCII decimal: text holds '_' or a non-ASCII character"
+
+# every outcome of a broken graph text: the exact message; a wrong arc count is
+# reported before any line fault, and among line faults the earliest line's
+GRAPH_FAULTS = [
+    ("", "empty graph text"),
+    ("\n \r\n\t\n", "empty graph text"),
+    ("4\n", "bad header '4', expected 'n m'"),
+    ("  4 0 1 \n", "bad header '4 0 1', expected 'n m'"),
+    ("4 x\n", "bad header '4 x', expected 'n m'"),
+    ("65537 0\n", "node count 65537 above the ceiling of 65536"),
+    ("4 1\n0\n", "bad arc line '0'"),
+    ("4 1\n 0 1 2 \r\n", "bad arc line '0 1 2'"),
+    ("4 1\nx 1\n", "node ids must be ASCII decimal, got 'x'"),
+    ("4 1\n0 1.5\n", "node ids must be ASCII decimal, got '1.5'"),
+    ("4 1\n1_0 2\n", ASCII_ONLY),
+    ("4 1\n\u0663 2\n", ASCII_ONLY),
+    ("4 2\n0 1\n0 1\n", "duplicate arc line '0 1'"),
+    ("4 1\n2 2\n", "self-loop (2,2) not allowed"),
+    ("4 1\n0 4\n", "arc (0,4) out of range for n=4"),
+    ("4 2\n0 1\n", "declared 2 arcs but found 1 arc lines"),
+    ("4 1\n0 1\n1 2\n", "declared 1 arcs but found 2 arc lines"),
+    ("4 1\nx\n0 1\n", "declared 1 arcs but found 2 arc lines"),
+    ("4 2\n0 9\n0 9\n", "duplicate arc line '0 9'"),
+    ("4 2\n0 0\nx 1\n", "node ids must be ASCII decimal, got 'x'"),
+    ("4 1\n-1 0\n", "node ids must be ASCII decimal, got '-1'"),
+    ("+3 0\n", "node count must be ASCII decimal, got '+3'"),
+    ("3 1\n+0 1\n", "node ids must be ASCII decimal, got '+0'"),
+    ("4 -1\n", "bad header '4 -1', expected 'n m'"),
+    ("x 0\n", "node count must be ASCII decimal, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", GRAPH_FAULTS)
+def test_graph_text_faults_raise_the_exact_message(text, message):
+    with pytest.raises(GraphFormatError) as caught:
+        Digraph.from_text(text)
+    assert type(caught.value) is GraphFormatError
+    assert str(caught.value) == message
+
+
+def test_graph_text_accepts_blank_lines_whitespace_crlf_and_leading_zeros():
+    for text in ("3 2\n0 2\n1 0\n",
+                 "\n\n  3   2 \r\n\r\n\t0\t2 \r\n  001 0\r\n\n",
+                 "3 02\r\n00 2\r\n1 0\r\n"):
+        g = Digraph.from_text(text)
+        assert (g.n, g.arcs) == (3, frozenset({(0, 2), (1, 0)}))
+    g = Digraph.from_text("8 1\n007 1\n")
+    assert g.arcs == {(7, 1)} and all(type(x) is int for x in next(iter(g.arcs)))
+    assert Digraph.from_text("65536 0\n").m == 0
+
+
+def test_graph_text_round_trip_shares_one_int_per_node_id():
+    n = 300  # ids above CPython's cache of small ints, so int() would make a new object per token
+    rng = random.Random(5)
+    g = Digraph(n, rng.sample([(u, v) for u in range(n) for v in range(n) if u != v], 4000))
+    again = Digraph.from_text(g.to_text())
+    assert again == g
+    objects: dict[int, set[int]] = {}
+    for u, v in again.arcs:
+        objects.setdefault(u, set()).add(id(u))
+        objects.setdefault(v, set()).add(id(v))
+    assert len(objects) == n and all(len(ids) == 1 for ids in objects.values())
+
+
 def test_reachability_against_bfs_oracle():
     rng = random.Random(0)
     for _ in range(60):
