@@ -30,7 +30,7 @@ def require_ascii_decimal(text: str) -> None:
 
 
 class _IdTokens(dict):
-    """Node-id token -> its int, converted on the token's first read, so a node's ids are one int."""
+    """Node-id token -> its int, converted on first read, so all reads of a node share one int."""
 
     def __missing__(self, token: str) -> int:
         if not token.isdigit():  # int() also reads signs
@@ -145,9 +145,9 @@ class Digraph:
         duplicates, self-loops and ids out of range are errors, the last two the constructor's."""
         try:
             n, m, rest, ids = read_header(text, "graph", "n m", str.isdigit)
-            # A list, not a lazy walk: walking the lines lazily raised one-ins verify_s from
-            # 0.0231-0.0236 to 0.0257-0.0263 s (7 of 7 alternating pairs), with int() on every
-            # token too, so not through shared ids: later walks follow the arcs' memory layout.
+            # A list, not a lazy walk: walking the lines lazily raised one-ins verify_s from about
+            # 0.0233 to 0.0257-0.0265 s (4 of 4 alternating runs; 7 of 7 with int() per token, so
+            # not from shared ids): later walks over the arcs follow their memory layout.
             lines = [ln for ln in map(str.strip, rest) if ln]
             if len(lines) != int(m):
                 raise ValueError(f"declared {int(m)} arcs but found {len(lines)} arc lines")
