@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .certify_one import Certificate, OneCertRun, RecursionPlan
 from .digraph import Branching, Digraph
 from .exact import FlowNet, lambda_st
-from .prf import prf_uniform, sample_members
-from .streams import ArcStream, SpaceLedger, StreamStats, run_passes
+from .prf import sample_mask, sample_members
+from .streams import ArcStream, Router, SpaceLedger, StreamStats, run_passes
 
 # Most samples one sampled certificate may draw: each is a run with its own
 # tables, and the default count grows as k^2, so a large k alone could ask for
@@ -89,50 +89,13 @@ class SampleScheme:
         return r
 
 
-class _MaskRouter:
-    """Pass consumer over node samples: run i works on positions in the
-    ascending list ``samples[i]``.  Update (u, v) goes, in those positions, to
-    the runs in ``mask[u] & mask[v]`` (bit i of ``mask[v]``: sample i holds v),
-    one update at a time, in registration order.  The router holds the lists,
-    one word per member."""
-
-    def __init__(self, n: int, runs: list[OneCertRun], samples: list[list[int]],
-                 ledger: SpaceLedger):
-        self.runs = runs
-        self.local = [{v: j for j, v in enumerate(members)} for members in samples]
-        self.mask = [0] * n
-        for i, members in enumerate(samples):
-            for v in members:
-                self.mask[v] |= 1 << i
-        ledger.open("samples").charge(sum(map(len, samples)))
-
-    def begin_pass(self, pass_index: int):
-        feeds = [run.begin_pass(pass_index) for run in self.runs]
-        mask, local = self.mask, self.local
-
-        def feed(updates) -> None:
-            for sign, u, v in updates:
-                both = mask[u] & mask[v]
-                while both:
-                    low = both & -both
-                    i = low.bit_length() - 1
-                    ids = local[i]
-                    feeds[i](((sign, ids[u], ids[v]),))
-                    both ^= low
-
-        return feed
-
-    def end_pass(self, pass_index: int) -> None:
-        for run in self.runs:
-            run.end_pass(pass_index)
-
-
 def _sampled_cert(
     stream: ArcStream, k: int, scheme: SampleScheme, plan: RecursionPlan, mode: str
 ) -> tuple[Certificate, StreamStats]:
-    """Union of the 1-certificates of r samples sharing one set of passes.
-    Node mode draws all memberships in one sweep and routes updates by
-    membership mask (:class:`_MaskRouter`); arc mode filters by PRF value."""
+    """Union of the 1-certificates of r samples sharing passes through one
+    :class:`~streamcert.streams.Router`.  Node mode draws all memberships in one sweep, holds
+    the sample lists (one word per member) and routes (u, v) to ``mask[u] & mask[v]`` in each
+    sample's local ids; arc mode routes by PRF value, recomputed per update and never stored."""
     n = stream.n
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -142,23 +105,24 @@ def _sampled_cert(
     ledger = SpaceLedger()
     if mode == "node":
         samples = sample_members(scheme.seed, r, n, scheme.rho)
-        runs = [
-            OneCertRun(len(members), stream.model, plan, ledger, name=f"sample{i}")
-            for i, members in enumerate(samples)
-        ]
-        consumers = [_MaskRouter(n, runs, samples, ledger)]
+        ledger.open("samples").charge(sum(map(len, samples)))
+        mask = [0] * n
+        for i, members in enumerate(samples):
+            for v in members:
+                mask[v] |= 1 << i
+        ids = [{v: j for j, v in enumerate(members)} for members in samples]
+        route = lambda u, v: mask[u] & mask[v]
     else:
-        def keep_in(i: int):
-            return lambda u, v: prf_uniform(scheme.seed, i, u * n + v) < scheme.rho
-
-        samples = [range(n)] * r  # every arc sample keeps the node ids
-        runs = consumers = [
-            OneCertRun(n, stream.model, plan, ledger, name=f"sample{i}", arc_filter=keep_in(i))
-            for i in range(r)
-        ]
+        samples = ids = [range(n)] * r  # every arc sample keeps the node ids
+        in_samples = sample_mask(scheme.seed, r, scheme.rho)
+        route = lambda u, v: in_samples(u * n + v)
+    runs = [
+        OneCertRun(len(members), stream.model, plan, ledger, name=f"sample{i}")
+        for i, members in enumerate(samples)
+    ]
     passes = runs[0].total_passes
-    run_passes(stream, consumers, passes)
-    union = {(ids[u], ids[v]) for ids, run in zip(samples, runs) for u, v in run.cert_arcs}
+    run_passes(stream, [Router(runs, route, ids)], passes)
+    union = {(members[u], members[v]) for members, run in zip(samples, runs) for u, v in run.cert_arcs}
     prov = {
         "algorithm": f"k_{mode}_cert_sampled",
         "k": k,
@@ -209,18 +173,11 @@ def k_arc_cert_peeling(
     removed_in: frozenset = frozenset()
     fams_out: list[Branching] = []
     fams_in: list[Branching] = []
-    total_passes = 0
     for t in range(1, k + 1):
-        run_out = OneCertRun(
-            n, stream.model, plan, ledger, name=f"peel{t}/out",
-            arc_filter=lambda u, v, _rm=removed_out: (u, v) not in _rm,
-        )
-        run_in = OneCertRun(
-            n, stream.model, plan, ledger, name=f"peel{t}/in",
-            arc_filter=lambda u, v, _rm=removed_in: (u, v) not in _rm,
-        )
-        run_passes(stream, [run_out, run_in], run_out.total_passes)
-        total_passes += run_out.total_passes
+        run_out, run_in = (
+            OneCertRun(n, stream.model, plan, ledger, name=f"peel{t}/{kind}") for kind in ("out", "in"))
+        route = lambda u, v: ((u, v) not in removed_out) | ((u, v) not in removed_in) << 1
+        run_passes(stream, [Router([run_out, run_in], route, [range(n)] * 2)], run_out.total_passes)
         before = len(acc_out) + len(acc_in)
         acc_out |= run_out.cert_arcs
         acc_in |= run_in.cert_arcs
@@ -247,7 +204,7 @@ def k_arc_cert_peeling(
         "branchings": tuple(fams_out + fams_in),
     }
     cert = Certificate(n, arcs, kind="arc", k=k, provenance=prov)
-    return cert, StreamStats(passes=total_passes, peak_words=ledger.peak)
+    return cert, StreamStats(passes=k * run_out.total_passes, peak_words=ledger.peak)
 
 
 def extract_disjoint_branchings(

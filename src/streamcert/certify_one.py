@@ -192,9 +192,9 @@ class OneCertRun:
     """Pass-consumer computing one 1-certificate over nodes ``0..n-1``,
     multiplexable with peers.
 
-    ``arc_filter`` drops arcs on the fly without storing anything.  A run over
-    an induced node subset is given that subset's ids ``0..|S|-1``; the caller
-    translates updates and certificate arcs (see ``certify_k._MaskRouter``).
+    A run reads every update it is fed: runs sharing passes sit behind one
+    :class:`~streamcert.streams.Router`, which feeds each run its own updates
+    in its own ids (``0..|S|-1`` over an induced node subset S).
 
     ``owner[d][x]`` is the depth-d tree node holding node x.  Like the tree
     skeleton it depends only on n and the branching factor b, and a streaming
@@ -227,11 +227,9 @@ class OneCertRun:
         plan: RecursionPlan,
         ledger: SpaceLedger,
         name: str = "one",
-        arc_filter=None,
     ):
         self.model = model
         self.name = name
-        self.arc_filter = arc_filter
         self.size = n
 
         self.levels, self.q = plan.turnstile_split() if model == TURNSTILE else (plan.p - 1, 1)
@@ -282,7 +280,7 @@ class OneCertRun:
         kind, depth, j = self.schedule[pass_index]
         # A leaf pass wants the leaf holding both ends; a level pass at depth d
         # wants the depth-d node whose children split u from v.
-        own, keep = self.owner[depth], self.arc_filter
+        own = self.owner[depth]
         if kind == "leaf":
             for leaf in self.by_depth[depth]:
                 leaf.arcs = set()
@@ -290,7 +288,7 @@ class OneCertRun:
             def leaf_feed(updates) -> None:
                 for sign, u, v in updates:
                     node = own[u]
-                    if own[v] is not node or keep is not None and not keep(u, v):
+                    if own[v] is not node:
                         continue
                     if sign > 0:  # the stream keeps every multiplicity in {0, 1}
                         node.arcs.add((u, v))
@@ -308,7 +306,7 @@ class OneCertRun:
             def insertion_feed(updates) -> None:
                 for _, u, v in updates:
                     node = own[u]
-                    if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                    if own[v] is not node or below[u] is below[v]:
                         continue
                     key, at = u * size + head[v], pos[v]
                     cur = node.table.get(key)
@@ -327,7 +325,7 @@ class OneCertRun:
             def turnstile_feed(updates) -> None:
                 for sign, u, v in updates:
                     node = own[u]
-                    if own[v] is not node or below[u] is below[v] or keep is not None and not keep(u, v):
+                    if own[v] is not node or below[u] is below[v]:
                         continue
                     key = u * size + head[v]
                     counters = node.table.get(key)
@@ -342,7 +340,7 @@ class OneCertRun:
             # A live key needs no routing test: v shares a chain, so a child, with the arc that opened it.
             for sign, u, v in updates:
                 entry = own[u].live.get(u * size + head[v])
-                if entry is None or keep is not None and not keep(u, v):
+                if entry is None:
                     continue
                 lo, hi, find, counters = entry
                 at = pos[v]

@@ -165,44 +165,47 @@ def cmd_gen(args) -> int:
     seed = args.seed or 0
     fam = args.family
     _node_count(args.n)
-    if fam in ("transitive", "alpha", "circulant"):
-        _unread(args, f"--family {fam}", "bits")
-    if not args.stream and (args.bits is not None or fam in ("transitive", "alpha", "circulant")):
+    unread = {"transitive": ("bits", "d", "k"), "alpha": ("bits", "k"), "circulant": ("bits", "d")}
+    _unread(args, f"--family {fam}", *unread.get(fam, ("k",)))
+    if not args.stream:
+        _unread(args, "gen without --stream", "model")
+    if not args.stream and (args.bits is not None or fam in unread):
         _unread(args, f"--family {fam}{' with --bits' * (args.bits is not None)} and no --stream", "seed")
+    d = 3 if args.d is None else args.d
     if fam == "transitive":
         g = transitive_tournament(args.n)
     elif fam == "alpha":
-        g = alpha_family(args.n, args.d)
+        g = alpha_family(args.n, d)
     elif fam in ("plain", "triangle"):
-        if args.d < 3 or args.d % 3 or args.n % args.d:
+        if d < 3 or d % 3 or args.n % d:
             raise ValueError("need d >= 3 divisible by 3 and n divisible by d")
-        m = args.d // 3
-        bits = _bits_from_arg(args.bits, 2 * m * m * (args.n // args.d), seed)
+        m = d // 3
+        bits = _bits_from_arg(args.bits, 2 * m * m * (args.n // d), seed)
         g = gadget_tournament(gadget_plain if fam == "plain" else gadget_triangle, bits, m)
     elif fam in ("triangle-alpha", "hampath", "reach"):
-        alpha = _alpha_from_d(args.d)
+        alpha = _alpha_from_d(d)
         inner = args.n - 2 if fam == "hampath" else args.n
-        if inner % args.d:
-            raise ValueError(f"gadget size {args.d} does not divide {inner}")
-        count = inner // args.d
+        if inner % d:
+            raise ValueError(f"gadget size {d} does not divide {inner}")
+        count = inner // d
         bits = _bits_from_arg(args.bits, 2 * count, seed)
         gadgets = [
             gadget_triangle_alpha(bits[2 * i], bits[2 * i + 1], alpha)
             for i in range(count)
         ]
         if fam == "triangle-alpha":
-            g = embed_tournament(gadgets, args.d)
+            g = embed_tournament(gadgets, d)
         elif fam == "hampath":
             g = hampath_star(gadgets)
         else:
             g, s_star, t_star = reach_backedge([(gd, 0, 2) for gd in gadgets])
             print(json.dumps({"s": s_star, "t": t_star}), file=sys.stderr)
     elif fam == "circulant":
-        g = circulant(args.n, args.k)
+        g = circulant(args.n, 2 if args.k is None else args.k)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown family {fam}")
     if args.stream:
-        print(ArcStream.from_graph(g, args.model, seed=args.seed).to_text(), end="")
+        print(ArcStream.from_graph(g, args.model or INSERTION_ONLY, seed=args.seed).to_text(), end="")
     else:
         print(g.to_text(), end="")
     return 0
@@ -261,7 +264,7 @@ def cmd_verify(args) -> int:
 
 def cmd_congest(args) -> int:
     if args.proto != "kcert":
-        _unread(args, f"--proto {args.proto}", "rho")
+        _unread(args, f"--proto {args.proto}", "rho", "k")
     g = _graph(args.input)
     net = CongestNetwork(g)
     seed = args.seed or 0
@@ -274,7 +277,8 @@ def cmd_congest(args) -> int:
         for v, rank in enumerate(out):
             print(f"{v}\t{rank}")
     else:
-        marks, trace = congest_k_cert(net, args.k, _rho(args.k, args.rho), seed)
+        k = 2 if args.k is None else args.k
+        marks, trace = congest_k_cert(net, k, _rho(k, args.rho), seed)
         for v, arcs in enumerate(marks):
             flat = " ".join(f"{u}->{w}" for u, w in sorted(arcs))
             print(f"{v}\t{flat}")
@@ -315,12 +319,13 @@ def cmd_bench(args) -> int:
         _rho(k, None)  # k >= 1, checked before any family is built
     if args.family == "tournament":
         families = []
-        for alpha in map(int, args.alphas.split(",")):
+        for alpha in map(int, ("1,2,4" if args.alphas is None else args.alphas).split(",")):
             if alpha < 1:
                 raise ValueError(f"alpha must be >= 1, got {alpha}")
             size = args.n - args.n % alpha  # embeds blocks of alpha edgeless nodes
             families.append((f"tournament-a{alpha}", alpha_family(size, alpha), alpha if size else 0))
     else:
+        _unread(args, "--family circulant", "alphas")
         # the undirected graph is the k-th power of an n-cycle
         families = [(f"circulant-k{k}", circulant(args.n, k), args.n // (k + 1))]
     p_values = [int(p) for p in args.p_list.split(",")]
@@ -458,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("plain", "triangle", "triangle-alpha", "hampath",
                             "reach", "alpha", "transitive", "circulant"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--d", type=int, default=None)  # 3 where read
+    p.add_argument("--k", type=int, default=None)  # 2 where read
     p.add_argument("--bits", default=None, help="hex string or file of bits")
     p.add_argument("--stream", action="store_true")
-    p.add_argument("--model", choices=(INSERTION_ONLY, TURNSTILE), default=INSERTION_ONLY)
+    p.add_argument("--model", choices=(INSERTION_ONLY, TURNSTILE), default=None)  # ins where read
     _add_common(p)
     p.set_defaults(func=cmd_gen)
 
@@ -493,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("congest", help="run a distributed protocol")
     p.add_argument("--proto", choices=("kcert", "scc", "topo"), required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=None)  # 2 where read
     p.add_argument("--rho", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_congest)
@@ -502,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", help="space/pass benchmark table", allow_abbrev=False)
     p.add_argument("--family", choices=("tournament", "circulant"), default="tournament")
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--alphas", default="1,2,4")
+    p.add_argument("--alphas", default=None)  # 1,2,4 where read
     p.add_argument("--alg", choices=("one", "kcert", "peel"), default="one")
     p.add_argument("--p-list", default="1,2,3")
     p.add_argument("--models", default=INSERTION_ONLY)

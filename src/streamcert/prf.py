@@ -30,20 +30,34 @@ def prf_uniform(seed: int, *parts: int) -> float:
     return prf_u64(seed, *parts) / 2.0**64
 
 
+def _sample_keys(seed: int, r: int) -> list[int]:
+    """The mixed (seed, i) prefix of each sample i < r, the seed mixed once."""
+    z = _mix((seed & _M64) ^ _GAMMA)
+    return [_mix(z ^ _mix((i & _M64) + _GAMMA)) for i in range(r)]
+
+
 def sample_members(seed: int, r: int, n: int, rho: float) -> list[list[int]]:
     """Per sample i < r, the ascending nodes v < n with
     ``prf_uniform(seed, i, v) < rho``, bit for bit.
 
-    The seed prefix is mixed once, the sample prefix once per i and the node
-    part once per v, so each (i, v) costs one mix instead of five.
+    With the prefixes of :func:`_sample_keys` and each node part mixed once,
+    each (i, v) costs one mix instead of five.
     """
-    z = _mix((seed & _M64) ^ _GAMMA)
     node_parts = [_mix((v & _M64) + _GAMMA) for v in range(n)]
-    out = []
-    for i in range(r):
-        zi = _mix(z ^ _mix((i & _M64) + _GAMMA))
-        out.append([v for v, zv in enumerate(node_parts) if _mix(zi ^ zv) / 2.0**64 < rho])
-    return out
+    return [[v for v, zv in enumerate(node_parts) if _mix(zi ^ zv) / 2.0**64 < rho]
+            for zi in _sample_keys(seed, r)]
+
+
+def sample_mask(seed: int, r: int, rho: float):
+    """``mask(x)``: the bitmask of the samples i < r with ``prf_uniform(seed, i, x) < rho``,
+    bit for bit, at one mix per sample and one for x."""
+    keyed = [(1 << i, zi) for i, zi in enumerate(_sample_keys(seed, r))]
+
+    def mask(x: int) -> int:
+        zx = _mix((x & _M64) + _GAMMA)
+        return sum(bit for bit, zi in keyed if _mix(zi ^ zx) / 2.0**64 < rho)
+
+    return mask
 
 
 def prf_bits(seed: int, count: int, tag: int = 0) -> list[int]:

@@ -212,26 +212,51 @@ class PassConsumer(Protocol):
     def end_pass(self, pass_index: int) -> None: ...
 
 
+class Router:
+    """One pass consumer over several runs sharing its passes.  ``route(u, v)``
+    is the bitmask of the runs that read update (u, v): bit i hands run i
+    ``(sign, ids[i][u], ids[i][v])``, one update at a time, in run order, so
+    the runs' accounts charge in the order the shared pass holds the words."""
+
+    def __init__(self, runs: Sequence[PassConsumer], route: Callable[[int, int], int], ids: Sequence):
+        self.runs, self.route, self.ids = runs, route, ids
+
+    def begin_pass(self, pass_index: int):
+        feeds = [run.begin_pass(pass_index) for run in self.runs]
+        route, ids = self.route, self.ids
+
+        def feed(updates) -> None:
+            for sign, u, v in updates:
+                hit = route(u, v)
+                while hit:
+                    i = (hit & -hit).bit_length() - 1
+                    local = ids[i]
+                    feeds[i](((sign, local[u], local[v]),))
+                    hit &= hit - 1
+
+        return feed
+
+    def end_pass(self, pass_index: int) -> None:
+        for run in self.runs:
+            run.end_pass(pass_index)
+
+
 def run_passes(stream: ArcStream, consumers: Sequence[PassConsumer], passes: int) -> None:
     """Deliver the stream ``passes`` times to every consumer, in registration order.
 
     Within a pass every update reaches each consumer's feed exactly once and
     in stream order.  A lone consumer's feed is handed ``stream.updates``
-    itself, in one call.  Consumers registered together share the physical
-    pass and see it interleaved, one update at a time in registration order,
-    so their accounts charge in the order the shared pass holds the words.
+    itself, in one call.  Several consumers share the physical pass through
+    one :class:`Router` that routes every update to all of them.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
+    if len(consumers) > 1:
+        everyone = (1 << len(consumers)) - 1
+        consumers = [Router(consumers, lambda u, v: everyone, [range(stream.n)] * len(consumers))]
     for pass_index in range(passes):
-        feeds = [c.begin_pass(pass_index) for c in consumers]
-        if len(feeds) == 1:
-            feeds[0](stream.updates)
-        else:
-            for one in zip(stream.updates):  # 1-tuples
-                for feed in feeds:
-                    feed(one)
         for c in consumers:
+            c.begin_pass(pass_index)(stream.updates)
             c.end_pass(pass_index)
 
 

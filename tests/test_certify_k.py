@@ -146,12 +146,41 @@ def test_sampled_cert_deterministic_in_seed():
     assert a.provenance["seed"] != c.provenance["seed"]
 
 
-@pytest.mark.parametrize("model", ["insertion", "turnstile"])
-def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, model):
-    """Every run gets exactly the updates with both ends in its sample, in
-    stream order, once per pass and in the sample's local ids; no other update
-    reaches its handler."""
+@pytest.mark.parametrize(
+    "case", ["insertion", "turnstile", "arc-insertion", "arc-turnstile", "peel-insertion", "peel-turnstile"])
+def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, case):
+    """Every run gets exactly its own updates, in stream order, once per pass:
+    a node sample those with both ends in it, in its local ids; an arc sample
+    i those with ``prf_uniform(seed, i, u*n + v) < rho``; a peeling run of
+    iteration t those outside the arcs of iteration t - 1's out- or
+    in-branchings.  No other update reaches its handler."""
     from streamcert.certify_one import OneCertRun
+
+    mode, _, model = case.rpartition("-")
+    if mode == "peel":  # three iterations need a 3-arc-strong input
+        g = doubled_cycle(10, (1, 2, 3))
+    else:
+        g = random_strong_digraph(random.Random(31), 10, 10, extra=0.4)
+    stream = stream_of(g, INSERTION_ONLY if model == "insertion" else TURNSTILE, seed=3)
+    n, scheme, plan = g.n, SampleScheme(rho=0.5, r=9, seed=4), RecursionPlan(3)
+    want: dict[str, list] = {}
+    if mode == "":
+        for i in range(9):
+            local = {v: j for j, v in enumerate(v for v in range(n) if prf_uniform(4, i, v) < 0.5)}
+            want[f"sample{i}"] = [(s, local[u], local[v]) for s, u, v in stream.updates
+                                  if u in local and v in local]
+        run, args = k_node_cert, (stream, 2, scheme, plan)
+    elif mode == "arc":
+        for i in range(9):
+            want[f"sample{i}"] = [up for up in stream.updates if prf_uniform(4, i, up[1] * n + up[2]) < 0.5]
+        run, args = k_arc_cert_sampled, (stream, 2, scheme, plan)
+    else:
+        for t in (1, 2, 3):
+            fams = k_arc_cert_peeling(stream, t - 1, plan)[0].provenance["branchings"] if t > 1 else ()
+            for kind in ("out", "in"):
+                removed = {a for b in fams if b.kind == kind for a in b.arcs}
+                want[f"peel{t}/{kind}"] = [up for up in stream.updates if up[1:] not in removed]
+        run, args = k_arc_cert_peeling, (stream, 3, plan)
 
     got: dict[str, list] = {}
     begin_pass = OneCertRun.begin_pass
@@ -167,15 +196,12 @@ def test_each_sample_receives_only_updates_inside_its_universe(monkeypatch, mode
         return feed
 
     monkeypatch.setattr(OneCertRun, "begin_pass", counting)
-    g = random_strong_digraph(random.Random(31), 10, 10, extra=0.4)
-    stream = stream_of(g, INSERTION_ONLY if model == "insertion" else TURNSTILE, seed=3)
-    scheme = SampleScheme(rho=0.5, r=9, seed=4)
-    _, stats = k_node_cert(stream, 2, scheme, RecursionPlan(3))
-    assert stats.passes == 3 and len(got) == 9
-    for i in range(9):
-        local = {v: j for j, v in enumerate(v for v in range(g.n) if prf_uniform(4, i, v) < 0.5)}
-        want = [(s, local[u], local[v]) for s, u, v in stream.updates if u in local and v in local]
-        assert got[f"sample{i}"] == want * stats.passes, i
+    _, stats = run(*args)
+    passes = stats.passes // 3 if mode == "peel" else stats.passes
+    assert passes == 3 and got.keys() == want.keys()
+    for name, ups in want.items():
+        assert got[name] == ups * passes, name
+    assert any(len(ups) < len(stream.updates) for ups in want.values())
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_digraph, random_multi_scc_digraph, stream_of, turnstile_stream
+from streamcert import certify_k
 from streamcert.certify_k import (
     SampleScheme,
-    _MaskRouter,
     k_arc_cert_peeling,
     k_arc_cert_sampled,
     k_node_cert,
@@ -36,12 +36,19 @@ from streamcert.digraph import (
     scc_tarjan,
     transitive_closure,
 )
-from streamcert.hardgen import alpha_family, embed_tournament, gadget_triangle, transitive_tournament
+from streamcert.hardgen import (
+    alpha_family,
+    circulant,
+    embed_tournament,
+    gadget_triangle,
+    transitive_tournament,
+)
 from streamcert.prf import sample_members
 from streamcert.streams import (
     INSERTION_ONLY,
     TURNSTILE,
     ArcStream,
+    Router,
     SpaceBudgetError,
     SpaceLedger,
     StreamStats,
@@ -363,6 +370,18 @@ def _census(run):
     return words
 
 
+def _drive_in_chunks(consumer, updates, passes, check):
+    """Feed ``updates`` to ``consumer`` ``passes`` times, 97 at a time, calling
+    ``check(i, at)`` after every chunk and ``check(i, None)`` after every pass end."""
+    for i in range(passes):
+        feed = consumer.begin_pass(i)
+        for at in range(0, len(updates), 97):
+            feed(updates[at:at + 97])
+            check(i, at)
+        consumer.end_pass(i)
+        check(i, None)
+
+
 @pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
 def test_a_run_never_references_more_words_than_the_ledger_holds(model):
     """``_census``, taken every 97 updates and at every pass end, never
@@ -371,20 +390,17 @@ def test_a_run_never_references_more_words_than_the_ledger_holds(model):
     Uncharged by design, so not counted: the owner tables (``owner[d][x]``),
     the turnstile slot and width tables, and the run-wide chain table
     (``head``, ``pos``, ``chain_at``), which indexes the chain cover each
-    node's prune charges as ``hi - lo`` words.  kcert sample runs behind
-    ``_MaskRouter`` and peeling are not covered here."""
+    node's prune charges as ``hi - lo`` words.  Runs behind a ``Router`` are
+    covered by the kcert and peeling tests below."""
     for n, p in ((256, 1), (256, 2), (256, 3), (192, 5), (256, 9)):
         stream = ArcStream.from_graph(alpha_family(n, 4), model, seed=0)
         ledger = SpaceLedger()
         run = OneCertRun(n, model, RecursionPlan(p=p), ledger)
-        ups = stream.updates
-        for i in range(run.total_passes):
-            feed = run.begin_pass(i)
-            for at in range(0, len(ups), 97):
-                feed(ups[at:at + 97])
-                assert _census(run) <= ledger.current, (n, p, i, at)
-            run.end_pass(i)
-            assert _census(run) <= ledger.current, (n, p, i)
+
+        def check(i, at):
+            assert _census(run) <= ledger.current, (n, p, i, at)
+
+        _drive_in_chunks(run, stream.updates, run.total_passes, check)
         cert, stats = one_cert_stream(stream, RecursionPlan(p=p))
         assert (run.cert_arcs, ledger.peak) == (cert.arcs, stats.peak_words)
 
@@ -393,30 +409,69 @@ def test_a_run_never_references_more_words_than_the_ledger_holds(model):
 def test_kcert_sample_runs_never_reference_more_words_than_the_ledger_holds(model):
     """The sample lists' words plus ``_census`` over every sample run, taken
     every 97 updates and at every pass end, never exceed ``ledger.current``
-    of a ``_MaskRouter`` run, and the union and peak are ``k_node_cert``'s.
+    of a node-sample ``Router``, and the union and peak are ``k_node_cert``'s.
 
-    Uncharged by design, so not counted: the router's ``mask`` and ``local``
-    maps, since a sample run can recompute membership from the PRF, besides
-    the tables ``_census`` names.  Peeling is not covered here."""
+    Uncharged by design, so not counted: the route's membership masks and the
+    local-id maps, since a sample run can recompute membership from the PRF,
+    besides the tables ``_census`` names."""
     for n, p, k in ((64, 1, 2), (96, 2, 3), (80, 3, 2), (64, 5, 3)):
         stream = ArcStream.from_graph(alpha_family(n, 4), model, seed=0)
         scheme, plan = SampleScheme(rho=1 / k, seed=1), RecursionPlan(p=p)
         samples = sample_members(scheme.seed, scheme.sample_count(k, n, "node"), n, scheme.rho)
         ledger = SpaceLedger()
         runs = [OneCertRun(len(members), model, plan, ledger) for members in samples]
-        router = _MaskRouter(n, runs, samples, ledger)
         held = sum(map(len, samples))
-        ups = stream.updates
-        for i in range(runs[0].total_passes):
-            feed = router.begin_pass(i)
-            for at in range(0, len(ups), 97):
-                feed(ups[at:at + 97])
-                assert held + sum(map(_census, runs)) <= ledger.current, (n, p, k, i, at)
-            router.end_pass(i)
-            assert held + sum(map(_census, runs)) <= ledger.current, (n, p, k, i)
-        union = {(ids[u], ids[v]) for ids, run in zip(samples, runs) for u, v in run.cert_arcs}
+        ledger.open("samples").charge(held)
+        mask = [0] * n
+        for i, members in enumerate(samples):
+            for v in members:
+                mask[v] |= 1 << i
+        ids = [{v: j for j, v in enumerate(members)} for members in samples]
+        router = Router(runs, lambda u, v: mask[u] & mask[v], ids)
+
+        def check(i, at):
+            assert held + sum(map(_census, runs)) <= ledger.current, (n, p, k, i, at)
+
+        _drive_in_chunks(router, stream.updates, runs[0].total_passes, check)
+        union = {(members[u], members[v]) for members, run in zip(samples, runs) for u, v in run.cert_arcs}
         cert, stats = k_node_cert(stream, k, scheme, plan)
         assert (union, ledger.peak) == (cert.arcs, stats.peak_words)
+
+
+@pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
+def test_peeling_runs_never_reference_more_words_than_the_ledger_holds(monkeypatch, model):
+    """Each peeling iteration's ``Router`` is driven 97 updates at a time: the
+    words ``peel/state`` holds at entry plus ``_census`` over the out- and
+    in-run, taken after every chunk and every pass end, never exceed
+    ``ledger.current``, and the certificate and ``StreamStats`` are
+    ``k_arc_cert_peeling``'s.  Not covered: the branching extraction between
+    iterations, which runs on the accumulators outside any pass."""
+    for n, k, p in ((48, 3, 1), (64, 2, 2), (60, 4, 3), (40, 3, 5)):
+        stream = ArcStream.from_graph(circulant(n, k), model, seed=0)
+        want = k_arc_cert_peeling(stream, k, RecursionPlan(p=p))
+        opened, driven = {}, []
+
+        class Ledger(SpaceLedger):
+            def open(self, name):
+                opened[name] = super().open(name)
+                return opened[name]
+
+        def run_passes(stream, consumers, passes):
+            (router,) = consumers
+            ledger, state = router.runs[0].account._ledger, opened["peel/state"].held
+
+            def check(i, at):
+                assert state + sum(map(_census, router.runs)) <= ledger.current, (n, k, p, i, at)
+
+            _drive_in_chunks(router, stream.updates, passes, check)
+            driven.append(router)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(certify_k, "SpaceLedger", Ledger)
+            patch.setattr(certify_k, "run_passes", run_passes)
+            cert, stats = k_arc_cert_peeling(stream, k, RecursionPlan(p=p))
+        assert len(driven) == k
+        assert (cert.arcs, cert.provenance, stats) == (want[0].arcs, want[0].provenance, want[1])
 
 
 @given(st.data())

@@ -359,20 +359,27 @@ def test_options_the_mode_never_reads_exit_2(circ_files, capsys):
     for argv, unread in (
         (("kcert", "--input", spath, "--k", "2", "--passes", "1", "--mode", "peel"),
          (("--rho", "0.3"), ("--r", "5"), ("--seed", "9"))),
-        (("gen", "--family", "transitive", "--n", "4"), (("--bits", "zz"), ("--seed", "3"))),
-        (("gen", "--family", "alpha", "--n", "4", "--d", "2"), (("--bits", "f"), ("--seed", "3"))),
-        (("gen", "--family", "circulant", "--n", "5"), (("--bits", "f"), ("--seed", "3"))),
+        (("gen", "--family", "transitive", "--n", "4"),
+         (("--bits", "zz"), ("--seed", "3"), ("--k", "7"), ("--d", "9"), ("--model", "turn"))),
+        (("gen", "--family", "alpha", "--n", "4", "--d", "2"),
+         (("--bits", "f"), ("--seed", "3"), ("--k", "7"), ("--model", "turn"))),
+        (("gen", "--family", "circulant", "--n", "5"), (("--bits", "f"), ("--seed", "3"), ("--d", "9"))),
+        # --k is read by circulant only, --model with --stream only
+        (("gen", "--family", "circulant", "--n", "5", "--k", "2", "--stream", "--model", "turn"),
+         (("--d", "3"),)),
         # the seed draws the bits when --bits is absent, and shuffles a stream
-        (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff"), (("--seed", "5"),)),
+        (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff"),
+         (("--seed", "5"), ("--k", "2"), ("--model", "ins"))),
         (("gen", "--family", "reach", "--n", "6", "--d", "3", "--bits", "f"), (("--seed", "5"),)),
         (("gen", "--family", "plain", "--n", "6", "--d", "3", "--seed", "5"), ()),
         (("gen", "--family", "transitive", "--n", "4", "--stream", "--seed", "3"), ()),
         (("gen", "--family", "plain", "--n", "6", "--d", "3", "--bits", "ff", "--stream", "--seed", "5"), ()),
-        (("congest", "--proto", "scc", "--input", gpath), (("--rho", "0.3"),)),
-        (("congest", "--proto", "topo", "--input", gpath), (("--rho", "0.3"),)),
+        (("congest", "--proto", "scc", "--input", gpath), (("--rho", "0.3"), ("--k", "5"))),
+        (("congest", "--proto", "topo", "--input", gpath), (("--rho", "0.3"), ("--k", "5"))),
         (("bench", "--n", "6", "--alphas", "1", "--p-list", "1"), (("--k", "7"),)),
         (("bench", "--family", "tournament", "--alg", "one", "--n", "6", "--alphas", "1", "--p-list", "1"),
          (("--k", "2"),)),
+        (("bench", "--family", "circulant", "--n", "6", "--p-list", "1"), (("--alphas", "3"),)),
     ):
         assert run(capsys, *argv)[0] == 0, argv
         for option in unread:

@@ -1,4 +1,4 @@
-from streamcert.prf import prf_bits, prf_u64, prf_uniform, sample_members
+from streamcert.prf import prf_bits, prf_u64, prf_uniform, sample_mask, sample_members
 
 
 def test_prf_is_deterministic_and_seed_sensitive():
@@ -29,3 +29,8 @@ def test_sample_members_match_prf_uniform():
                 for rho in (0.05, 1 / 3, 0.5, 1.0):
                     want = [[v for v in range(n) if prf_uniform(seed, i, v) < rho] for i in range(r)]
                     assert sample_members(seed, r, n, rho) == want, (seed, r, n, rho)
+            for rho in (0.05, 1 / 3, 0.5, 1.0):  # the arc route: bit i of mask(x) per sample i
+                mask = sample_mask(seed, r, rho)
+                for x in (0, 1, 5, 4899, 2**64 + 3, -7):
+                    want = sum(1 << i for i in range(r) if prf_uniform(seed, i, x) < rho)
+                    assert mask(x) == want, (seed, r, rho, x)
