@@ -20,9 +20,11 @@ Two layers:
   arc (x, u) surviving in the stream.  Under deletions that search runs as a
   multi-pass block-counter minimum selection: a plain list of counters per
   (x, chain) entry of the level's table, one counter step per routed update,
-  and :func:`~streamcert.streams.select_step` at the end of each pass.  A
-  pass's feed routes each update by lookups in per-depth owner tables (node
-  id -> tree node), not by a descent from the root; the tables hold what
+  and :func:`~streamcert.streams.select_step` at the end of each pass.  A run
+  builds a depth's tree nodes and its owner row (node id -> tree node) as the
+  depth's first pass begins and deletes them once the parent level has merged
+  them, so it holds at most two depths.  A feed routes each update by lookups
+  in the held owner rows, not by a descent from the root; the rows hold what
   :func:`~streamcert.streams.blocks` recomputes in O(levels) arithmetic, so
   they are not charged as space.  One run-wide chain table (node id -> head
   of its chain, position on it) indexes the covers the prunes already charge,
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Mapping
 
 from .digraph import (
@@ -81,9 +84,9 @@ class RecursionPlan:
     pass, a turnstile run q = max(1, floor(sqrt(p-1))) selection passes per level
     and d = floor((p-1)/q) levels.  A run with d >= 1 levels cuts every range
     into b = max(2, smallest integer with b**(d+1) >= n) blocks.  p <= 64: a run
-    builds a tree level, an owner table and a schedule entry per pass, and with
-    b >= 2 a level past log2 n <= 16 (``digraph.MAX_NODES``) only copies
-    single-node blocks.
+    keeps a schedule entry per pass and builds a depth's nodes and owner row as
+    its first pass begins, and with b >= 2 a level past log2 n <= 16
+    (``digraph.MAX_NODES``) only copies single-node blocks.
     """
 
     p: int
@@ -171,7 +174,7 @@ def tc_preserving_prune(g: Digraph) -> Digraph:
 
 
 class _TreeNode:
-    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs", "table", "live", "account")
+    __slots__ = ("lo", "hi", "depth", "children", "arcs", "h_arcs")
 
     def __init__(self, lo: int, hi: int, depth: int):
         self.lo = lo
@@ -180,12 +183,6 @@ class _TreeNode:
         self.children: list[_TreeNode] = []
         self.arcs: set[tuple[int, int]] | None = None
         self.h_arcs: set[tuple[int, int]] | None = None  # set by the node's prune
-        # level-pass table keyed by x * n + the head of a child's chain (one word): the best
-        # chain position so far (insertion-only), or a selection's first-pass counters, then
-        # its open (lo, hi, find, counters) or its answer, a position or None (turnstile)
-        self.table: dict | None = None
-        self.live: dict | None = None  # the turnstile table's open entries, by key
-        self.account = None
 
 
 class OneCertRun:
@@ -196,28 +193,35 @@ class OneCertRun:
     :class:`~streamcert.streams.Router`, which feeds each run its own updates
     in its own ids (``0..|S|-1`` over an induced node subset S).
 
-    ``owner[d][x]`` is the depth-d tree node holding node x.  Like the tree
-    skeleton it depends only on n and the branching factor b, and a streaming
-    algorithm finds the same node with ``blocks`` in O(levels) arithmetic and
-    O(1) words, so the tables are a lookup cache, not algorithm state, and the
-    ledger does not charge them.  ``head[x]`` is the first node of x's chain
-    in its block's cover one level down, ``pos[x]`` x's place on it and
-    ``chain_at[h]`` the chain headed by h: one run-wide table, as a level pass
-    reads only the level below and a node's prune rewrites its own range after
-    its merge has read the children.  It indexes the cover ``_prune_into``
-    charges as ``hi - lo`` words, so it is charged nothing more.  ``begin_pass``
-    picks the leaf, insertion-only or turnstile level feed once per pass.
+    A run holds only the depths it works on: ``depths[d] = (nodes, owner)``,
+    with ``owner[x]`` the depth-d node holding x, is built as depth d's first
+    pass begins and deleted once depth d - 1's merge has read it.  Like the
+    tree skeleton an owner row depends only on n and the branching factor b,
+    so it is a lookup cache, not algorithm state (see the module docstring).
+    ``accounts[d]``, one per depth, holds depth d's words: leaf arcs, or
+    pruned arcs plus, below the root, the ``hi - lo`` words of the prune's
+    chain cover, and the level table while depth d is open.  ``head[x]`` is
+    the first node of x's chain in its block's cover one level down,
+    ``pos[x]`` x's place on it and ``chain_at[h]`` the chain headed by h: one
+    run-wide table, as a level pass reads only the level below and a node's
+    prune rewrites its own range after its merge has read the children.  It
+    indexes the cover ``_prune_into`` charges as ``hi - lo`` words, so it is
+    charged nothing more.  ``begin_pass`` picks the leaf, insertion-only or
+    turnstile level feed once per pass.
 
-    A turnstile level's first pass opens every selection of a chain on one cut,
-    ``_pass_cut(len(chain), q)``: ``slot[v]``, the counter holding ``pos[v]``,
-    and ``width[v]``, the number of counters, are O(1) arithmetic on the
-    charged ``head`` and ``pos``, so like the owner tables they are not
-    charged.  An entry starts as ``width[v]`` counters, charged with 3 words of
-    range and bookkeeping, and a routed update steps one counter.  ``end_pass``
-    ends each open selection by ``select_step``, so it keeps its answer or
-    opens ``(lo, hi, find, counters)``, and each tree node releases its spent
-    counters once.  ``node.live`` indexes the open entries only, so no later
-    pass touches a finished selection.
+    One level is open at a time, so its passes share one ``table`` keyed by
+    ``x * n`` plus the head of a chain one level down: the best chain position
+    so far (insertion-only), or a selection's first-pass counters, then its
+    open ``(lo, hi, find, counters)`` or its answer, a position or None
+    (turnstile).  A turnstile level's first pass opens every selection of a
+    chain on one cut, ``_pass_cut(len(chain), q)``: ``slot[v]``, the counter
+    holding ``pos[v]``, and ``width[v]``, the number of counters, are O(1)
+    arithmetic on the charged ``head`` and ``pos``, so like the owner rows
+    they are not charged.  An entry starts as ``width[v]`` counters, charged
+    with 3 words of range and bookkeeping, and a routed update steps one
+    counter.  ``end_pass`` ends each open selection by ``select_step`` and
+    releases the spent counters in one call; ``live`` indexes the open
+    entries only, so no later pass touches a finished selection.
     """
 
     def __init__(
@@ -242,27 +246,9 @@ class OneCertRun:
         self.account = ledger.open(f"{name}/run")
         self.account.charge(8)
 
-        # contiguous-range recursion tree, one node list per depth; empty blocks get no node
-        root = _TreeNode(0, self.size, 0)
-        self.by_depth: list[list[_TreeNode]] = [[root]]
-        for depth in range(self.levels):
-            nxt = []
-            for node in self.by_depth[depth]:
-                starts = blocks(node.hi - node.lo, self.b)[1]
-                node.children = [
-                    _TreeNode(node.lo + a, node.lo + z, depth + 1)
-                    for a, z in zip(starts, starts[1:]) if a < z
-                ]
-                nxt.extend(node.children)
-            self.by_depth.append(nxt)
-        # uncharged routing tables (see the class docstring)
-        self.owner: list[list[_TreeNode]] = []
-        for nodes in self.by_depth:
-            row = [root] * self.size
-            for node in nodes:
-                node.account = ledger.open(f"{name}/[{node.lo},{node.hi})")
-                row[node.lo:node.hi] = [node] * (node.hi - node.lo)
-            self.owner.append(row)
+        self.depths: dict[int, tuple[list[_TreeNode], list[_TreeNode]]] = {}
+        self.accounts = [ledger.open(f"{name}/depth{d}") for d in range(self.levels + 1)]
+        self.table = self.live = None  # the open level's table and its open entries
         self.head, self.pos, self.chain_at = [0] * self.size, [0] * self.size, [None] * self.size
 
         # pass schedule (kind, depth, j): leaf collection, then q passes per level
@@ -272,17 +258,33 @@ class OneCertRun:
                 self.schedule.append(("level", depth, j))
         self.cert_arcs: frozenset | None = None
 
+    def _open_depth(self, depth: int) -> None:
+        """Build the depth's nodes (empty blocks get none) and its owner row."""
+        spans = [(0, self.size)]
+        for _ in range(depth):
+            spans = [(lo + a, lo + z) for lo, hi in spans
+                     for a, z in pairwise(blocks(hi - lo, self.b)[1]) if a < z]
+        nodes = [_TreeNode(lo, hi, depth) for lo, hi in spans]
+        own: list = [None] * self.size
+        for node in nodes:
+            own[node.lo:node.hi] = [node] * (node.hi - node.lo)
+        for child in self.depths.get(depth + 1, ((), ()))[0]:  # the depth below, if built
+            own[child.lo].children.append(child)
+        self.depths[depth] = nodes, own
+
     # -- pass protocol ------------------------------------------------------
 
     def begin_pass(self, pass_index: int):
         if pass_index >= len(self.schedule):
             raise RuntimeError(f"{self.name}: no phase scheduled for pass {pass_index}")
         kind, depth, j = self.schedule[pass_index]
+        if j == 0:
+            self._open_depth(depth)
         # A leaf pass wants the leaf holding both ends; a level pass at depth d
         # wants the depth-d node whose children split u from v.
-        own = self.owner[depth]
+        (nodes, own), account = self.depths[depth], self.accounts[depth]
         if kind == "leaf":
-            for leaf in self.by_depth[depth]:
+            for leaf in nodes:
                 leaf.arcs = set()
 
             def leaf_feed(updates) -> None:
@@ -292,29 +294,27 @@ class OneCertRun:
                         continue
                     if sign > 0:  # the stream keeps every multiplicity in {0, 1}
                         node.arcs.add((u, v))
-                        node.account.charge(1)
+                        account.charge(1)
                     else:
                         node.arcs.remove((u, v))
-                        node.account.release(1)
+                        account.release(1)
 
             return leaf_feed
         if j == 0:
-            for node in self.by_depth[depth]:
-                node.table = {}
-        below, size, head, pos = self.owner[depth + 1], self.size, self.head, self.pos
+            self.table = {}
+        below, size, head, pos, table = self.depths[depth + 1][1], self.size, self.head, self.pos, self.table
         if self.model != TURNSTILE:
             def insertion_feed(updates) -> None:
                 for _, u, v in updates:
-                    node = own[u]
-                    if own[v] is not node or below[u] is below[v]:
+                    if own[u] is not own[v] or below[u] is below[v]:
                         continue
                     key, at = u * size + head[v], pos[v]
-                    cur = node.table.get(key)
+                    cur = table.get(key)
                     if cur is None:
-                        node.table[key] = at
-                        node.account.charge(1)
+                        table[key] = at
+                        account.charge(1)
                     elif at < cur:
-                        node.table[key] = at
+                        table[key] = at
 
             return insertion_feed
         if j == 0:
@@ -324,22 +324,22 @@ class OneCertRun:
 
             def turnstile_feed(updates) -> None:
                 for sign, u, v in updates:
-                    node = own[u]
-                    if own[v] is not node or below[u] is below[v]:
+                    if own[u] is not own[v] or below[u] is below[v]:
                         continue
                     key = u * size + head[v]
-                    counters = node.table.get(key)
+                    counters = table.get(key)
                     if counters is None:
-                        counters = node.table[key] = [0] * width[v]
-                        node.account.charge(3 + width[v])  # active range, bookkeeping and counters
+                        counters = table[key] = [0] * width[v]
+                        account.charge(3 + width[v])  # active range, bookkeeping and counters
                     counters[slot[v]] += sign
 
             return turnstile_feed
+        live = self.live
 
         def select_feed(updates) -> None:
             # A live key needs no routing test: v shares a chain, so a child, with the arc that opened it.
             for sign, u, v in updates:
-                entry = own[u].live.get(u * size + head[v])
+                entry = live.get(u * size + head[v])
                 if entry is None:
                     continue
                 lo, hi, find, counters = entry
@@ -351,40 +351,38 @@ class OneCertRun:
 
     def end_pass(self, pass_index: int) -> None:
         kind, depth, j = self.schedule[pass_index]
-        nodes = self.by_depth[depth]
+        nodes = self.depths[depth][0]
         if kind == "leaf":
             for leaf in nodes:
-                leaf.account.charge(leaf.hi - leaf.lo)  # the prune's scratch
-                self._prune_into(leaf, leaf.arcs, leaf.hi - leaf.lo)
+                self.accounts[depth].charge(leaf.hi - leaf.lo)  # the prune's scratch
+                self._prune_into(leaf, leaf.arcs, leaf.hi - leaf.lo, len(leaf.arcs))
                 leaf.arcs = None
         else:
             if self.model == TURNSTILE:  # a pass never holds more counters than the one before
-                chain_at, size = self.chain_at, self.size
-                for node in nodes:
-                    table, live, spent = node.table, {}, 0
-                    if j == 0:  # each selection opened on its whole chain
-                        opened = ((key, 0, len(chain_at[key % size]), c) for key, c in table.items())
-                    else:
-                        opened = ((key, lo, hi, c) for key, (lo, hi, _, c) in node.live.items())
-                    for key, lo, hi, counters in opened:
-                        spent += len(counters)
-                        entry = table[key] = select_step(lo, hi, counters, self.q - j)
-                        if type(entry) is tuple:
-                            live[key] = entry
-                            spent -= len(entry[3])
-                    node.live = live
-                    node.account.release(spent)
+                chain_at, size, table, live, spent = self.chain_at, self.size, self.table, {}, 0
+                if j == 0:  # each selection opened on its whole chain
+                    opened = ((key, 0, len(chain_at[key % size]), c) for key, c in table.items())
+                else:
+                    opened = ((key, lo, hi, c) for key, (lo, hi, _, c) in self.live.items())
+                for key, lo, hi, counters in opened:
+                    spent += len(counters)
+                    entry = table[key] = select_step(lo, hi, counters, self.q - j)
+                    if type(entry) is tuple:
+                        live[key] = entry
+                        spent -= len(entry[3])
+                self.live = live
+                self.accounts[depth].release(spent)
             if j < self.q - 1:
                 return
-            for node in nodes:
-                self._merge(node)
+            self._merge(depth)
         if depth == 0:
             self.cert_arcs = frozenset(nodes[0].h_arcs)
 
     # -- offline phases ------------------------------------------------------
 
-    def _prune_into(self, node: _TreeNode, arcs: set[tuple[int, int]], spent: int) -> None:
-        """Keep the pruned block and, below the root, the prune's chain cover."""
+    def _prune_into(self, node: _TreeNode, arcs: set[tuple[int, int]], spent: int, replaced: int) -> None:
+        """Keep the pruned block, in place of ``replaced`` of the node's words, and, below
+        the root, the prune's chain cover; then release the ``spent`` words."""
         node.h_arcs, chains = _prune(node.hi - node.lo, arcs, node.lo)
         keep = len(node.h_arcs)
         if node.depth > 0:  # the root's chain cover is never consumed
@@ -393,32 +391,41 @@ class OneCertRun:
                 for i, v in enumerate(chain):
                     self.head[v], self.pos[v] = chain[0], i
             keep += node.hi - node.lo
-        node.account.set_held(keep + spent)
-        node.account.release(spent)
+        account = self.accounts[node.depth]
+        if keep >= replaced:
+            account.charge(keep - replaced)
+        else:
+            account.release(replaced - keep)
+        account.release(spent)
 
-    def _merge(self, node: _TreeNode) -> None:
-        merged: set[tuple[int, int]] = set()
-        for key, pos in node.table.items():
+    def _merge(self, depth: int) -> None:
+        """Merge and prune each depth-``depth`` node in order, then delete the depth below."""
+        nodes, own = self.depths[depth]
+        account, below = self.accounts[depth], self.accounts[depth + 1]
+        unit, size, chain_at = 3 if self.model == TURNSTILE else 1, self.size, self.chain_at
+        merged = {node: set() for node in nodes}
+        for key, pos in self.table.items():  # the level table, by owner node
             if pos is not None:  # a selection without survivor answers None
-                x, h = divmod(key, self.size)
-                merged.add((x, self.chain_at[h][pos]))
-        table_words = (3 if self.model == TURNSTILE else 1) * len(node.table)
-        for child in node.children:
-            merged |= child.h_arcs
-        scratch = node.hi - node.lo
-        node.account.charge(len(merged) + scratch)
-        for child in node.children:
-            child.account.drop()
-            child.h_arcs = None
-        node.table = None
-        node.account.release(table_words)
-        self._prune_into(node, merged, len(merged) + scratch)
+                x, h = divmod(key, size)
+                merged[own[x]].add((x, chain_at[h][pos]))
+        unanswered = Counter(own[key // size] for key, pos in self.table.items() if pos is None)
+        self.table = self.live = None
+        for node in nodes:
+            arcs = merged[node]  # one arc per answered entry: each answer lies on its own chain
+            table_words = unit * (len(arcs) + unanswered[node])
+            for child in node.children:
+                arcs |= child.h_arcs
+            scratch = node.hi - node.lo
+            account.charge(len(arcs) + scratch)
+            below.release(sum(len(child.h_arcs) + child.hi - child.lo for child in node.children))
+            node.children = []
+            account.release(table_words)
+            self._prune_into(node, arcs, len(arcs) + scratch, 0)
+        del self.depths[depth + 1]
 
     def close(self) -> None:
-        for nodes in self.by_depth:
-            for node in nodes:
-                node.account.drop()
-        self.account.drop()
+        for account in (*self.accounts, self.account):
+            account.drop()
 
 
 def one_cert_stream(

@@ -82,14 +82,6 @@ class SpaceAccount:
         self.held -= words
         self._ledger.current -= words
 
-    def set_held(self, words: int) -> None:
-        """Adjust held words to an absolute value (convenience for rebuilds)."""
-        delta = words - self.held
-        if delta >= 0:
-            self.charge(delta)
-        else:
-            self.release(-delta)
-
     def drop(self) -> None:
         """Release everything; a second drop releases nothing."""
         self.release(self.held)

@@ -282,6 +282,16 @@ def test_prune_kernel_on_edge_cases():
     assert _prune(3, {(11, 12), (12, 13), (13, 11)}, 11) == ({(11, 12), (12, 13), (13, 11)}, ((11, 12, 13),))
 
 
+def _whole_tree(n, model, plan):
+    """A fresh run with every depth built at once by its depth builder, deepest
+    first, so each depth's nodes have their children attached; a run fed a
+    stream holds at most two depths."""
+    run = OneCertRun(n, model, plan, SpaceLedger())
+    for depth in range(run.levels, -1, -1):
+        run._open_depth(depth)
+    return run
+
+
 def _pruned_covers(run, updates):
     """Drive ``run`` pass by pass over ``updates``.  Right after the pass that
     prunes the depth-d nodes, d >= 1, and before a shallower prune rewrites
@@ -294,7 +304,7 @@ def _pruned_covers(run, updates):
         run.begin_pass(i)(updates)
         run.end_pass(i)
         if depth > 0 and (kind == "leaf" or j == run.q - 1):
-            for node in run.by_depth[depth]:
+            for node in run.depths[depth][0]:
                 place = {v: (run.head[v], run.pos[v]) for v in range(node.lo, node.hi)}
                 cover = {h: run.chain_at[h] for h, _ in place.values()}
                 covers.append((node, cover, place, node.h_arcs))
@@ -328,18 +338,19 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
             mp.setattr(digraph, "_closure", counting("closure", digraph._closure))
             calls.clear()
             covers = _pruned_covers(run, stream_of(g, model, seed).updates)
-        # a merge releases its children's pruned arcs: only the root keeps its own
-        root = run.by_depth[0][0]
-        assert all(node.h_arcs is None for nodes in run.by_depth[1:] for node in nodes)
-        assert root.h_arcs is not None and run.cert_arcs == root.h_arcs
+        # a merge deletes the depth below it: only the root's depth is held
+        assert list(run.depths) == [0]
+        (root,) = run.depths[0][0]
+        assert root.children == [] and root.h_arcs is not None and run.cert_arcs == root.h_arcs
         # an arc-less block runs no decomposition; a pruned block has its input's
         # closure, so it holds an arc exactly when its input did
         with_arcs = bool(root.h_arcs) + sum(bool(arcs) for _, _, _, arcs in covers)
         assert calls == {"scc": with_arcs, "closure": with_arcs}
-        arcless += sum(map(len, run.by_depth)) - with_arcs
+        arcless += 1 + len(covers) - with_arcs
         assert run.cert_arcs == one_cert_stream(stream_of(g, model, seed), plan)[0].arcs
+        tree = _whole_tree(g.n, model, plan).depths
         assert sorted((node.depth, node.lo) for node, _, _, _ in covers) == [
-            (node.depth, node.lo) for nodes in run.by_depth[1:] for node in nodes]
+            (node.depth, node.lo) for depth in range(1, run.levels + 1) for node in tree[depth][0]]
         for node, cover, _, arcs in covers:
             lo, size = node.lo, node.hi - node.lo
             block = Digraph(size, ((u - lo, v - lo) for u, v in arcs))
@@ -352,21 +363,26 @@ def test_tree_nodes_keep_a_minimum_chain_cover_of_their_pruned_block(monkeypatch
     assert checked >= 100 and arcless >= 100
 
 
+def _table_words(run):
+    """The open level table's words: 1 per insertion-only entry; 3 plus its
+    open counters per turnstile entry, an answer keeping its 3.  Until the
+    level's first pass ends every entry is its counter list; after it, the
+    open entries are the ``live`` ones (see the turnstile level test)."""
+    table = run.table or {}
+    if run.model == INSERTION_ONLY:
+        return len(table)
+    if run.live is None:
+        return 3 * len(table) + sum(map(len, table.values()))
+    return 3 * len(table) + sum(len(entry[3]) for entry in run.live.values())
+
+
 def _census(run):
     """Words the run's objects reference, counted from the objects, not from
-    the charge sites: the run account's words, then per tree node its leaf
-    arcs, its pruned arcs and its table words (1 per insertion-only entry; 3
-    plus its open counters per turnstile entry, an answer keeping its 3)."""
-    words = run.account.held
-    for nodes in run.by_depth:
-        for node in nodes:
-            words += len(node.arcs or ()) + len(node.h_arcs or ())
-            table = node.table or {}
-            if run.model == INSERTION_ONLY:
-                words += len(table)
-            else:
-                words += sum(3 + (len(entry) if type(entry) is list else
-                                  len(entry[3]) if type(entry) is tuple else 0) for entry in table.values())
+    the charge sites: the run account's words, per node of each held depth its
+    leaf arcs and its pruned arcs, and the level table's words."""
+    words = run.account.held + _table_words(run)
+    for nodes, _ in run.depths.values():
+        words += sum(len(node.arcs or ()) + len(node.h_arcs or ()) for node in nodes)
     return words
 
 
@@ -387,7 +403,7 @@ def test_a_run_never_references_more_words_than_the_ledger_holds(model):
     """``_census``, taken every 97 updates and at every pass end, never
     exceeds ``ledger.current``.
 
-    Uncharged by design, so not counted: the owner tables (``owner[d][x]``),
+    Uncharged by design, so not counted: the held depths' owner rows,
     the turnstile slot and width tables, and the run-wide chain table
     (``head``, ``pos``, ``chain_at``), which indexes the chain cover each
     node's prune charges as ``hi - lo`` words.  Runs behind a ``Router`` are
@@ -403,6 +419,58 @@ def test_a_run_never_references_more_words_than_the_ledger_holds(model):
         _drive_in_chunks(run, stream.updates, run.total_passes, check)
         cert, stats = one_cert_stream(stream, RecursionPlan(p=p))
         assert (run.cert_arcs, ledger.peak) == (cert.arcs, stats.peak_words)
+
+
+def _depth_words(run, depth, level):
+    """Words of depth ``depth``'s objects: its leaf arcs and pruned arcs, ``hi -
+    lo`` cover words per pruned node below the root, and the level table's
+    words when ``depth`` is the open ``level``."""
+    nodes = run.depths[depth][0]
+    words = sum(len(node.arcs or ()) + len(node.h_arcs or ()) for node in nodes)
+    words += sum(node.hi - node.lo for node in nodes if depth and node.h_arcs is not None)
+    return words + (_table_words(run) if depth == level else 0)
+
+
+@pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
+def test_each_depth_account_holds_exactly_its_depths_words(model):
+    """After every 97-update chunk and every pass end, a run holds at most two
+    depths, each held depth's ``accounts[d].held`` equals ``_depth_words``, a
+    depth not held has none, and the ledger holds the run's accounts and
+    nothing more."""
+    checked, streams = 0, {}
+    for n, p in ((256, 1), (256, 2), (256, 3), (192, 5), (256, 9), (96, 17)):
+        if n not in streams:
+            streams[n] = stream_of(alpha_family(n, 4), model, 0)  # turnstile: churned
+        stream = streams[n]
+        ledger = SpaceLedger()
+        run = OneCertRun(n, model, RecursionPlan(p=p), ledger)
+
+        def check(i, at):
+            nonlocal checked
+            kind, depth, _ = run.schedule[i]
+            level = depth if kind == "level" else None
+            assert len(run.depths) <= 2, (n, p, i, at)
+            for d, account in enumerate(run.accounts):
+                assert account.held == (_depth_words(run, d, level) if d in run.depths else 0), (n, p, i, at, d)
+                checked += d in run.depths
+            assert ledger.current == run.account.held + sum(a.held for a in run.accounts)
+
+        _drive_in_chunks(run, stream.updates, run.total_passes, check)
+        cert, stats = one_cert_stream(stream, RecursionPlan(p=p))
+        assert (run.cert_arcs, ledger.peak) == (cert.arcs, stats.peak_words)
+    assert checked > 10_000
+
+
+def test_building_a_run_holds_no_tree():
+    """A run builds a depth when its first pass begins, so building the run
+    holds only its n-entry chain table."""
+    tracemalloc.start()
+    try:
+        run = OneCertRun(16384, INSERTION_ONLY, RecursionPlan(p=17), SpaceLedger())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert run.levels == 16 and not run.depths and held < 1_000_000
 
 
 @pytest.mark.parametrize("model", [INSERTION_ONLY, TURNSTILE])
@@ -518,8 +586,9 @@ def test_reversed_path_is_its_own_one_pass_certificate():
 
 def test_recursion_tree_has_no_empty_blocks():
     path = Digraph(4, [(0, 1), (1, 2), (2, 3)])
-    run = OneCertRun(path.n, INSERTION_ONLY, RecursionPlan(p=18), SpaceLedger())
-    assert sum(len(nodes) for nodes in run.by_depth) <= run.size * (run.levels + 1)
+    run = _whole_tree(path.n, INSERTION_ONLY, RecursionPlan(p=18))
+    nodes = [node for nodes, _ in run.depths.values() for node in nodes]
+    assert all(node.lo < node.hi for node in nodes) and len(nodes) <= run.size * (run.levels + 1)
     cert, stats = one_cert_stream(ArcStream.from_graph(path), RecursionPlan(p=40))
     assert cert.arcs == path.arcs
     assert (stats.passes, stats.peak_words) == (40, 22)
@@ -528,12 +597,13 @@ def test_recursion_tree_has_no_empty_blocks():
 def test_owner_tables_match_block_descent():
     for levels in range(5):
         for size in range(1, 301):
-            run = OneCertRun(size, INSERTION_ONLY, RecursionPlan(p=levels + 1), SpaceLedger())
-            assert sum(map(len, run.owner)) == run.size * (run.levels + 1)
+            run = _whole_tree(size, INSERTION_ONLY, RecursionPlan(p=levels + 1))
+            assert sorted(run.depths) == list(range(levels + 1))
+            assert all(len(own) == size for _, own in run.depths.values())
             for x in range(size):
-                node = run.by_depth[0][0]
+                (node,) = run.depths[0][0]
                 for d in range(levels + 1):
-                    assert run.owner[d][x] is node, (size, levels, x, d)
+                    assert run.depths[d][1][x] is node, (size, levels, x, d)
                     if d < levels:
                         node = node.children[blocks(node.hi - node.lo, run.b)[0](x - node.lo)]
 
@@ -549,7 +619,7 @@ def test_chain_table_is_one_row_per_run():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert run.levels == 12 and held < 5_300_000
+    assert run.levels == 12 and held < 3 * 8 * run.size + 16_384  # three lists of 8-byte slots
     assert len(run.head) == len(run.pos) == len(run.chain_at) == run.size
     for model, seed in ((INSERTION_ONLY, 3), (TURNSTILE, 4)):
         g = random_digraph(random.Random(seed), 40, 60, density=0.1)
@@ -610,14 +680,14 @@ def test_routing_paths_are_pinned(name):
 
 
 def test_a_turnstile_level_holds_its_open_selection_counters():
-    """After every level pass but the last, a tree node of that depth holds 3
-    words per selection and the counters of its open selections, and a
-    budget of the peak less one word stops the run.  After every level pass
-    the live index holds exactly the open entries, and none once the level's
-    last pass has answered them all.  The budgets split into q = 1, 2 and 3
-    passes per level."""
+    """After every level pass but the last, the account of that depth holds 3
+    words per selection of the run's level table and the counters of its open
+    selections, and a budget of the peak less one word stops the run.  After
+    every level pass the live index holds exactly the open entries, and none
+    once the level's last pass has answered them all.  The budgets split into
+    q = 1, 2 and 3 passes per level."""
     st = turnstile_stream(alpha_family(48, 4), 36)
-    for p, q, nodes, peak in ((3, 1, 0, 3346), (5, 2, 5, 2819), (10, 3, 26, 2030)):
+    for p, q, passes, peak in ((3, 1, 0, 3346), (5, 2, 2, 2819), (10, 3, 6, 2030)):
         plan = RecursionPlan(p=p)
         ledger = SpaceLedger()
         run = OneCertRun(st.n, TURNSTILE, plan, ledger)
@@ -628,15 +698,14 @@ def test_a_turnstile_level_holds_its_open_selection_counters():
             run.end_pass(i)
             if kind != "level":
                 continue
-            for node in run.by_depth[depth]:
-                table = node.table or {}  # the merge drops the table after the last pass
-                open_ = {key: e for key, e in table.items() if type(e) is tuple}
-                assert node.live == open_ and all(node.live[key] is e for key, e in open_.items())
-                if j < run.q - 1:
-                    counters = sum(len(e[3]) for e in open_.values())
-                    assert node.account.held == 3 * len(table) + counters, (plan, i, node.lo)
-                    checked += 1
-        assert checked == nodes and ledger.peak == peak
+            table, live = run.table or {}, run.live or {}  # the merge drops both after the last pass
+            open_ = {key: e for key, e in table.items() if type(e) is tuple}
+            assert live == open_ and all(live[key] is e for key, e in open_.items())
+            if j < run.q - 1:
+                counters = sum(len(e[3]) for e in open_.values())
+                assert table and run.accounts[depth].held == 3 * len(table) + counters, (plan, i)
+                checked += 1
+        assert checked == passes and ledger.peak == peak
         with pytest.raises(SpaceBudgetError):
             one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak - 1))
         cert, stats = one_cert_stream(st, plan, SpaceLedger(budget=ledger.peak))
@@ -654,14 +723,13 @@ def test_a_finished_selection_observes_nothing():
     for i in range(level):
         run.begin_pass(i)(st.updates)
         run.end_pass(i)
-    nodes = run.by_depth[0]
-    done = [divmod(key, run.size) for node in nodes for key, e in node.table.items() if type(e) is not tuple]
-    assert done and any(node.live for node in nodes)
-    before = [dict(node.table) for node in nodes]
-    counts = [[list(e[3]) for e in node.live.values()] for node in nodes]
+    done = [divmod(key, run.size) for key, e in run.table.items() if type(e) is not tuple]
+    assert done and run.live
+    before = dict(run.table)
+    counts = [list(e[3]) for e in run.live.values()]
     run.begin_pass(level)([(1, x, v) for x, h in done for v in run.chain_at[h]])
-    assert [dict(node.table) for node in nodes] == before
-    assert [[list(e[3]) for e in node.live.values()] for node in nodes] == counts
+    assert run.table == before
+    assert [list(e[3]) for e in run.live.values()] == counts
 
 
 def test_turnstile_pass_budget_matches_split():

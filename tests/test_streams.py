@@ -197,7 +197,7 @@ class _HoldPresent:
                 self.account.release(1)
 
     def end_pass(self, i):
-        self.account.set_held(0)
+        self.account.drop()
 
 
 def test_shared_pass_interleaves_consumers_and_the_ledger_sees_it():
@@ -238,7 +238,7 @@ def test_space_ledger_peak_and_release():
     assert ledger.current == 10 and ledger.peak == 10
     a.release(4)
     assert ledger.current == 6 and ledger.peak == 10
-    b.set_held(0)
+    b.drop()
     a.drop()
     assert ledger.current == 0 and ledger.peak == 10
     a.drop()  # a second drop has nothing left to release
